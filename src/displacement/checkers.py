@@ -14,10 +14,9 @@ an unbounded universal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import (
-    ContextMismatchError,
     FgSubgroup,
     ProductContext,
     PropertyReport,
@@ -95,27 +94,37 @@ def check_cc(H: FgSubgroup, t) -> PropertyReport:
     return PropertyReport.passing(desc, rep.checks)
 
 
+def _conjugates_commute(H: FgSubgroup, t, desc: str, stop: int):
+    """[H, t^p H t^-p] = 1 for 1 <= p < stop: the shared power loop of
+    the Z/n- and Z-conjugates conditions.  Returns the failing report
+    (or None) and t^stop."""
+    tp = t
+    for p in range(1, stop):
+        rep = subgroups_commute(H, H.conjugate(tp))
+        if not rep.ok:
+            failure = PropertyReport.failing(
+                desc, f"[H, t^{p} H t^-{p}] != 1", counterexample=rep.counterexample
+            )
+            return failure, tp
+        tp = tp * t
+    return None, tp
+
+
 def check_cznc(H: FgSubgroup, t, n: int) -> PropertyReport:
     """Commuting Z/n-conjugates: [H, t^p H t^-p] = 1 for 1 <= p < n and
     t^n centralizes H."""
     if n < 2:
         raise ValueError("n must be at least 2")
     desc = f"commuting Z/{n}-conjugates for {H.label}"
-    checks: List[str] = []
-    tp = t
-    for p in range(1, n):
-        rep = subgroups_commute(H, H.conjugate(tp))
-        if not rep.ok:
-            return PropertyReport.failing(
-                desc, f"[H, t^{p} H t^-{p}] != 1", counterexample=rep.counterexample
-            )
-        checks.append(f"[H, t^{p} H t^-{p}] = 1")
-        tp = tp * t
+    failure, tn = _conjugates_commute(H, t, desc, n)
+    if failure is not None:
+        return failure
     for h in H.generators:
-        if not commutator(h, tp).is_identity():
+        if not commutator(h, tn).is_identity():
             return PropertyReport.failing(
-                desc, f"t^{n} does not centralize H", counterexample=(h, tp)
+                desc, f"t^{n} does not centralize H", counterexample=(h, tn)
             )
+    checks = [f"[H, t^{p} H t^-{p}] = 1" for p in range(1, n)]
     checks.append(f"t^{n} centralizes the generators")
     return PropertyReport.passing(desc, checks)
 
@@ -126,14 +135,9 @@ def check_czc(H: FgSubgroup, t, p_max: int) -> PropertyReport:
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     desc = f"commuting Z-conjugates for {H.label} (powers up to {p_max})"
-    tp = t
-    for p in range(1, p_max + 1):
-        rep = subgroups_commute(H, H.conjugate(tp))
-        if not rep.ok:
-            return PropertyReport.failing(
-                desc, f"[H, t^{p} H t^-{p}] != 1", counterexample=rep.counterexample
-            )
-        tp = tp * t
+    failure, _ = _conjugates_commute(H, t, desc, p_max + 1)
+    if failure is not None:
+        return failure
     return PropertyReport.bounded(desc, [f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import BudgetExceededError
 from .serialize import ScenarioError, dump_report, parse_scenario
-from .suites import SUITES, list_suites, run_checks, run_suite
+from .suites import list_suites, run_checks, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,10 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--p-max", type=int, help="override the power bound")
+    parser.add_argument("--seed", type=int, help="seed for sampled checks")
     parser.add_argument("--budget", type=int, help="override the search budget")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
     return parser
 
 
@@ -79,21 +77,19 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
     bounds = {}
-    if args.p_max is not None:
-        bounds["p_max"] = args.p_max
     if args.budget is not None:
         bounds["budget"] = args.budget
 
     started = time.monotonic()
     try:
         if args.suite:
-            report = run_suite(args.suite, bounds, seed=args.seed, jobs=args.jobs)
+            report = run_suite(args.suite, bounds, seed=args.seed or 0)
         else:
             scenario = parse_scenario(args.scenario)
             merged = dict(scenario.get("bounds", {}))
             merged.update(bounds)
-            seed = args.seed if args.seed else scenario.get("seed", 0)
-            report = run_checks(scenario["checks"], merged, seed, jobs=args.jobs)
+            seed = scenario.get("seed", 0) if args.seed is None else args.seed
+            report = run_checks(scenario["checks"], merged, seed)
     except ScenarioError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

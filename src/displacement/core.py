@@ -63,15 +63,17 @@ class PropertyReport:
     """Structured pass/fail outcome of a property check.
 
     ``verdict`` is one of "pass", "fail", "bounded-pass" or
-    "not-applicable".  On failure ``counterexample`` holds a re-checkable
-    witness (typically a pair of elements whose commutator is
-    nontrivial).
+    "not-applicable"; searches report "some" when they found a witness
+    and "none" when they exhausted their space without one.  On failure
+    ``counterexample`` holds a re-checkable witness (typically a pair of
+    elements whose commutator is nontrivial); on "some" it holds the
+    witness found.
     """
 
     description: str
     verdict: str
     checks: Tuple[str, ...] = ()
-    counterexample: Optional[tuple] = None
+    counterexample: Optional[Any] = None
 
     @property
     def ok(self) -> bool:
@@ -89,7 +91,7 @@ class PropertyReport:
     def failing(
         description: str,
         reason: str,
-        counterexample: Optional[tuple] = None,
+        counterexample: Optional[Any] = None,
         checks: Sequence[str] = (),
     ) -> "PropertyReport":
         return PropertyReport(

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .checkers import check_mitotic
 from .core import (
     BudgetExceededError,
     ContextMismatchError,
@@ -592,33 +593,22 @@ def cc_witness_search_b1(
     return None
 
 
+def mitosis_data(base: FgSubgroup, budget: int = 10**3):
+    """G_- of m(G) together with the stable letters s and d, built from
+    one presentation.  The mitosis pair is (s, d*s).  Raises
+    BudgetExceededError when G has more than ``budget`` elements."""
+    if len(enumerate_subgroup(list(base.generators))) > budget:
+        raise BudgetExceededError(f"base group larger than budget {budget}")
+    pres = mitosis_presentation(base)
+    return pres.minus_subgroup(), pres.stable_letter("s"), pres.stable_letter("d")
+
+
 def mitosis_check(base: FgSubgroup, budget: int = 10**3) -> PropertyReport:
     """Verify the mitosis data of m(G) by normal forms: s-conjugates of
     G_- commute with G_-, and d*s realizes h |-> h * (s h s^-1) on every
     generator."""
-    from .core import commutator, conj, subgroups_commute
-
-    if len(enumerate_subgroup(list(base.generators))) > budget:
-        raise BudgetExceededError(f"base group larger than budget {budget}")
-    desc = f"mitosis data for m({base.label})"
-    pres = mitosis_presentation(base)
-    s = pres.stable_letter("s")
-    d = pres.stable_letter("d")
-    ds = d * s
-    minus = pres.minus_subgroup()
-    rep = subgroups_commute(minus, minus.conjugate(s))
-    if not rep.ok:
-        return PropertyReport.failing(
-            desc, "[G_-, s G_- s^-1] != 1", counterexample=rep.counterexample
-        )
-    checks = ["[G_-, s G_- s^-1] = 1 on generators"]
-    for h in minus.generators:
-        if conj(ds, h) != h * conj(s, h):
-            return PropertyReport.failing(
-                desc, "(ds) h (ds)^-1 != h * s h s^-1", counterexample=(h,)
-            )
-    checks.append("(ds)-conjugation splits every generator as h * s h s^-1")
-    return PropertyReport.passing(desc, checks)
+    minus, s, d = mitosis_data(base, budget)
+    return check_mitotic(minus, s, d * s)
 
 
 # -- iterated binate tower ----------------------------------------------

@@ -1,25 +1,24 @@
 """Named verification suites and the scenario check registry.
 
-A check is a named, parameterized computation that returns a verdict
-("pass", "bounded-pass", "fail", "some", "none" or "not-applicable")
-plus human-readable detail lines.  Suites are predefined scenarios: a
-list of checks with expected verdicts.  A suite run succeeds when every
-check's verdict matches its expectation, so expected-fail refutations
-count as success.
+A check is a named, parameterized computation that returns a
+PropertyReport: a verdict ("pass", "bounded-pass", "fail", "some",
+"none" or "not-applicable") plus human-readable detail lines.  Suites
+are predefined scenarios: a list of checks with expected verdicts.  A
+suite run succeeds when every check's verdict matches its expectation,
+so expected-fail refutations count as success.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from . import checkers, hnn, matrices, plmaps, wreath
 from .core import (
-    BudgetExceededError,
     FgSubgroup,
+    PropertyReport,
     commutator,
     element_order,
     enumerate_subgroup,
@@ -27,33 +26,40 @@ from .core import (
 from .perms import symmetric_group
 from .serialize import to_jsonable
 
-DEFAULT_BOUNDS = {"p_max": 10, "budget": 10**7, "radius": 3}
+DEFAULT_BOUNDS = {"budget": 10**7, "radius": 3}
+
+# scenario type name -> runner taking (params, bounds, rng); _run_one
+# looks runners up here at call time
+CHECK_TYPES: Dict[str, Callable[..., PropertyReport]] = {}
+DEFAULT_EXPECT: Dict[str, str] = {}
 
 
-def _result(verdict: str, detail: List[str], counterexample=None) -> dict:
-    out = {"verdict": verdict, "detail": detail}
-    if counterexample is not None:
-        out["counterexample"] = to_jsonable(counterexample)
-    return out
+def check_type(name: str, expect: str = "pass"):
+    """Register a runner under its scenario type name, together with the
+    verdict a check of that type is expected to reach by default."""
+
+    def register(fn):
+        CHECK_TYPES[name] = fn
+        DEFAULT_EXPECT[name] = expect
+        return fn
+
+    return register
 
 
-def _from_report(rep) -> dict:
-    return _result(rep.verdict, list(rep.checks), rep.counterexample)
-
-
-def _merge(reports) -> dict:
-    """Combine sub-reports: fail dominates, then bounded-pass."""
+def _merge(desc: str, reports, note: Optional[str] = None) -> PropertyReport:
+    """Combine sub-reports: fail dominates, then bounded-pass.  ``note``
+    closes the detail of a combined report that does not fail."""
     detail: List[str] = []
     verdict = "pass"
     for rep in reports:
-        detail.extend(rep["detail"] if isinstance(rep, dict) else rep.checks)
-        v = rep["verdict"] if isinstance(rep, dict) else rep.verdict
-        if v == "fail":
-            cx = rep.get("counterexample") if isinstance(rep, dict) else rep.counterexample
-            return _result("fail", detail, cx)
-        if v == "bounded-pass":
+        detail.extend(rep.checks)
+        if rep.verdict == "fail":
+            return PropertyReport(desc, "fail", tuple(detail), rep.counterexample)
+        if rep.verdict == "bounded-pass":
             verdict = "bounded-pass"
-    return _result(verdict, detail)
+    if note is not None:
+        detail.append(note)
+    return PropertyReport(desc, verdict, tuple(detail))
 
 
 def _tower(params) -> wreath.TowerSpec:
@@ -64,50 +70,51 @@ def _tower(params) -> wreath.TowerSpec:
 # -- check implementations ----------------------------------------------
 
 
-def run_wreath_zn_witness(params, bounds, rng) -> dict:
+@check_type("wreath-zn-witness")
+def run_wreath_zn_witness(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
-    cert, rep = wreath.zn_witness(tower, tower.base, params["level"], params["p"])
-    reverify = checkers.verify_certificate(cert)
-    out = _merge([rep, reverify])
-    out["detail"].append("certificate re-verified by the generic checker")
-    return out
+    _, rep = wreath.zn_witness(tower, tower.base, params["level"], params["p"])
+    return rep
 
 
-def run_wreath_brute_search(params, bounds, rng) -> dict:
+@check_type("wreath-brute-search", expect="none")
+def run_wreath_brute_search(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
     level = params["level"]
     H = wreath.embed_subgroup(tower.base, tower, level)
     size = wreath.level_order(tower, level, bounds["budget"])
     t = wreath.brute_search_zp_witness(tower, level, H, params["p"], bounds["budget"])
+    desc = "wreath-brute-search"
     if t is None:
-        return _result("none", [f"exhausted all {size} elements, no witness"])
-    return _result("some", [f"witness found among {size} elements"], t)
+        return PropertyReport(desc, "none", (f"exhausted all {size} elements, no witness",))
+    return PropertyReport(desc, "some", (f"witness found among {size} elements",), t)
 
 
-def run_wreath_torsion_exhaustive(params, bounds, rng) -> dict:
+@check_type("wreath-torsion-exhaustive")
+def run_wreath_torsion_exhaustive(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
     level = params["level"]
     H = wreath.embed_subgroup(tower.base, tower, level)
+    desc = "wreath-torsion-exhaustive"
     count = 0
     for t in wreath.enumerate_level(tower, level, bounds["budget"]):
         order = element_order(t)
         rep = checkers.check_czc(H, t, order)
         if rep.ok:
-            return _result(
-                "fail", [f"t of order {order} passes the Z-conjugate conditions"], t
+            return PropertyReport.failing(
+                desc, f"t of order {order} passes the Z-conjugate conditions", t
             )
         count += 1
-    return _result(
-        "pass",
-        [f"all {count} elements fail the Z-conjugate conditions at p <= ord(t)"],
+    return PropertyReport.passing(
+        desc, [f"all {count} elements fail the Z-conjugate conditions at p <= ord(t)"]
     )
 
 
-def run_sym_zn_witness(params, bounds, rng) -> dict:
+@check_type("sym-zn-witness")
+def run_sym_zn_witness(params, bounds, rng) -> PropertyReport:
     H = symmetric_group(params.get("degree", 3))
-    cert, rep = wreath.sym_zn_witness(H, params["n"])
-    reverify = checkers.verify_certificate(cert)
-    return _merge([rep, reverify])
+    _, rep = wreath.sym_zn_witness(H, params["n"])
+    return rep
 
 
 def _random_unitriangular(rng, n: int, upper: bool) -> List[List[Fraction]]:
@@ -137,10 +144,12 @@ def _mul2(a, b):
     ]
 
 
-def run_gl_block_identity(params, bounds, rng) -> dict:
+@check_type("gl-block-identity")
+def run_gl_block_identity(params, bounds, rng) -> PropertyReport:
     """Oracle for 2x2-block conjugation inside GL_4: assemble
     [[XAX^-1, XB], [CX^-1, D]] blockwise and compare exactly."""
     samples = params.get("samples", 200)
+    desc = "gl-block-identity"
     for i in range(samples):
         X = _random_invertible(rng, 2)
         g = _random_invertible(rng, 4)
@@ -159,20 +168,24 @@ def run_gl_block_identity(params, bounds, rng) -> dict:
             [XAXi[0] + XB[0], XAXi[1] + XB[1], CXi[0] + D[0], CXi[1] + D[1]]
         )
         if got != expected:
-            return _result("fail", [f"mismatch at sample {i}"], (X, g))
-    return _result("pass", [f"{samples} random block conjugations match the oracle"])
+            return PropertyReport.failing(desc, f"mismatch at sample {i}", (X, g))
+    return PropertyReport.passing(
+        desc, [f"{samples} random block conjugations match the oracle"]
+    )
 
 
-def run_gl_centralizer(params, bounds, rng) -> dict:
+@check_type("gl-centralizer")
+def run_gl_centralizer(params, bounds, rng) -> PropertyReport:
     tests = [
         matrices.RationalMatrix([[-1, 0], [0, 1]]),
         matrices.RationalMatrix([[1, 0], [0, -1]]),
         matrices.RationalMatrix([[1, 0], [1, 1]]),
     ]
+    desc = "gl-centralizer"
     space = matrices.centralizer_space(tests, ambient=4)
     detail = [f"centralizer dimension {space.dim} in M_4"]
     if space.dim != 5:
-        return _result("fail", detail + ["expected dimension 5"])
+        return PropertyReport.failing(desc, "expected dimension 5", checks=detail)
     for M in matrices.matrices_of(space, 4):
         scalar_block = (
             M[0][0] == M[1][1]
@@ -183,29 +196,32 @@ def run_gl_centralizer(params, bounds, rng) -> dict:
             M[i][j] == 0 and M[j][i] == 0 for i in range(2) for j in range(2, 4)
         )
         if not (scalar_block and off_blocks_zero):
-            return _result("fail", detail + ["basis element not of shape aI_2 (+) D"])
+            return PropertyReport.failing(
+                desc, "basis element not of shape aI_2 (+) D", checks=detail
+            )
     detail.append("every basis element has the aI_2 (+) D block shape")
     full = matrices.centralizer_space(matrices.gl2z_generators().generators, ambient=2)
     detail.append(f"full generator set centralizer has dimension {full.dim} (scalars)")
-    if full.dim != 1:
-        return _result("fail", detail)
-    return _result("pass", detail)
+    return PropertyReport(desc, "pass" if full.dim == 1 else "fail", tuple(detail))
 
 
-def run_gl_z2(params, bounds, rng) -> dict:
+@check_type("gl-z2")
+def run_gl_z2(params, bounds, rng) -> PropertyReport:
     H = matrices.gl2z_generators()
     cert, rep = matrices.gl_block_swap_witness(H)
     reverify = checkers.verify_certificate(cert)
     if not (rep.ok and reverify.ok):
-        return _merge([rep, reverify])
+        return _merge(rep.description, [rep, reverify])
     t = cert.payload["t"]
     czc = checkers.check_czc(H, t, 2)
     if czc.ok:
-        return _result("fail", ["Z-conjugate conditions unexpectedly hold at p = 2"])
+        return PropertyReport.failing(
+            rep.description, "Z-conjugate conditions unexpectedly hold at p = 2"
+        )
     detail = list(rep.checks)
     detail.append("Z/2 certificate re-verified by the generic checker")
     detail.append("Z-conjugate conditions fail at p = 2 (t^2 = 1), as they must")
-    return _result("pass", detail)
+    return PropertyReport.passing(rep.description, detail)
 
 
 def _random_pl_word(rng, gens, max_len: int):
@@ -216,11 +232,13 @@ def _random_pl_word(rng, gens, max_len: int):
     return w
 
 
-def run_pl_tower(params, bounds, rng) -> dict:
+@check_type("pl-tower", expect="bounded-pass")
+def run_pl_tower(params, bounds, rng) -> PropertyReport:
     depth = params.get("depth", 3)
     samples = params.get("samples", 200)
     disp_p = params.get("displace_p_max", 50)
     czc_p = params.get("czc_p_max", 10)
+    desc = "pl-tower"
     gens, dissipators, intervals = plmaps.tower_gamma(depth)
     detail = [f"tower of depth {depth} built with {len(gens)} generators"]
     reports = []
@@ -230,22 +248,22 @@ def run_pl_tower(params, bounds, rng) -> dict:
         reports.append(plmaps.displaces(t, I, disp_p))
         level = FgSubgroup(f"Gamma_{i}", gens[: i + 1])
         reports.append(checkers.check_czc(level, t, czc_p))
-    merged = _merge(reports)
-    if merged["verdict"] == "fail":
+    merged = _merge(desc, reports)
+    if merged.verdict == "fail":
         return merged
-    detail.extend(merged["detail"])
+    detail.extend(merged.checks)
     level_sets = [plmaps.IntervalSet([iv]) for iv in intervals]
     for k in range(samples):
         g = _random_pl_word(rng, gens, 8)
         sup = plmaps.pl_support(g)
         for (l0, r0), (l1, r1) in zip(sup.intervals, sup.intervals[1:]):
             if r0 > l1:
-                return _result("fail", [f"support not disjoint for sample {k}"], g)
+                return PropertyReport.failing(desc, f"support not disjoint for sample {k}", g)
         for I in level_sets[:-1]:
             gi = I.image(g)
             if not (gi.is_disjoint_from(I) or gi == I):
-                return _result(
-                    "fail", [f"conjugacy dichotomy fails at sample {k}"], (g, I)
+                return PropertyReport.failing(
+                    desc, f"conjugacy dichotomy fails at sample {k}", (g, I)
                 )
     detail.append(
         f"{samples} sampled words: supports are finite disjoint interval sets"
@@ -253,22 +271,24 @@ def run_pl_tower(params, bounds, rng) -> dict:
     detail.append(
         f"{samples} sampled words: g(I_i) is disjoint from I_i or equal to it"
     )
-    return _result(merged["verdict"], detail)
+    return PropertyReport(desc, merged.verdict, tuple(detail))
 
 
-def run_pl_fixed_point(params, bounds, rng) -> dict:
+@check_type("pl-fixed-point")
+def run_pl_fixed_point(params, bounds, rng) -> PropertyReport:
     samples = params.get("samples", 50)
     h = plmaps.unique_fixed_point_element()
     half = Fraction(1, 2)
+    desc = "pl-fixed-point"
     detail = []
     if h(half) != half:
-        return _result("fail", ["h does not fix 1/2"])
+        return PropertyReport.failing(desc, "h does not fix 1/2")
     sup = plmaps.pl_support(h)
     if sup != plmaps.IntervalSet([(0, half), (half, 1)]):
-        return _result("fail", [f"support is {sup!r}, not (0,1/2) u (1/2,1)"])
+        return PropertyReport.failing(desc, f"support is {sup!r}, not (0,1/2) u (1/2,1)")
     detail.append("h fixes 1/2 and moves every other point of (0, 1)")
     if not plmaps.in_standard_f_copy(h):
-        return _result("fail", ["h is not in the standard copy on (0, 1)"])
+        return PropertyReport.failing(desc, "h is not in the standard copy on (0, 1)")
     detail.append("h lies in the standard copy on (0, 1)")
     x0, x1 = plmaps.thompson_generators()
     for p in range(1, samples + 1):
@@ -277,7 +297,7 @@ def run_pl_fixed_point(params, bounds, rng) -> dict:
         for _ in range(p // 3):
             power = power * u
         if power(half) != half:
-            return _result("fail", [f"a power of h moves 1/2"], power)
+            return PropertyReport.failing(desc, "a power of h moves 1/2", power)
     detail.append(f"{samples} centralizing elements (powers of h) fix 1/2 exactly")
     moved = 0
     for k in range(samples):
@@ -285,13 +305,13 @@ def run_pl_fixed_point(params, bounds, rng) -> dict:
         if u(half) != half:
             moved += 1
             if commutator(u, h).is_identity():
-                return _result(
-                    "fail", [f"element moving 1/2 centralizes h (sample {k})"], u
+                return PropertyReport.failing(
+                    desc, f"element moving 1/2 centralizes h (sample {k})", u
                 )
     detail.append(
         f"{moved} sampled elements moving 1/2 all fail to centralize h"
     )
-    return _result("pass", detail)
+    return PropertyReport.passing(desc, detail)
 
 
 def _random_britton_word(rng, pres, max_letters: int):
@@ -304,9 +324,11 @@ def _random_britton_word(rng, pres, max_letters: int):
     return (rng.randrange(pres.size), tuple(letters))
 
 
-def run_britton_engine(params, bounds, rng) -> dict:
+@check_type("britton-engine")
+def run_britton_engine(params, bounds, rng) -> PropertyReport:
     base = symmetric_group(params.get("degree", 3))
     samples = params.get("samples", 500)
+    desc = "britton-engine"
     detail = []
     b_pres = hnn.binate_presentation(base)
     m_pres = hnn.mitosis_presentation(base)
@@ -319,21 +341,21 @@ def run_britton_engine(params, bounds, rng) -> dict:
             * b_pres.stable_letter("d").inverse()
         )
         if lhs != b_pres.base_element(g, g):
-            return _result("fail", ["d (1,g) d^-1 != (g,g)"], g)
+            return PropertyReport.failing(desc, "d (1,g) d^-1 != (g,g)", g)
         back = (
             b_pres.stable_letter("d").inverse()
             * b_pres.base_element(g, g)
             * b_pres.stable_letter("d")
         )
         if back != b_pres.base_element(e, g):
-            return _result("fail", ["d^-1 (g,g) d != (1,g)"], g)
+            return PropertyReport.failing(desc, "d^-1 (g,g) d != (1,g)", g)
         s_lhs = (
             m_pres.stable_letter("s")
             * m_pres.base_element(g, e)
             * m_pres.stable_letter("s").inverse()
         )
         if s_lhs != m_pres.base_element(e, g):
-            return _result("fail", ["s (g,1) s^-1 != (1,g)"], g)
+            return PropertyReport.failing(desc, "s (g,1) s^-1 != (1,g)", g)
     detail.append(
         f"defining rewrites verified for all {len(b_pres.group_elems)} base elements"
     )
@@ -344,7 +366,7 @@ def run_britton_engine(params, bounds, rng) -> dict:
             if hnn.stable_letter_count(word) != 1:
                 continue
             if hnn.is_identity(pres, word):
-                return _result("fail", ["reduced 1-letter word is trivial"], word)
+                return PropertyReport.failing(desc, "reduced 1-letter word is trivial", word)
             count += 1
     detail.append(f"all {count} reduced one-stable-letter words are nontrivial")
     # confluence under randomized pinch orders
@@ -354,20 +376,24 @@ def run_britton_engine(params, bounds, rng) -> dict:
             first = hnn.britton_reduce(pres, w)
             second = hnn.britton_reduce(pres, w, rng=rng)
             if hnn.normal_form(pres, first) != hnn.normal_form(pres, second):
-                return _result("fail", [f"confluence breaks at sample {k}"], w)
+                return PropertyReport.failing(desc, f"confluence breaks at sample {k}", w)
             quot = hnn.word_mul(pres, first, hnn.word_inv(pres, second))
             if not hnn.is_identity(pres, quot):
-                return _result("fail", [f"reductions differ in the group ({k})"], w)
+                return PropertyReport.failing(
+                    desc, f"reductions differ in the group ({k})", w
+                )
     detail.append(
         f"{samples} randomized-order reductions per presentation agree with the"
         " deterministic order"
     )
-    return _result("pass", detail)
+    return PropertyReport.passing(desc, detail)
 
 
-def run_bass_serre(params, bounds, rng) -> dict:
+@check_type("bass-serre")
+def run_bass_serre(params, bounds, rng) -> PropertyReport:
     base = symmetric_group(params.get("degree", 3))
     radius = params.get("radius", bounds["radius"])
+    desc = "bass-serre"
     pres = hnn.binate_presentation(base)
     e = base.context.identity
     nontrivial = [g for g in pres.group_elems if not g.is_identity()]
@@ -377,10 +403,8 @@ def run_bass_serre(params, bounds, rng) -> dict:
         word = (pres.encode(g, e), ())
         fixed = [v for v in ball if hnn.fixes_vertex(pres, word, v)]
         if len(fixed) != 1 or fixed[0].label != hnn.BASE_VERTEX_LABEL:
-            return _result(
-                "fail",
-                [f"(g,1) fixes {len(fixed)} vertices within radius {radius}"],
-                g,
+            return PropertyReport.failing(
+                desc, f"(g,1) fixes {len(fixed)} vertices within radius {radius}", g
             )
     detail.append(
         f"all {len(nontrivial)} nontrivial (g,1) fix exactly the base vertex"
@@ -390,7 +414,9 @@ def run_bass_serre(params, bounds, rng) -> dict:
         word = (pres.encode(g, g), ())
         fixed = [v for v in ball1 if hnn.fixes_vertex(pres, word, v)]
         if len(fixed) < 2:
-            return _result("fail", ["diagonal element fixes fewer than 2 vertices"], g)
+            return PropertyReport.failing(
+                desc, "diagonal element fixes fewer than 2 vertices", g
+            )
     detail.append("every nontrivial (g,g) fixes at least 2 vertices at radius 1")
     # stabilizer structure at radius 1, exhaustively over the base group
     for v in ball1:
@@ -403,109 +429,61 @@ def run_bass_serre(params, bounds, rng) -> dict:
             expected = member[pres.mul(pres.mul(pres.inv(r), code), r)]
             got = hnn.fixes_vertex(pres, (code, ()), v)
             if expected != got:
-                return _result(
-                    "fail", ["stabilizer mismatch at a radius-1 vertex"], (v.label, code)
+                return PropertyReport.failing(
+                    desc, "stabilizer mismatch at a radius-1 vertex", (v.label, code)
                 )
     detail.append(
         "radius-1 stabilizers are exactly the expected conjugates of the"
         " associated subgroups"
     )
-    return _result("pass", detail)
+    return PropertyReport.passing(desc, detail)
 
 
-def run_cc_search_b1(params, bounds, rng) -> dict:
+@check_type("cc-search-b1", expect="none")
+def run_cc_search_b1(params, bounds, rng) -> PropertyReport:
     base = symmetric_group(params.get("degree", 3))
     max_letters = params["max_letters"]
+    desc = "cc-search-b1"
     t = hnn.cc_witness_search_b1(base, max_letters, bounds["budget"])
     pres_size = len(enumerate_subgroup(list(base.generators))) ** 2
     space = pres_size * (2 * pres_size) ** max_letters
     if t is None:
-        return _result(
-            "none", [f"no commuting-conjugates witness among {space} bounded words"]
+        return PropertyReport(
+            desc, "none", (f"no commuting-conjugates witness among {space} bounded words",)
         )
-    return _result("some", [f"witness found in the {space}-word space"], t)
+    return PropertyReport(desc, "some", (f"witness found in the {space}-word space",), t)
 
 
-def run_mitosis(params, bounds, rng) -> dict:
+@check_type("mitosis")
+def run_mitosis(params, bounds, rng) -> PropertyReport:
     base = symmetric_group(params.get("degree", 3))
-    rep = hnn.mitosis_check(base)
-    if not rep.ok:
-        return _from_report(rep)
-    pres = hnn.mitosis_presentation(base)
-    s = pres.stable_letter("s")
-    d = pres.stable_letter("d")
-    ds = d * s
-    minus = pres.minus_subgroup()
-    mit = checkers.check_mitotic(minus, s, ds)
+    minus, s, d = hnn.mitosis_data(base)
+    mit = checkers.check_mitotic(minus, s, d * s)
     # binate data derived from the mitosis pair: f = conj(t1, .) and the
     # conjugator t2 * t1^-1, so that t f(h) t^-1 = t2 h t2^-1 = h * f(h)
     f = checkers.GeneratorMap.from_callable(minus, lambda h: s * h * s.inverse())
     binate = checkers.check_binate(minus, f, d)
-    out = _merge([rep, mit, binate])
-    if out["verdict"] == "pass":
-        out["detail"].append(
-            "generic mitotic and binate checkers accept the instantiated data"
-        )
-    return out
+    return _merge(
+        mit.description,
+        [mit, binate],
+        "generic mitotic and binate checkers accept the instantiated data",
+    )
 
 
-def run_hall_sym(params, bounds, rng) -> dict:
+@check_type("hall-sym")
+def run_hall_sym(params, bounds, rng) -> PropertyReport:
     H = symmetric_group(params.get("degree", 3))
     reports = []
     for n in params.get("ns", [2, 3, 4]):
-        cert, rep = wreath.sym_zn_witness(H, n)
-        reports.append(rep)
-        reports.append(checkers.verify_certificate(cert))
-    out = _merge(reports)
-    if out["verdict"] == "pass":
-        out["detail"].append("certificates re-verified by the generic checker")
-    return out
-
-
-CHECK_TYPES: Dict[str, Callable] = {
-    "wreath-zn-witness": run_wreath_zn_witness,
-    "wreath-brute-search": run_wreath_brute_search,
-    "wreath-torsion-exhaustive": run_wreath_torsion_exhaustive,
-    "sym-zn-witness": run_sym_zn_witness,
-    "gl-block-identity": run_gl_block_identity,
-    "gl-centralizer": run_gl_centralizer,
-    "gl-z2": run_gl_z2,
-    "pl-tower": run_pl_tower,
-    "pl-fixed-point": run_pl_fixed_point,
-    "britton-engine": run_britton_engine,
-    "bass-serre": run_bass_serre,
-    "cc-search-b1": run_cc_search_b1,
-    "mitosis": run_mitosis,
-    "hall-sym": run_hall_sym,
-}
-
-DEFAULT_EXPECT: Dict[str, str] = {
-    "wreath-zn-witness": "pass",
-    "wreath-brute-search": "none",
-    "wreath-torsion-exhaustive": "pass",
-    "sym-zn-witness": "pass",
-    "gl-block-identity": "pass",
-    "gl-centralizer": "pass",
-    "gl-z2": "pass",
-    "pl-tower": "bounded-pass",
-    "pl-fixed-point": "pass",
-    "britton-engine": "pass",
-    "bass-serre": "pass",
-    "cc-search-b1": "none",
-    "mitosis": "pass",
-    "hall-sym": "pass",
-}
-
-
-def _suite(name: str, summary: str, checks: List[dict]) -> dict:
-    return {"name": name, "summary": summary, "checks": checks}
+        reports.append(wreath.sym_zn_witness(H, n)[1])
+    return _merge("hall-sym", reports)
 
 
 SUITES: Dict[str, dict] = {}
 
 
 def _register(name: str, summary: str, checks: List[dict]) -> None:
-    SUITES[name] = _suite(name, summary, checks)
+    SUITES[name] = {"name": name, "summary": summary, "checks": checks}
 
 
 _register(
@@ -650,7 +628,7 @@ _register(
     [{"id": "n-2-3-4", "type": "hall-sym", "params": {"degree": 3, "ns": [2, 3, 4]}}],
 )
 
-SUITES["all"] = _suite(
+_register(
     "all",
     "every named suite, in order",
     [
@@ -669,37 +647,29 @@ def list_suites() -> str:
 
 
 def _run_one(check: dict, bounds: dict, seed: int) -> dict:
-    fn = CHECK_TYPES[check["type"]]
-    params = check.get("params", {})
-    expect = check.get("expect", DEFAULT_EXPECT[check["type"]])
+    ctype = check["type"]
+    expect = check.get("expect", DEFAULT_EXPECT[ctype])
     rng = random.Random((seed << 32) ^ zlib.crc32(check["id"].encode()))
-    result = fn(params, bounds, rng)
+    rep = CHECK_TYPES[ctype](check.get("params", {}), bounds, rng)
     return {
         "id": check["id"],
-        "type": check["type"],
-        "verdict": result["verdict"],
+        "type": ctype,
+        "verdict": rep.verdict,
         "expected": expect,
-        "ok": result["verdict"] == expect,
-        "detail": result["detail"],
-        "counterexample": result.get("counterexample"),
+        "ok": rep.verdict == expect,
+        "detail": list(rep.checks),
+        "counterexample": to_jsonable(rep.counterexample),
     }
 
 
-def run_checks(checks: List[dict], bounds: dict, seed: int, jobs: int = 1) -> dict:
-    """Run a list of scenario checks; the report lists them in input
-    order regardless of completion order."""
+def run_checks(checks: List[dict], bounds: dict, seed: int) -> dict:
+    """Run a list of scenario checks in input order."""
     merged_bounds = dict(DEFAULT_BOUNDS)
     merged_bounds.update(bounds or {})
     for check in checks:
         if check["type"] not in CHECK_TYPES:
             raise ValueError(f"unknown check type {check['type']!r}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda c: _run_one(c, merged_bounds, seed), checks)
-            )
-    else:
-        results = [_run_one(c, merged_bounds, seed) for c in checks]
+    results = [_run_one(c, merged_bounds, seed) for c in checks]
     ok = sum(1 for r in results if r["ok"])
     return {
         "seed": seed,
@@ -709,11 +679,9 @@ def run_checks(checks: List[dict], bounds: dict, seed: int, jobs: int = 1) -> di
     }
 
 
-def run_suite(
-    name: str, bounds: Optional[dict] = None, seed: int = 0, jobs: int = 1
-) -> dict:
+def run_suite(name: str, bounds: Optional[dict] = None, seed: int = 0) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; try one of: {', '.join(SUITES)}")
-    report = run_checks(SUITES[name]["checks"], bounds or {}, seed, jobs)
+    report = run_checks(SUITES[name]["checks"], bounds or {}, seed)
     report["suite"] = name
     return report

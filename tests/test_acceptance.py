@@ -9,6 +9,7 @@ lines while passing).
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from displacement.checkers import (
     GeneratorMap,
@@ -49,6 +50,7 @@ from displacement.plmaps import (
     tower_gamma,
     unique_fixed_point_element,
 )
+from displacement.serialize import dump_report
 from displacement.suites import run_suite, _random_pl_word
 from displacement.wreath import (
     TowerSpec,
@@ -284,5 +286,8 @@ def test_criterion_14_full_suite():
         report = run_suite("all")
         assert report["totals"]["violations"] == 0
         assert report["totals"]["checks"] >= 18
+        # the byte-stable report of `--suite all --seed 0`
+        golden = Path(__file__).parent / "golden" / "all-seed0.json"
+        assert dump_report(report) == golden.read_text()
 
     _timed(14, "full verification suite runs clean end to end", 600, body)

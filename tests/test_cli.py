@@ -5,12 +5,13 @@ import json
 import pytest
 
 from displacement.cli import main, render_text
-from displacement.suites import SUITES, run_suite
+from displacement.serialize import load_schema
+from displacement.suites import CHECK_TYPES, DEFAULT_EXPECT, SUITES, run_suite
 
 
 GOOD_SCENARIO = {
     "seed": 7,
-    "bounds": {"p_max": 4},
+    "bounds": {"budget": 10**6},
     "checks": [
         {
             "id": "wz",
@@ -89,6 +90,22 @@ def test_missing_source_exits_two(capsys):
     assert main(["--suite", "no-such-suite"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--jobs", "--p-max"])
+def test_removed_flags_exit_two(capsys, flag):
+    assert main(["--suite", "mitosis", flag, "1"]) == 2
+
+
+def test_builtin_bass_serre_check_runs_as_a_scenario(capsys, tmp_path):
+    path = write_scenario(tmp_path, {"checks": SUITES["bass-serre"]["checks"]})
+    assert main(["--scenario", path]) == 0
+
+
+def test_check_type_registry_matches_the_schema():
+    items = load_schema()["properties"]["checks"]["items"]
+    enum = items["properties"]["type"]["enum"]
+    assert set(enum) == set(CHECK_TYPES) == set(DEFAULT_EXPECT)
+
+
 def test_budget_exceeded_exits_three(capsys, tmp_path):
     scenario = {
         "checks": [
@@ -114,6 +131,9 @@ def test_reports_are_byte_identical(capsys, tmp_path):
     # a different seed changes sampled checks but stays valid
     assert main(["--scenario", path, "--seed", "99", "--out", str(out2)]) == 0
     assert json.loads(out2.read_text())["seed"] == 99
+    # --seed 0 overrides the scenario's seed too
+    assert main(["--scenario", path, "--seed", "0", "--out", str(out2)]) == 0
+    assert json.loads(out2.read_text())["seed"] == 0
 
 
 def test_text_format(capsys, tmp_path):
