@@ -11,7 +11,7 @@ Each stable letter x carries associated subgroups A_x, B_x and an
 isomorphism phi_x: A_x -> B_x with the relation x a x^-1 = phi_x(a).
 Words are alternating sequences b0 x1^e1 b1 ... xm^em bm.  For finite G
 the base G x G is enumerated once and encoded as integers, which makes
-reduction fast enough for exhaustive word searches; for iterated towers
+reduction fast enough for exhaustive searches; for iterated towers
 (whose base is a pair of words) the same algorithms run on generic
 elements.
 """
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .checkers import check_mitotic
+from .checkers import check_cc, check_mitotic
 from .core import (
     BudgetExceededError,
     ContextMismatchError,
@@ -94,23 +94,29 @@ class FiniteHnnPresentation:
             self._phi_inv[x] = phi_inv
 
         # left coset transversals (minimal-index representatives) for
-        # every associated subgroup, used by normal forms and the tree
+        # every associated subgroup, used by normal forms and the tree.
+        # In an ascending sweep the first code of each coset b*S is its
+        # minimum, so it becomes the representative of the whole coset.
+        self._index = index
         self._coset_rep: Dict[Tuple[str, str], List[int]] = {}
+        self._transversal: Dict[Tuple[str, str], List[int]] = {}
         for x in letters:
             for side, member in (("A", self._in_A[x]), ("B", self._in_B[x])):
                 sub = [c for c in range(N) if member[c]]
                 rep = [-1] * N
+                reps = []
                 for b in range(N):
-                    rep[b] = min(self.mul(b, s) for s in sub)
+                    if rep[b] == -1:
+                        reps.append(b)
+                        for c in sub:
+                            rep[self.mul(b, c)] = b
                 self._coset_rep[(side, x)] = rep
+                self._transversal[(side, x)] = reps
 
     # -- base group arithmetic on codes --------------------------------
 
     def encode(self, a, b) -> int:
-        elems = self.group_elems
-        ia = next(i for i, g in enumerate(elems) if g == a)
-        ib = next(i for i, g in enumerate(elems) if g == b)
-        return ia * self.n + ib
+        return self._index[a] * self.n + self._index[b]
 
     def decode(self, code: int):
         return self.group_elems[code // self.n], self.group_elems[code % self.n]
@@ -125,9 +131,6 @@ class FiniteHnnPresentation:
 
     def is_base_identity(self, a: int) -> bool:
         return a == self.identity_code
-
-    def base_eq(self, a: int, b: int) -> bool:
-        return a == b
 
     def in_A(self, x: str, b: int) -> bool:
         return self._in_A[x][b]
@@ -176,12 +179,6 @@ class FiniteHnnPresentation:
     def __repr__(self):
         return self.label
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
 
 class ElementHnnPresentation:
     """The same presentations with base G x G built from arbitrary group
@@ -202,9 +199,6 @@ class ElementHnnPresentation:
 
     def is_base_identity(self, a: ProductElement) -> bool:
         return a.is_identity()
-
-    def base_eq(self, a, b) -> bool:
-        return a == b
 
     def in_A(self, x: str, b: ProductElement) -> bool:
         if x == "d":
@@ -251,12 +245,6 @@ class ElementHnnPresentation:
 
     def __repr__(self):
         return self.label
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
 
 # -- word algorithms (generic over either presentation kind) -----------
@@ -466,12 +454,18 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
     """All vertices within the given distance of the base vertex, in
     breadth-first order with deterministic child ordering (stable
     letter, sign, transversal index)."""
+    return list(_walk_tree(pres, radius))
+
+
+def _walk_tree(pres: FiniteHnnPresentation, radius: int) -> Iterator[Vertex]:
+    """The vertices of ``tree_ball(pres, radius)``, yielded in its order
+    as the walk reaches them."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
     e = pres.identity_code
     base = Vertex(BASE_VERTEX_LABEL, (e, ()), 0)
-    seen = {base.label: base}
-    order = [base]
+    seen = {base.label}
+    yield base
     frontier = [base]
     for dist in range(1, radius + 1):
         nxt = []
@@ -480,10 +474,7 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
             for x in pres.letters:
                 for sign in (1, -1):
                     side = "B" if sign == 1 else "A"
-                    reps = sorted(
-                        {pres._coset_rep[(side, x)][c] for c in range(pres.size)}
-                    )
-                    for r in reps:
+                    for r in pres._transversal[(side, x)]:
                         if letters:
                             ls = list(letters)
                             xa, ea, ba = ls[-1]
@@ -494,14 +485,12 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
                         label = canonical_vertex(pres, cand)
                         if label in seen:
                             continue
+                        seen.add(label)
                         # rebuild the representative word from the label
-                        w = _vertex_word(pres, label)
-                        vert = Vertex(label, w, dist)
-                        seen[label] = vert
-                        order.append(vert)
+                        vert = Vertex(label, _vertex_word(pres, label), dist)
+                        yield vert
                         nxt.append(vert)
         frontier = nxt
-    return order
 
 
 def _vertex_word(pres: FiniteHnnPresentation, label: tuple) -> Word:
@@ -536,21 +525,6 @@ def bass_serre_fixed_vertices(
 # -- bounded searches and mitosis data ----------------------------------
 
 
-def _commutes_with_conjugated_gens(
-    pres: FiniteHnnPresentation, gens: Sequence[Word], t: Word
-) -> bool:
-    ti = word_inv(pres, t)
-    for h in gens:
-        c = word_mul(pres, word_mul(pres, t, h), ti)
-        ci = word_inv(pres, c)
-        for g in gens:
-            gi = word_inv(pres, g)
-            k = word_mul(pres, word_mul(pres, word_mul(pres, g, c), gi), ci)
-            if not (stable_letter_count(k) == 0 and pres.is_base_identity(k[0])):
-                return False
-    return True
-
-
 def iter_reduced_words(pres: FiniteHnnPresentation, max_letters: int):
     """All Britton-reduced words with at most max_letters stable letters,
     base letters ranging over the whole of G x G, in canonical order
@@ -574,23 +548,38 @@ def iter_reduced_words(pres: FiniteHnnPresentation, max_letters: int):
 
 def cc_witness_search_b1(
     base: FgSubgroup, max_letters: int, budget: int = 10**7
-) -> Optional["BrittonElement"]:
-    """Bounded refutation of commuting conjugates at tower level one:
-    search every reduced word t with at most max_letters stable letters
-    for [G_-, t G_- t^-1] = 1 on generators.  Returns the first witness
-    in canonical order, or None after exhausting the space."""
+) -> PropertyReport:
+    """Bounded refutation of commuting conjugates at tower level one.
+
+    [G_-, t G_- t^-1] = 1 depends only on the coset t (G x G), because
+    G_- is normal in G x G, and a reduced word with m stable letters
+    lands on a Bass-Serre vertex at distance m.  So every vertex within
+    distance max_letters is checked with ``check_cc``, in ``tree_ball``
+    order.  Reports "some" with the first witness, or "none" naming the
+    vertices searched; raises BudgetExceededError rather than visit more
+    than ``budget`` vertices."""
     pres = binate_presentation(base)
-    N = pres.size
-    space = N * (2 * len(pres.letters) * N) ** max_letters
-    if space > budget:
-        raise BudgetExceededError(f"word space {space} exceeds budget {budget}")
-    gens = [
-        (pres.encode(g, base.context.identity), ()) for g in base.generators
-    ]
-    for t in iter_reduced_words(pres, max_letters):
-        if _commutes_with_conjugated_gens(pres, gens, t):
-            return BrittonElement(pres, t)
-    return None
+    minus = pres.minus_subgroup()
+    desc = f"commuting-conjugates search in {pres.label}"
+    visited = 0
+    for v in _walk_tree(pres, max_letters):
+        if visited == budget:
+            raise BudgetExceededError(
+                f"more than {budget} Bass-Serre vertices within distance {max_letters}"
+            )
+        visited += 1
+        t = BrittonElement(pres, v.word)
+        if check_cc(minus, t).ok:
+            found = f"witness at Bass-Serre vertex {visited}, distance {v.distance}"
+            return PropertyReport(desc, "some", (found,), t)
+    return PropertyReport(
+        desc,
+        "none",
+        (
+            f"no commuting-conjugates witness among {visited} Bass-Serre vertices"
+            f" within distance {max_letters}",
+        ),
+    )
 
 
 def mitosis_data(base: FgSubgroup, budget: int = 10**3):

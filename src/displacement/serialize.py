@@ -12,12 +12,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any
 
-from .core import FgSubgroup, PropertyReport
+import jsonschema
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
+from .core import FgSubgroup, PropertyReport
 
 
 class ScenarioError(ValueError):
@@ -121,12 +118,11 @@ def parse_scenario(source) -> dict:
             ) from exc
         except OSError as exc:
             raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(data, load_schema())
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ScenarioError(f"scenario invalid at {path}: {exc.message}") from exc
+    try:
+        jsonschema.validate(data, load_schema())
+    except jsonschema.ValidationError as exc:
+        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ScenarioError(f"scenario invalid at {path}: {exc.message}") from exc
     return data
 
 

@@ -21,7 +21,6 @@ from .core import (
     PropertyReport,
     commutator,
     element_order,
-    enumerate_subgroup,
 )
 from .perms import symmetric_group
 from .serialize import to_jsonable
@@ -209,9 +208,8 @@ def run_gl_centralizer(params, bounds, rng) -> PropertyReport:
 def run_gl_z2(params, bounds, rng) -> PropertyReport:
     H = matrices.gl2z_generators()
     cert, rep = matrices.gl_block_swap_witness(H)
-    reverify = checkers.verify_certificate(cert)
-    if not (rep.ok and reverify.ok):
-        return _merge(rep.description, [rep, reverify])
+    if not rep.ok:
+        return rep
     t = cert.payload["t"]
     czc = checkers.check_czc(H, t, 2)
     if czc.ok:
@@ -219,7 +217,6 @@ def run_gl_z2(params, bounds, rng) -> PropertyReport:
             rep.description, "Z-conjugate conditions unexpectedly hold at p = 2"
         )
     detail = list(rep.checks)
-    detail.append("Z/2 certificate re-verified by the generic checker")
     detail.append("Z-conjugate conditions fail at p = 2 (t^2 = 1), as they must")
     return PropertyReport.passing(rep.description, detail)
 
@@ -291,14 +288,17 @@ def run_pl_fixed_point(params, bounds, rng) -> PropertyReport:
         return PropertyReport.failing(desc, "h is not in the standard copy on (0, 1)")
     detail.append("h lies in the standard copy on (0, 1)")
     x0, x1 = plmaps.thompson_generators()
-    for p in range(1, samples + 1):
-        u = h if p % 2 else h.inverse()
+    top = samples // 3 + 1
+    for u in (h, h.inverse()):
         power = u
-        for _ in range(p // 3):
-            power = power * u
-        if power(half) != half:
-            return PropertyReport.failing(desc, "a power of h moves 1/2", power)
-    detail.append(f"{samples} centralizing elements (powers of h) fix 1/2 exactly")
+        for k in range(top):
+            if k:
+                power = power * u
+            if power(half) != half:
+                return PropertyReport.failing(desc, "a power of h moves 1/2", power)
+    detail.append(
+        f"{2 * top} centralizing elements (h^k and h^-k, k = 1..{top}) fix 1/2 exactly"
+    )
     moved = 0
     for k in range(samples):
         u = _random_pl_word(rng, (x0, x1), 6)
@@ -442,16 +442,7 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
 @check_type("cc-search-b1", expect="none")
 def run_cc_search_b1(params, bounds, rng) -> PropertyReport:
     base = symmetric_group(params.get("degree", 3))
-    max_letters = params["max_letters"]
-    desc = "cc-search-b1"
-    t = hnn.cc_witness_search_b1(base, max_letters, bounds["budget"])
-    pres_size = len(enumerate_subgroup(list(base.generators))) ** 2
-    space = pres_size * (2 * pres_size) ** max_letters
-    if t is None:
-        return PropertyReport(
-            desc, "none", (f"no commuting-conjugates witness among {space} bounded words",)
-        )
-    return PropertyReport(desc, "some", (f"witness found in the {space}-word space",), t)
+    return hnn.cc_witness_search_b1(base, params["max_letters"], bounds["budget"])
 
 
 @check_type("mitosis")

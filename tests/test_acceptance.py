@@ -251,7 +251,7 @@ def test_criterion_10_bass_serre_fixed_vertices():
 
 def test_criterion_11_no_commuting_conjugates():
     def body():
-        assert cc_witness_search_b1(S3, 2) is None
+        assert cc_witness_search_b1(S3, 2).verdict == "none"
 
     _timed(11, "no conjugator among all words with up to 2 letters", 300, body)
 

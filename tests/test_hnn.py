@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from displacement.checkers import check_cc
 from displacement.core import BudgetExceededError, commutator, conj
 from displacement.freewords import FreeGroupContext
 from displacement.hnn import (
     BASE_VERTEX_LABEL,
     BinateTower,
+    BrittonElement,
     ElementHnnPresentation,
     b_tower_embed,
     bass_serre_fixed_vertices,
@@ -224,12 +226,42 @@ def test_centralizing_elements_preserve_fixed_sets(bp):
 
 def test_cc_search_small_cases():
     z2 = symmetric_group(2)
-    t = cc_witness_search_b1(z2, 0)
-    assert t is not None and t.is_identity()
-    assert cc_witness_search_b1(S3, 0) is None
-    assert cc_witness_search_b1(S3, 1) is None
+    rep = cc_witness_search_b1(z2, 0)
+    assert rep.verdict == "some" and rep.counterexample.is_identity()
+    assert cc_witness_search_b1(S3, 0).verdict == "none"
+    rep = cc_witness_search_b1(S3, 1)
+    assert rep.verdict == "none"
+    assert rep.checks == (
+        "no commuting-conjugates witness among 13 Bass-Serre vertices within distance 1",
+    )
+    # the radius-3 ball over Sym(3) has 1,597 vertices
     with pytest.raises(BudgetExceededError):
-        cc_witness_search_b1(S3, 3)
+        cc_witness_search_b1(S3, 3, budget=1000)
+
+
+def _landing(pres, max_letters):
+    """Each reduced word with at most max_letters stable letters, with
+    the ball vertex it lands on."""
+    ball = {v.label: v for v in tree_ball(pres, max_letters)}
+    for w in iter_reduced_words(pres, max_letters):
+        v = ball[canonical_vertex(pres, w)]
+        assert v.distance == stable_letter_count(w)
+        yield w, v
+
+
+@pytest.mark.parametrize("degree, max_letters", [(2, 2), (3, 1)])
+def test_cc_verdict_of_a_word_is_that_of_its_vertex(degree, max_letters):
+    """The word search that the vertex search replaced, as its oracle."""
+    pres = binate_presentation(symmetric_group(degree))
+    minus = pres.minus_subgroup()
+    for w, v in _landing(pres, max_letters):
+        on_word = check_cc(minus, BrittonElement(pres, w)).ok
+        assert on_word == check_cc(minus, BrittonElement(pres, v.word)).ok
+
+
+def test_two_letter_words_cover_the_sym3_ball(bp):
+    hit = {v.label for _, v in _landing(bp, 2)}
+    assert len(hit) == len(tree_ball(bp, 2)) == 145
 
 
 def test_mitosis_check():
