@@ -4,6 +4,11 @@ Realizes the directed union of the GL_n(Q): a matrix of size n embeds in
 any larger size by identity padding, and the canonical form trims
 trailing identity rows/columns.  All arithmetic is exact (Fraction);
 there is no floating point anywhere in this module.
+
+The public constructor ``RationalMatrix(...)`` rejects singular input
+with an ``rref``.  Products and inverses of invertible matrices are
+invertible, so they take a trusted path that trims to canonical size
+but runs no invertibility check.
 """
 
 from __future__ import annotations
@@ -115,6 +120,15 @@ class RationalMatrix:
         if not self.is_invertible():
             raise ValueError("matrix is singular")
 
+    @classmethod
+    def _trusted(cls, rows: Tuple[Row, ...]) -> "RationalMatrix":
+        """The matrix with these Fraction rows, which must be square and
+        invertible.  Only closed operations (product, inverse, padding)
+        call this: it trims but runs no invertibility check."""
+        m = object.__new__(cls)
+        m.entries = _trim(rows)
+        return m
+
     @property
     def context(self) -> GLContext:
         return GLContext()
@@ -128,6 +142,8 @@ class RationalMatrix:
         k = self.size
         if n < k:
             raise ValueError("cannot pad to a smaller size")
+        if n == k:
+            return self.entries
         return tuple(
             tuple(
                 self.entries[i][j]
@@ -146,12 +162,12 @@ class RationalMatrix:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         n = max(self.size, other.size)
-        a, b = self.padded(n), other.padded(n)
-        return RationalMatrix(
-            [
-                [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+        a, cols = self.padded(n), tuple(zip(*other.padded(n)))
+        return RationalMatrix._trusted(
+            tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                for row in a
+            )
         )
 
     def inverse(self) -> "RationalMatrix":
@@ -164,7 +180,7 @@ class RationalMatrix:
         red, pivots = rref(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix([row[n:] for row in red])
+        return RationalMatrix._trusted(tuple(tuple(row[n:]) for row in red))
 
     def is_identity(self) -> bool:
         return self.size == 1 and self.entries[0][0] == 1
@@ -276,7 +292,7 @@ def block_conjugate(X: RationalMatrix, g: RationalMatrix) -> RationalMatrix:
     if X.size > 2:
         raise ValueError("X must act on the first two coordinates")
     n = max(2, g.size)
-    Xp = RationalMatrix(X.padded(n))
+    Xp = RationalMatrix._trusted(X.padded(n))
     return Xp * g * Xp.inverse()
 
 

@@ -5,6 +5,12 @@ identity outside the first and last breakpoints (so both ends lie on the
 diagonal), and all breakpoints and slopes are exact rationals with
 positive slopes.  The group operation is composition.
 
+The public constructor ``PLHomeo(...)`` validates and canonicalises its
+breakpoints.  Products and inverses of valid maps are valid by
+construction, so they take a trusted path that skips that validation:
+``pl_compose`` is one merge walk over the two breakpoint lists, and
+``PLHomeo.inverse`` reflects the list in the diagonal.
+
 This module also builds the standard generators of Thompson's group F
 on (0, 1) and the restricted tower obtained by repeatedly adjoining a
 one-bump translation-like element whose powers all displace the previous
@@ -16,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import FgSubgroup, PropertyReport
@@ -51,45 +58,60 @@ class PLContext:
         return PLHomeo(())
 
 
+def _merge(pts: Sequence[Point]) -> Tuple[Point, ...]:
+    """The canonical form of a strictly increasing breakpoint list whose
+    ends lie on the diagonal: collinear interior points and redundant
+    diagonal anchors at either end are dropped."""
+    keep: List[Point] = []
+    slope = None  # of the segment ending at keep[-1]
+    for p in pts:
+        if keep:
+            s = (p[1] - keep[-1][1]) / (p[0] - keep[-1][0])
+            if s == slope:
+                # keep has no collinear triple, so at most this one point goes
+                keep[-1] = p
+                continue
+            slope = s
+        keep.append(p)
+    diagonal = [x == y for x, y in keep]
+    lo, hi = 0, len(keep)
+    while hi - lo >= 2 and diagonal[lo] and diagonal[lo + 1]:
+        lo += 1
+    while hi - lo >= 2 and diagonal[hi - 1] and diagonal[hi - 2]:
+        hi -= 1
+    return tuple(keep[lo:hi]) if hi - lo >= 2 else ()
+
+
 def _canonical(points: Sequence[Point]) -> Tuple[Point, ...]:
+    """Validate arbitrary breakpoints and return their canonical form."""
     pts = sorted(set(points))
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if x1 <= x0 or y1 <= y0:
             raise ValueError(f"breakpoints not strictly increasing: {pts}")
-    # merge collinear interior points
-    keep: List[Point] = []
-    for p in pts:
-        while len(keep) >= 2:
-            (x0, y0), (x1, y1) = keep[-2], keep[-1]
-            if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
-                keep.pop()
-            else:
-                break
-        keep.append(p)
-    # drop redundant diagonal anchors at either end
-    while len(keep) >= 2 and keep[0][0] == keep[0][1] and keep[1][0] == keep[1][1]:
-        keep.pop(0)
-    while len(keep) >= 2 and keep[-1][0] == keep[-1][1] and keep[-2][0] == keep[-2][1]:
-        keep.pop()
-    if len(keep) <= 1:
-        if keep and keep[0][0] != keep[0][1]:
-            raise ValueError("a single off-diagonal breakpoint is not a homeomorphism")
-        return ()
-    if keep[0][0] != keep[0][1] or keep[-1][0] != keep[-1][1]:
+    if len(pts) == 1 and pts[0][0] != pts[0][1]:
+        raise ValueError("a single off-diagonal breakpoint is not a homeomorphism")
+    if pts and (pts[0][0] != pts[0][1] or pts[-1][0] != pts[-1][1]):
         raise ValueError("map must be the identity outside its breakpoints")
-    return tuple(keep)
+    return _merge(pts)
 
 
 class PLHomeo:
     """An orientation-preserving PL homeomorphism of R, identity outside
     a bounded interval."""
 
-    __slots__ = ("breakpoints", "_xs")
+    __slots__ = ("breakpoints",)
 
     def __init__(self, breakpoints: Iterable[Sequence]):
         pts = [(_frac(x), _frac(y)) for x, y in breakpoints]
         self.breakpoints = _canonical(pts)
-        self._xs = [p[0] for p in self.breakpoints]
+
+    @classmethod
+    def _trusted(cls, breakpoints: Tuple[Point, ...]) -> "PLHomeo":
+        """The map with these breakpoints, which must already be canonical.
+        Only closed operations (product, inverse) call this."""
+        h = object.__new__(cls)
+        h.breakpoints = breakpoints
+        return h
 
     @property
     def context(self) -> PLContext:
@@ -100,12 +122,13 @@ class PLHomeo:
         bps = self.breakpoints
         if not bps or x <= bps[0][0] or x >= bps[-1][0]:
             return x
-        i = bisect_right(self._xs, x) - 1
+        i = bisect_right(bps, x, key=itemgetter(0)) - 1
         (x0, y0), (x1, y1) = bps[i], bps[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def inverse(self) -> "PLHomeo":
-        return PLHomeo([(y, x) for x, y in self.breakpoints])
+        # reflecting in the diagonal keeps the list canonical
+        return PLHomeo._trusted(tuple((y, x) for x, y in self.breakpoints))
 
     def __mul__(self, other: "PLHomeo") -> "PLHomeo":
         return pl_compose(self, other)
@@ -132,13 +155,42 @@ class PLHomeo:
 
 
 def pl_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
-    """Exact composition f . g (apply g first)."""
-    ginv = g.inverse()
-    xs = {x for x, _ in g.breakpoints}
-    xs.update(ginv(x) for x, _ in f.breakpoints)
-    if not xs:
-        return PLContext().identity
-    return PLHomeo([(x, f(g(x))) for x in sorted(xs)])
+    """Exact composition f . g (apply g first).
+
+    One merge walk over the images y_i of g's breakpoints (x_i, y_i) and
+    the breakpoints (u_j, v_j) of f, in increasing order of that middle
+    coordinate.  Each y_i yields (x_i, f(y_i)) and each u_j yields
+    (g^-1(u_j), v_j), the other map being interpolated inside the segment
+    the walk is in, or the identity outside its breakpoints."""
+    gb, fb = g.breakpoints, f.breakpoints
+    m, k = len(gb), len(fb)
+    i = j = 0
+    pts: List[Point] = []
+    while i < m or j < k:
+        if i < m and (j == k or gb[i][1] < fb[j][0]):
+            x, z = gb[i]
+            i += 1
+            if 0 < j < k:
+                (u0, v0), (u1, v1) = fb[j - 1], fb[j]
+                y = v0 + (v1 - v0) * (z - u0) / (u1 - u0)
+            else:
+                y = z
+        elif i == m or fb[j][0] != gb[i][1]:
+            z, y = fb[j]
+            j += 1
+            if 0 < i < m:
+                (x0, y0), (x1, y1) = gb[i - 1], gb[i]
+                x = x0 + (x1 - x0) * (z - y0) / (y1 - y0)
+            else:
+                x = z
+        else:
+            x, y = gb[i][0], fb[j][1]
+            i += 1
+            j += 1
+        if pts and (x <= pts[-1][0] or y <= pts[-1][1]):
+            raise AssertionError(f"composition walk not strictly increasing at {(x, y)}")
+        pts.append((x, y))
+    return PLHomeo._trusted(_merge(pts))
 
 
 @dataclass(frozen=True)
@@ -333,9 +385,8 @@ def tower_subgroup(depth: int) -> FgSubgroup:
     return FgSubgroup(f"Gamma_{depth}", gens)
 
 
-def _is_dyadic(x: Fraction) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
+def _is_power_of_two(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
 
 
 def in_standard_f_copy(g: PLHomeo) -> bool:
@@ -347,11 +398,10 @@ def in_standard_f_copy(g: PLHomeo) -> bool:
     if not IntervalSet([(0, 1)]).contains_set(pl_support(g)):
         return False
     for x, y in g.breakpoints:
-        if not (_is_dyadic(x) and _is_dyadic(y)):
+        if not (_is_power_of_two(x.denominator) and _is_power_of_two(y.denominator)):
             return False
-    for s in g.slopes():
-        if s.numerator != 1 and s.denominator != 1:
-            return False
-        if not (_is_dyadic(Fraction(s.denominator)) and _is_dyadic(Fraction(s.numerator))):
-            return False
-    return True
+    # a reduced fraction is 2^k (k in Z) iff both its terms are powers of two
+    return all(
+        _is_power_of_two(s.numerator) and _is_power_of_two(s.denominator)
+        for s in g.slopes()
+    )

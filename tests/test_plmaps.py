@@ -74,6 +74,52 @@ def test_associativity(i, j, k):
     assert (a * b) * c == a * (b * c)
 
 
+@st.composite
+def pl_map_on(draw, lo, hi):
+    """A PL map supported in [lo, hi], with up to four interior
+    breakpoints on the grid lo + (hi - lo) k/12."""
+    n = draw(st.integers(0, 4))
+    grid = st.integers(1, 11).map(lambda k: lo + (hi - lo) * F(k, 12))
+    coords = st.lists(grid, min_size=n, max_size=n, unique=True).map(sorted)
+    return PLHomeo([(lo, lo), *zip(draw(coords), draw(coords)), (hi, hi)])
+
+
+@st.composite
+def pl_pairs(draw):
+    """(f, g) whose supports are disjoint, nested, partly overlapping,
+    equal, or empty for one of them."""
+    ends = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
+    p0, p1, p2, p3 = sorted(draw(st.lists(ends, min_size=4, max_size=4, unique=True)))
+    relation = draw(st.sampled_from(["disjoint", "nested", "overlap", "equal", "empty"]))
+    first, second = {
+        "disjoint": ((p0, p1), (p2, p3)),
+        "nested": ((p0, p3), (p1, p2)),
+        "overlap": ((p0, p2), (p1, p3)),
+        "equal": ((p0, p3), (p0, p3)),
+        "empty": ((p0, p3), None),
+    }[relation]
+    maps = [draw(pl_map_on(*first)), draw(pl_map_on(*second)) if second else PLHomeo(())]
+    if draw(st.booleans()):
+        maps.reverse()
+    return maps
+
+
+@settings(max_examples=300)
+@given(pl_pairs())
+def test_compose_arbitrary_maps(pair):
+    f, g = pair
+    h = pl_compose(f, g)
+    ginv = g.inverse()
+    xs = {x for x, _ in g.breakpoints} | {x for x, _ in f.breakpoints}
+    xs |= {ginv(u) for u, _ in f.breakpoints}
+    xs = sorted(xs | {F(-13), F(13)})
+    xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    for x in xs:
+        assert h(x) == f(g(x))
+    assert PLHomeo(h.breakpoints) == h
+    assert (h * h.inverse()).is_identity()
+
+
 def test_support_examples():
     assert pl_support(PLContext().identity) == IntervalSet([])
     assert pl_support(X0) == IntervalSet([(0, 1)])
@@ -174,6 +220,8 @@ def test_in_standard_f_copy():
     assert not in_standard_f_copy(shifted)
     thirds = PLHomeo([(0, 0), (F(1, 3), F(2, 3)), (1, 1)])
     assert not in_standard_f_copy(thirds)
+    # dyadic breakpoints, but slopes 3 and 1/3
+    assert not in_standard_f_copy(PLHomeo([(0, 0), (F(1, 4), F(3, 4)), (1, 1)]))
 
 
 def test_canonical_stability():
