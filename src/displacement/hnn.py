@@ -7,13 +7,16 @@ Two presentations are materialized over a base group G:
   * the two-letter mitosis ``<G x G, s, d | s (g,1) s^-1 = (1,g),
                                             d (1,g) d^-1 = (g,g)>``
 
-Each stable letter x carries associated subgroups A_x, B_x and an
-isomorphism phi_x: A_x -> B_x with the relation x a x^-1 = phi_x(a).
-Words are alternating sequences b0 x1^e1 b1 ... xm^em bm.  For finite G
-the base G x G is enumerated once and encoded as integers, which makes
-reduction fast enough for exhaustive searches; for iterated towers
-(whose base is a pair of words) the same algorithms run on generic
-elements.
+Each stable letter x carries associated subgroups A_x, B_x, images of
+two embeddings of G into G x G that one table defines per letter, and
+the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  Words are
+alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
+reduces its word once, and its products and inverses come reduced.
+For finite G the base G x G is enumerated once and encoded as integers,
+which makes reduction fast enough for exhaustive searches; for iterated
+towers (whose base is a pair of words) the same algorithms run on
+generic elements.  A Bass-Serre vertex is its normal-form word, ending
+in the identity base letter, with one stable letter per step of distance.
 """
 
 from __future__ import annotations
@@ -36,6 +39,30 @@ from .core import (
 # a word is (base, letters) with letters a tuple of (name, sign, base)
 Word = Tuple[object, Tuple[Tuple[str, int, object], ...]]
 
+# Each stable letter x conjugates one embedding of G into G x G onto
+# another, x A(g) x^-1 = B(g).  An embedding is written as the pair of
+# flags saying which coordinates carry g; the others carry 1.
+_EMBEDDINGS = {
+    "d": ((False, True), (True, True)),  # d (1,g) d^-1 = (g,g)
+    "s": ((True, False), (False, True)),  # s (g,1) s^-1 = (1,g)
+}
+
+
+def _embeddings(x: str):
+    """The embeddings (A, B) of stable letter x."""
+    if x not in _EMBEDDINGS:
+        raise ValueError(f"unknown stable letter {x!r}")
+    return _EMBEDDINGS[x]
+
+
+def _embed(pattern, g, one) -> tuple:
+    return tuple(g if carries else one for carries in pattern)
+
+
+def _carried(pattern, pair: ProductElement):
+    """The g of a pair in the image of the embedding."""
+    return pair.b if pattern[1] else pair.a
+
 
 class FiniteHnnPresentation:
     """HNN/mitosis presentation over a finite permutation group G.
@@ -57,7 +84,6 @@ class FiniteHnnPresentation:
         self.group = base
         self.group_elems = elems
         self.n = n
-        self.e_small = e
         self.size = n * n
         self.identity_code = e * n + e
         self.letters = tuple(letters)
@@ -71,25 +97,17 @@ class FiniteHnnPresentation:
         self._phi: Dict[str, List[int]] = {}
         self._phi_inv: Dict[str, List[int]] = {}
         for x in letters:
-            in_A = [False] * N
-            in_B = [False] * N
+            A, B = _embeddings(x)
             phi = [-1] * N
             phi_inv = [-1] * N
             for g in range(n):
-                if x == "d":
-                    a_code = e * n + g  # (1, g)
-                    b_code = g * n + g  # (g, g)
-                elif x == "s":
-                    a_code = g * n + e  # (g, 1)
-                    b_code = e * n + g  # (1, g)
-                else:
-                    raise ValueError(f"unknown stable letter {x!r}")
-                in_A[a_code] = True
-                in_B[b_code] = True
+                (a1, a2), (b1, b2) = _embed(A, g, e), _embed(B, g, e)
+                a_code, b_code = a1 * n + a2, b1 * n + b2
                 phi[a_code] = b_code
                 phi_inv[b_code] = a_code
-            self._in_A[x] = in_A
-            self._in_B[x] = in_B
+            # A_x and B_x are the domains of phi_x and of its inverse
+            self._in_A[x] = [c != -1 for c in phi]
+            self._in_B[x] = [c != -1 for c in phi_inv]
             self._phi[x] = phi
             self._phi_inv[x] = phi_inv
 
@@ -190,6 +208,7 @@ class ElementHnnPresentation:
         self.pair = ProductContext(inner_context, inner_context)
         self.letters = tuple(letters)
         self.label = label
+        self._embeddings = {x: _embeddings(x) for x in letters}
 
     def mul(self, a: ProductElement, b: ProductElement) -> ProductElement:
         return a * b
@@ -200,33 +219,25 @@ class ElementHnnPresentation:
     def is_base_identity(self, a: ProductElement) -> bool:
         return a.is_identity()
 
+    def _image(self, pattern, g) -> ProductElement:
+        return self.pair.pair(*_embed(pattern, g, self.inner.identity))
+
+    def _in_image(self, pattern, b: ProductElement) -> bool:
+        return b == self._image(pattern, _carried(pattern, b))
+
     def in_A(self, x: str, b: ProductElement) -> bool:
-        if x == "d":
-            return b.a.is_identity()
-        if x == "s":
-            return b.b.is_identity()
-        raise ValueError(f"unknown stable letter {x!r}")
+        return self._in_image(self._embeddings[x][0], b)
 
     def in_B(self, x: str, b: ProductElement) -> bool:
-        if x == "d":
-            return b.a == b.b
-        if x == "s":
-            return b.a.is_identity()
-        raise ValueError(f"unknown stable letter {x!r}")
+        return self._in_image(self._embeddings[x][1], b)
 
     def phi(self, x: str, b: ProductElement) -> ProductElement:
-        if x == "d":  # (1, g) -> (g, g)
-            return self.pair.pair(b.b, b.b)
-        if x == "s":  # (g, 1) -> (1, g)
-            return self.pair.pair(self.inner.identity, b.a)
-        raise ValueError(f"unknown stable letter {x!r}")
+        A, B = self._embeddings[x]
+        return self._image(B, _carried(A, b))
 
     def phi_inv(self, x: str, b: ProductElement) -> ProductElement:
-        if x == "d":  # (g, g) -> (1, g)
-            return self.pair.pair(self.inner.identity, b.b)
-        if x == "s":  # (1, g) -> (g, 1)
-            return self.pair.pair(b.b, self.inner.identity)
-        raise ValueError(f"unknown stable letter {x!r}")
+        A, B = self._embeddings[x]
+        return self._image(A, _carried(B, b))
 
     has_transversals = False
 
@@ -307,8 +318,6 @@ def word_mul(pres, u: Word, v: Word) -> Word:
 
 def word_inv(pres, u: Word) -> Word:
     b0, letters = u
-    if not letters:
-        return (pres.inv(b0), ())
     bases = [b0] + [b for _, _, b in letters]
     new_b0 = pres.inv(bases[-1])
     new_letters = []
@@ -362,6 +371,16 @@ class BrittonElement:
         self.word = britton_reduce(context, word)
         self._canon = None
 
+    @classmethod
+    def _trusted(cls, context, word: Word) -> "BrittonElement":
+        """The element of this word, which must already be Britton-reduced:
+        for closed operations (product, inverse) and tree vertex words."""
+        x = object.__new__(cls)
+        x.context = context
+        x.word = word
+        x._canon = None
+        return x
+
     def _canonical(self) -> Word:
         if self._canon is None:
             self._canon = normal_form(self.context, self.word)
@@ -372,13 +391,17 @@ class BrittonElement:
             return NotImplemented
         if self.context != other.context:
             raise ContextMismatchError("words over different presentations")
-        return BrittonElement(self.context, word_mul(self.context, self.word, other.word))
+        return BrittonElement._trusted(
+            self.context, word_mul(self.context, self.word, other.word)
+        )
 
     def inverse(self) -> "BrittonElement":
-        return BrittonElement(self.context, word_inv(self.context, self.word))
+        return BrittonElement._trusted(self.context, word_inv(self.context, self.word))
 
     def is_identity(self) -> bool:
-        return is_identity(self.context, self.word)
+        # Britton's lemma on the stored reduced word
+        b0, letters = self.word
+        return not letters and self.context.is_base_identity(b0)
 
     def __eq__(self, other):
         if not isinstance(other, BrittonElement):
@@ -387,9 +410,7 @@ class BrittonElement:
             return False
         if self.context.has_transversals:
             return self._canonical() == other._canonical()
-        return is_identity(
-            self.context, word_mul(self.context, self.word, word_inv(self.context, other.word))
-        )
+        return (self * other.inverse()).is_identity()
 
     def __hash__(self):
         if self.context.has_transversals:
@@ -419,35 +440,27 @@ def mitosis_presentation(base: FgSubgroup) -> FiniteHnnPresentation:
 
 MAX_TREE_RADIUS = 4
 
-BASE_VERTEX_LABEL = ("base",)
 
-
-def canonical_vertex(pres: FiniteHnnPresentation, word: Word) -> tuple:
-    """Canonical label of the coset w * (base group): the normal form of
-    w with its trailing base letter dropped."""
+def canonical_vertex(pres: FiniteHnnPresentation, word: Word) -> Word:
+    """The representative word of the coset w * (base group): the normal
+    form of w with its last base letter set to the identity.  Two words
+    lie in the same coset iff their representatives coincide."""
     b0, letters = normal_form(pres, word)
+    e = pres.identity_code
     if not letters:
-        return BASE_VERTEX_LABEL
-    items: List[object] = [b0]
-    for x, e, b in letters[:-1]:
-        items.append((x, e))
-        items.append(b)
-    x, e, _ = letters[-1]
-    items.append((x, e))
-    return tuple(items)
+        return (e, ())
+    x, sign, _ = letters[-1]
+    return (b0, letters[:-1] + ((x, sign, e),))
 
 
 @dataclass(frozen=True)
 class Vertex:
     """A vertex of the Bass-Serre tree: a coset of the base group,
-    carried by its canonical representative word."""
+    carried by its representative word (see ``canonical_vertex``), whose
+    stable letter count is its distance from the base vertex."""
 
-    label: tuple
     word: Word
     distance: int
-
-    def __repr__(self):
-        return f"Vertex(d={self.distance}, {self.label!r})"
 
 
 def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
@@ -459,12 +472,14 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
 
 def _walk_tree(pres: FiniteHnnPresentation, radius: int) -> Iterator[Vertex]:
     """The vertices of ``tree_ball(pres, radius)``, yielded in its order
-    as the walk reaches them."""
+    as the walk reaches them.  The children of w (base) are w r x^sign
+    (base) for r in the transversal of the subgroup x^sign starts from,
+    already in normal form, except the one r that pinches against a last
+    letter x^-sign: it leads back to w's parent."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
     e = pres.identity_code
-    base = Vertex(BASE_VERTEX_LABEL, (e, ()), 0)
-    seen = {base.label}
+    base = Vertex((e, ()), 0)
     yield base
     frontier = [base]
     for dist in range(1, radius + 1):
@@ -474,43 +489,27 @@ def _walk_tree(pres: FiniteHnnPresentation, radius: int) -> Iterator[Vertex]:
             for x in pres.letters:
                 for sign in (1, -1):
                     side = "B" if sign == 1 else "A"
+                    pinch = letters and letters[-1][:2] == (x, -sign)
+                    back = pres._coset_rep[(side, x)][e] if pinch else None
                     for r in pres._transversal[(side, x)]:
-                        if letters:
-                            ls = list(letters)
-                            xa, ea, ba = ls[-1]
-                            ls[-1] = (xa, ea, pres.mul(ba, r))
-                            cand = (b0, tuple(ls) + ((x, sign, e),))
-                        else:
-                            cand = (pres.mul(b0, r), ((x, sign, e),))
-                        label = canonical_vertex(pres, cand)
-                        if label in seen:
+                        if r == back:
                             continue
-                        seen.add(label)
-                        # rebuild the representative word from the label
-                        vert = Vertex(label, _vertex_word(pres, label), dist)
+                        if letters:
+                            y, ey, _ = letters[-1]
+                            word = (b0, letters[:-1] + ((y, ey, r), (x, sign, e)))
+                        else:
+                            word = (r, ((x, sign, e),))
+                        vert = Vertex(word, dist)
                         yield vert
                         nxt.append(vert)
         frontier = nxt
-
-
-def _vertex_word(pres: FiniteHnnPresentation, label: tuple) -> Word:
-    if label == BASE_VERTEX_LABEL:
-        return (pres.identity_code, ())
-    b0 = label[0]
-    letters = []
-    rest = label[1:]
-    for i in range(0, len(rest), 2):
-        x, e = rest[i]
-        b = rest[i + 1] if i + 1 < len(rest) else pres.identity_code
-        letters.append((x, e, b))
-    return (b0, tuple(letters))
 
 
 def fixes_vertex(pres: FiniteHnnPresentation, g: Word, v: Vertex) -> bool:
     """g fixes the coset wB iff w^-1 g w lies in the base group."""
     wi = word_inv(pres, v.word)
     prod = word_mul(pres, word_mul(pres, wi, g), v.word)
-    return stable_letter_count(britton_reduce(pres, prod)) == 0
+    return stable_letter_count(prod) == 0
 
 
 def bass_serre_fixed_vertices(
@@ -518,8 +517,7 @@ def bass_serre_fixed_vertices(
 ) -> List[Vertex]:
     """All vertices within the given radius of the base vertex that are
     fixed by g, in breadth-first order."""
-    word = g.word if isinstance(g, BrittonElement) else g
-    return [v for v in tree_ball(pres, radius) if fixes_vertex(pres, word, v)]
+    return [v for v in tree_ball(pres, radius) if fixes_vertex(pres, g.word, v)]
 
 
 # -- bounded searches and mitosis data ----------------------------------
@@ -568,7 +566,7 @@ def cc_witness_search_b1(
                 f"more than {budget} Bass-Serre vertices within distance {max_letters}"
             )
         visited += 1
-        t = BrittonElement(pres, v.word)
+        t = BrittonElement._trusted(pres, v.word)
         if check_cc(minus, t).ok:
             found = f"witness at Bass-Serre vertex {visited}, distance {v.distance}"
             return PropertyReport(desc, "some", (found,), t)

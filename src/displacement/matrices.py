@@ -123,8 +123,8 @@ class RationalMatrix:
     @classmethod
     def _trusted(cls, rows: Tuple[Row, ...]) -> "RationalMatrix":
         """The matrix with these Fraction rows, which must be square and
-        invertible.  Only closed operations (product, inverse, padding)
-        call this: it trims but runs no invertibility check."""
+        invertible, as closed operations (product, inverse, padding) and
+        L*D*U products guarantee: it trims but runs no invertibility check."""
         m = object.__new__(cls)
         m.entries = _trim(rows)
         return m

@@ -134,7 +134,7 @@ def _random_invertible(rng, n: int) -> matrices.RationalMatrix:
         [sum(low[i][k] * diag[k] * up[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    return matrices.RationalMatrix(prod)
+    return matrices.RationalMatrix._trusted(tuple(map(tuple, prod)))
 
 
 def _mul2(a, b):
@@ -402,7 +402,7 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
     for g in nontrivial:
         word = (pres.encode(g, e), ())
         fixed = [v for v in ball if hnn.fixes_vertex(pres, word, v)]
-        if len(fixed) != 1 or fixed[0].label != hnn.BASE_VERTEX_LABEL:
+        if len(fixed) != 1 or fixed[0].distance != 0:
             return PropertyReport.failing(
                 desc, f"(g,1) fixes {len(fixed)} vertices within radius {radius}", g
             )
@@ -430,7 +430,7 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
             got = hnn.fixes_vertex(pres, (code, ()), v)
             if expected != got:
                 return PropertyReport.failing(
-                    desc, "stabilizer mismatch at a radius-1 vertex", (v.label, code)
+                    desc, "stabilizer mismatch at a radius-1 vertex", (v.word, code)
                 )
     detail.append(
         "radius-1 stabilizers are exactly the expected conjugates of the"

@@ -21,7 +21,6 @@ from displacement.checkers import (
 )
 from displacement.core import FgSubgroup, commutator, conj, element_order
 from displacement.hnn import (
-    BASE_VERTEX_LABEL,
     bass_serre_fixed_vertices,
     binate_presentation,
     britton_reduce,
@@ -242,7 +241,7 @@ def test_criterion_10_bass_serre_fixed_vertices():
             if g == e:
                 continue
             fixed = bass_serre_fixed_vertices(bp, bp.base_element(g, e), 3)
-            assert len(fixed) == 1 and fixed[0].label == BASE_VERTEX_LABEL
+            assert len(fixed) == 1 and fixed[0].distance == 0
             diag = bass_serre_fixed_vertices(bp, bp.base_element(g, g), 1)
             assert len(diag) >= 2
 

@@ -3,15 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from displacement.checkers import check_cc
 from displacement.core import BudgetExceededError, commutator, conj
 from displacement.freewords import FreeGroupContext
 from displacement.hnn import (
-    BASE_VERTEX_LABEL,
     BinateTower,
     BrittonElement,
     ElementHnnPresentation,
+    FiniteHnnPresentation,
     b_tower_embed,
     bass_serre_fixed_vertices,
     binate_presentation,
@@ -134,6 +135,68 @@ def test_confluence_randomized_orders(bp, mp):
             assert normal_form(pres, a) == normal_form(pres, b)
 
 
+BRITTON_PRESENTATIONS = (binate_presentation(S3), mitosis_presentation(S3))
+
+
+def _concat(pres, u, v):
+    """The word u v as written, without reduction."""
+    (b0u, lu), (b0v, lv) = u, v
+    if not lu:
+        return (pres.mul(b0u, b0v), lv)
+    x, e, b = lu[-1]
+    return (b0u, lu[:-1] + ((x, e, pres.mul(b, b0v)),) + lv)
+
+
+def _reversed_inverse(pres, u):
+    """The word u^-1 as written: the syllables of u, inverted, in reverse
+    order, without reduction."""
+    b0, letters = u
+    e = pres.identity_code
+    syllables = [(pres.inv(b0), ())]
+    for x, sign, b in letters:
+        syllables += [(e, ((x, -sign, e),)), (pres.inv(b), ())]
+    out = (e, ())
+    for w in reversed(syllables):
+        out = _concat(pres, out, w)
+    return out
+
+
+@st.composite
+def reduced_word_pairs(draw):
+    """A presentation and two Britton-reduced words over it, with base
+    letters often in an associated subgroup, so that seams pinch."""
+    pres = draw(st.sampled_from(BRITTON_PRESENTATIONS))
+    assoc = [
+        c
+        for c in range(pres.size)
+        if any(pres.in_A(x, c) or pres.in_B(x, c) for x in pres.letters)
+    ]
+    base = st.one_of(st.integers(0, pres.size - 1), st.sampled_from(assoc))
+    letter = st.tuples(st.sampled_from(pres.letters), st.sampled_from((1, -1)), base)
+    word = st.tuples(base, st.lists(letter, max_size=4).map(tuple))
+    return pres, britton_reduce(pres, draw(word)), britton_reduce(pres, draw(word))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_word_pairs())
+def test_products_and_inverses_of_reduced_words_are_reduced(case):
+    """word_mul and word_inv return reduced words equal to the reduction
+    of the raw concatenation, so BrittonElement products and inverses
+    need no second reduction."""
+    pres, u, v = case
+    raw_product, raw_inverse = _concat(pres, u, v), _reversed_inverse(pres, u)
+    prod, inv = word_mul(pres, u, v), word_inv(pres, u)
+    assert is_reduced(pres, prod) and is_reduced(pres, inv)
+    assert normal_form(pres, prod) == normal_form(pres, britton_reduce(pres, raw_product))
+    assert normal_form(pres, inv) == normal_form(pres, britton_reduce(pres, raw_inverse))
+    a, b = BrittonElement(pres, u), BrittonElement(pres, v)
+    assert (a * b).word == BrittonElement(pres, raw_product).word
+    assert a * b == BrittonElement(pres, raw_product)
+    assert a.inverse() == BrittonElement(pres, raw_inverse)
+    assert (a * b).is_identity() == is_identity(pres, raw_product)
+    assert (a * a.inverse()).is_identity()
+
+
 def test_element_interface(bp):
     d = bp.stable_letter("d")
     x = bp.base_element(G, E3)
@@ -153,15 +216,65 @@ def test_tree_ball_counts(bp):
         tree_ball(bp, 5)
 
 
+def _reference_walk(pres, max_distance):
+    """The tree walk by normal forms: every candidate child w r x^sign of
+    every vertex w is normalized, and kept when its coset is new."""
+    e = pres.identity_code
+    ball = [((e, ()), 0)]
+    seen = {(e, ())}
+    frontier = [(e, ())]
+    for dist in range(1, max_distance + 1):
+        nxt = []
+        for w in frontier:
+            for x in pres.letters:
+                for sign in (1, -1):
+                    for r in pres._transversal[("B" if sign == 1 else "A", x)]:
+                        step = (r, ((x, sign, e),))
+                        child = canonical_vertex(pres, word_mul(pres, w, step))
+                        if child not in seen:
+                            seen.add(child)
+                            ball.append((child, dist))
+                            nxt.append(child)
+        frontier = nxt
+    return ball
+
+
+@pytest.mark.parametrize(
+    "make, degree, radius",
+    [
+        (binate_presentation, 2, 2),
+        (binate_presentation, 3, 3),
+        (binate_presentation, 4, 2),
+        (mitosis_presentation, 2, 2),
+        (mitosis_presentation, 3, 2),
+    ],
+)
+def test_tree_walk_yields_normal_form_words(make, degree, radius):
+    """Each vertex word is its own coset representative, with one stable
+    letter per step of distance; the ball of the tree of valence
+    2 * |letters| * |G| has the closed-form size, in the order of the walk
+    by normal forms."""
+    pres = make(symmetric_group(degree))
+    ball = tree_ball(pres, radius)
+    words = [v.word for v in ball]
+    assert len(set(words)) == len(words)
+    for v in ball:
+        assert canonical_vertex(pres, v.word) == v.word
+        assert v.distance == stable_letter_count(v.word)
+    valence = 2 * len(pres.letters) * len(pres.group_elems)
+    assert len(ball) == 1 + sum(valence * (valence - 1) ** k for k in range(radius))
+    assert [(v.word, v.distance) for v in ball] == _reference_walk(pres, radius)
+
+
 def test_vertex_labels_are_coset_invariants(bp):
     rng = random.Random(43)
     ball = tree_ball(bp, 2)
     for v in ball:
         # right-multiplying the representative by a base element must not
-        # change the canonical label
+        # change the vertex word
         b = rng.randrange(bp.size)
         moved = word_mul(bp, v.word, (b, ()))
-        assert canonical_vertex(bp, moved) == v.label
+        assert canonical_vertex(bp, moved) == v.word
 
 
 def test_unique_fixed_vertex_for_left_factor(bp):
@@ -169,7 +282,7 @@ def test_unique_fixed_vertex_for_left_factor(bp):
         elem = bp.base_element(g, E3)
         fixed = bass_serre_fixed_vertices(bp, elem, 3)
         assert len(fixed) == 1
-        assert fixed[0].label == BASE_VERTEX_LABEL
+        assert fixed[0].distance == 0
 
 
 def test_diagonal_fixes_the_d_edge(bp):
@@ -177,8 +290,7 @@ def test_diagonal_fixes_the_d_edge(bp):
         elem = bp.base_element(g, g)
         fixed = bass_serre_fixed_vertices(bp, elem, 1)
         assert len(fixed) >= 2
-        labels = {v.label for v in fixed}
-        assert BASE_VERTEX_LABEL in labels
+        assert any(v.distance == 0 for v in fixed)
 
 
 def test_identity_fixes_everything(bp):
@@ -203,9 +315,9 @@ def test_stabilizers_at_radius_one(bp):
 def test_centralizing_elements_preserve_fixed_sets(bp):
     """If [g, u] = 1 then u permutes the fixed vertices of g."""
     g = bp.base_element(G, G)
-    ball2 = {v.label: v for v in tree_ball(bp, 2)}
-    ball3 = {v.label: v for v in tree_ball(bp, 3)}
-    fixed = {v.label for v in bass_serre_fixed_vertices(bp, g, 2)}
+    ball2 = {v.word: v for v in tree_ball(bp, 2)}
+    ball3 = {v.word: v for v in tree_ball(bp, 3)}
+    fixed = {v.word for v in bass_serre_fixed_vertices(bp, g, 2)}
     candidates = [
         bp.base_element(G, G),
         bp.base_element(G.inverse(), G.inverse()),
@@ -215,11 +327,10 @@ def test_centralizing_elements_preserve_fixed_sets(bp):
     for u in candidates:
         if not commutator(g, u).is_identity():
             continue
-        for label in fixed:
-            moved = word_mul(bp, u.word, ball2[label].word)
-            moved_label = canonical_vertex(bp, moved)
-            if moved_label in ball3:
-                assert fixes_vertex(bp, g.word, ball3[moved_label])
+        for word in fixed:
+            moved = canonical_vertex(bp, word_mul(bp, u.word, ball2[word].word))
+            if moved in ball3:
+                assert fixes_vertex(bp, g.word, ball3[moved])
                 checked += 1
     assert checked > 0
 
@@ -242,7 +353,7 @@ def test_cc_search_small_cases():
 def _landing(pres, max_letters):
     """Each reduced word with at most max_letters stable letters, with
     the ball vertex it lands on."""
-    ball = {v.label: v for v in tree_ball(pres, max_letters)}
+    ball = {v.word: v for v in tree_ball(pres, max_letters)}
     for w in iter_reduced_words(pres, max_letters):
         v = ball[canonical_vertex(pres, w)]
         assert v.distance == stable_letter_count(w)
@@ -260,7 +371,7 @@ def test_cc_verdict_of_a_word_is_that_of_its_vertex(degree, max_letters):
 
 
 def test_two_letter_words_cover_the_sym3_ball(bp):
-    hit = {v.label for _, v in _landing(bp, 2)}
+    hit = {v.word for _, v in _landing(bp, 2)}
     assert len(hit) == len(tree_ball(bp, 2)) == 145
 
 
@@ -319,3 +430,27 @@ def test_free_group_base():
     y = pres.base_element(a, FreeGroupContext(2).identity)
     assert not conj(d, y).is_identity()
     assert stable_letter_count(conj(d, y).word) == 2
+
+
+def test_free_group_base_s_relation():
+    """The mitosis relation s (g,1) s^-1 = (1,g) over a free-group base,
+    and the splitting of (g,1) by ds."""
+    F = FreeGroupContext(2)
+    pres = ElementHnnPresentation(F, ("d", "s"), "m(F2)")
+    one, a, b = F.identity, F.generator(1), F.generator(2)
+    s, d = pres.stable_letter("s"), pres.stable_letter("d")
+    for g in (a, b, a * b.inverse()):
+        h = pres.base_element(g, one)
+        assert conj(s, h) == pres.base_element(one, g)
+        assert conj(s.inverse(), pres.base_element(one, g)) == h
+        assert conj(d * s, h) == h * conj(s, h)
+        # (1,g) is not in A_s, so s (1,g) s^-1 keeps both stable letters
+        assert stable_letter_count(conj(s, pres.base_element(one, g)).word) == 2
+        assert not conj(s, pres.base_element(one, g)).is_identity()
+
+
+def test_unknown_stable_letter_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unknown stable letter 't'"):
+        FiniteHnnPresentation(S3, ("d", "t"), "bad")
+    with pytest.raises(ValueError, match="unknown stable letter 't'"):
+        ElementHnnPresentation(FreeGroupContext(2), ("t",), "bad")
