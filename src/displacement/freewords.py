@@ -13,7 +13,7 @@ from .core import ContextMismatchError, FgSubgroup
 
 
 class FreeGroupContext:
-    """The free group of a fixed finite rank."""
+    """The free group of a fixed finite rank, one object per rank."""
 
     _cache: dict = {}
 
@@ -28,12 +28,6 @@ class FreeGroupContext:
 
     def __repr__(self):
         return f"F{self.rank}"
-
-    def __eq__(self, other):
-        return isinstance(other, FreeGroupContext) and self.rank == other.rank
-
-    def __hash__(self):
-        return hash(("free", self.rank))
 
     @property
     def identity(self) -> "FreeWord":

@@ -79,12 +79,6 @@ class GLContext:
     def __repr__(self):
         return "GL(Q)"
 
-    def __eq__(self, other):
-        return isinstance(other, GLContext)
-
-    def __hash__(self):
-        return hash("GL(Q)")
-
     @property
     def identity(self) -> "RationalMatrix":
         return RationalMatrix([[1]])

@@ -3,6 +3,12 @@
 Points are 1-based in the public API (cycle notation) and 0-based
 internally.  Canonical form is the image tuple; the printed form is the
 cycle decomposition sorted by least moved point.
+
+``Permutation(...)``, and ``from_cycles`` and ``extend`` through it,
+check that the images are a bijection; products and inverses are
+bijections by construction and skip that check.  There is one
+``SymmetricGroupContext`` per degree, built with its identity, so
+contexts compare by identity.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from .core import ContextMismatchError, FgSubgroup
 
 
 class SymmetricGroupContext:
-    """Ambient Sym(degree)."""
+    """Ambient Sym(degree), one object per degree."""
 
     _cache: dict = {}
 
@@ -23,21 +29,12 @@ class SymmetricGroupContext:
         if degree not in cls._cache:
             obj = super().__new__(cls)
             obj.degree = degree
+            obj.identity = Permutation._trusted(obj, tuple(range(degree)))
             cls._cache[degree] = obj
         return cls._cache[degree]
 
     def __repr__(self):
         return f"Sym({self.degree})"
-
-    def __eq__(self, other):
-        return isinstance(other, SymmetricGroupContext) and self.degree == other.degree
-
-    def __hash__(self):
-        return hash(("sym", self.degree))
-
-    @property
-    def identity(self) -> "Permutation":
-        return Permutation(self, tuple(range(self.degree)))
 
 
 class Permutation:
@@ -52,6 +49,17 @@ class Permutation:
         self.context = context
         self.images = images
 
+    @classmethod
+    def _trusted(
+        cls, context: SymmetricGroupContext, images: Tuple[int, ...]
+    ) -> "Permutation":
+        """The permutation with these images, which must already be a
+        bijection.  Only closed operations (product, inverse) call this."""
+        p = object.__new__(cls)
+        p.context = context
+        p.images = images
+        return p
+
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         """Build from 1-based cycles, e.g. from_cycles(4, [(1, 2), (3, 4)])."""
@@ -63,33 +71,31 @@ class Permutation:
                 if not 1 <= pt <= degree:
                     raise ValueError(f"point {pt} out of range for degree {degree}")
                 images[pt - 1] = cycle[(i + 1) % len(cycle)] - 1
-        p = Permutation(SymmetricGroupContext(degree), images)
-        return p
+        return Permutation(SymmetricGroupContext(degree), images)
 
     def __call__(self, point: int) -> int:
         """Image of a 1-based point."""
         return self.images[point - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.context != other.context:
+        if self.context is not other.context:
             raise ContextMismatchError("permutations of different degrees")
-        return Permutation(
-            self.context, tuple(self.images[i] for i in other.images)
-        )
+        images = self.images
+        return Permutation._trusted(self.context, tuple([images[i] for i in other.images]))
 
     def inverse(self) -> "Permutation":
         images = [0] * len(self.images)
         for i, j in enumerate(self.images):
             images[j] = i
-        return Permutation(self.context, tuple(images))
+        return Permutation._trusted(self.context, tuple(images))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == self.context.identity.images
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self.context == other.context and self.images == other.images
+        return self.context is other.context and self.images == other.images
 
     def __hash__(self):
         return hash((self.context.degree, self.images))

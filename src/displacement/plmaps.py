@@ -47,12 +47,6 @@ class PLContext:
     def __repr__(self):
         return "PL(R)"
 
-    def __eq__(self, other):
-        return isinstance(other, PLContext)
-
-    def __hash__(self):
-        return hash("PL(R)")
-
     @property
     def identity(self) -> "PLHomeo":
         return PLHomeo(())

@@ -5,6 +5,13 @@ level i+1 is (level i) wr Z/n_{i+1} with the top group acting by
 translating coordinates: (f, k)(g, l) = (f . k|>g, k+l) where
 (k|>g)(x) = g(x - k).  Only finite levels are ever materialized; the
 sequence of top orders comes from a lazy rule.
+
+Every wreath context carries ``lower``, the context one level below.
+``WreathElement(...)`` rejects duplicate indices and values outside
+``lower``; products (one merge of the two supports), inverses and
+enumerated elements share its normalization but skip its checks.
+Tower contexts are built once per tower and level and compare by
+identity; a ``ZWreathContext`` is not interned and compares by ``lower``.
 """
 
 from __future__ import annotations
@@ -87,7 +94,6 @@ class TowerSpec:
         if level < 1:
             raise ValueError("wreath levels start at 1")
         if level not in self._contexts:
-            self.n(level)  # validate early
             self._contexts[level] = WreathContext(self, level)
         return self._contexts[level]
 
@@ -98,53 +104,39 @@ class TowerSpec:
             self._base_elems = sorted(elems, key=lambda p: p.images)
         return self._base_elems
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         return f"TowerSpec({self.label})"
 
 
 class WreathContext:
-    """Level i of a tower: (level i-1) wr Z/n_i."""
+    """Level i of a tower: (level i-1) wr Z/n_i, one object per tower and
+    level.  ``lower`` is the context one level below."""
 
     def __init__(self, tower: TowerSpec, level: int):
         self.tower = tower
         self.level = level
         self.top_order = tower.n(level)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WreathContext)
-            and self.tower is other.tower
-            and self.level == other.level
-        )
-
-    def __hash__(self):
-        return hash((id(self.tower), self.level))
+        self.lower = tower.base.context if level == 1 else tower.context(level - 1)
 
     def __repr__(self):
         return f"{self.tower.label}[level {self.level}]"
 
+    def reduce(self, idx: int) -> int:
+        """A coordinate or shift in canonical form, reduced mod n."""
+        return idx % self.top_order
+
     @property
     def identity(self) -> "WreathElement":
-        return WreathElement(self, 0, ())
-
-    def lower_identity(self):
-        if self.level == 1:
-            return self.tower.base.context.identity
-        return self.tower.context(self.level - 1).identity
+        return WreathElement._trusted(self, 0, {})
 
     def shift_generator(self) -> "WreathElement":
-        return WreathElement(self, 1, ())
+        return WreathElement._trusted(self, 1, {})
 
 
-class ZWreathContext:
+class ZWreathContext(WreathContext):
     """A restricted wreath product (lower group) wr Z: unbounded integer
-    shifts, finite support maps.  Not enumerable; not tied to a tower."""
+    shifts, finite support maps.  Not enumerable; not tied to a tower,
+    and not interned, so it compares by its lower group."""
 
     top_order = None
 
@@ -161,15 +153,8 @@ class ZWreathContext:
     def __repr__(self):
         return self.label
 
-    @property
-    def identity(self) -> "WreathElement":
-        return WreathElement(self, 0, ())
-
-    def lower_identity(self):
-        return self.lower.identity
-
-    def shift_generator(self) -> "WreathElement":
-        return WreathElement(self, 1, ())
+    def reduce(self, idx: int) -> int:
+        return idx
 
 
 class WreathElement:
@@ -182,49 +167,63 @@ class WreathElement:
     __slots__ = ("context", "shift", "support")
 
     def __init__(self, context: WreathContext, shift: int, support):
-        n = context.top_order
-        merged: Dict[int, object] = {}
+        values: Dict[int, object] = {}
         for idx, val in support:
-            if n is not None:
-                idx %= n
-            if idx in merged:
+            if val.context != context.lower:
+                raise ContextMismatchError(f"{val!r} does not live in {context.lower!r}")
+            idx = context.reduce(idx)
+            if idx in values:
                 raise ValueError(f"duplicate support index {idx}")
-            if not val.is_identity():
-                merged[idx] = val
+            values[idx] = val
+        self._normalize(context, shift, values)
+
+    @classmethod
+    def _trusted(
+        cls, context: WreathContext, shift: int, values: Dict[int, object]
+    ) -> "WreathElement":
+        """The element with this shift and these values, keyed by reduced
+        coordinates in the level below.  Only closed operations (product,
+        inverse, enumeration) call this."""
+        w = object.__new__(cls)
+        w._normalize(context, shift, values)
+        return w
+
+    def _normalize(self, context, shift: int, values: Dict[int, object]) -> None:
+        """The canonical form: identity values dropped, the shift reduced,
+        the support sorted by index."""
         self.context = context
-        self.shift = shift % n if n is not None else shift
-        self.support = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
+        self.shift = context.reduce(shift)
+        self.support = tuple(
+            sorted((i, v) for i, v in values.items() if not v.is_identity())
+        )
 
     def value_at(self, idx: int):
-        if self.context.top_order is not None:
-            idx %= self.context.top_order
+        idx = self.context.reduce(idx)
         for i, v in self.support:
             if i == idx:
                 return v
-        return self.context.lower_identity()
+        return self.context.lower.identity
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         if not isinstance(other, WreathElement):
             return NotImplemented
         if self.context != other.context:
             raise ContextMismatchError("wreath elements of different levels/towers")
-        n = self.context.top_order
+        reduce = self.context.reduce
         k = self.shift
-        indices = {i for i, _ in self.support}
-        if n is None:
-            indices.update(i + k for i, _ in other.support)
-        else:
-            indices.update((i + k) % n for i, _ in other.support)
-        support = []
-        for m in indices:
-            v = self.value_at(m) * other.value_at(m - k)
-            support.append((m, v))
-        return WreathElement(self.context, k + other.shift, support)
+        # (f, k)(g, l) has value f(m) * g(m - k) at m: fold g into f
+        values = dict(self.support)
+        for i, v in other.support:
+            m = reduce(i + k)
+            u = values.get(m)
+            values[m] = v if u is None else u * v
+        return WreathElement._trusted(self.context, k + other.shift, values)
 
     def inverse(self) -> "WreathElement":
+        reduce = self.context.reduce
         k = self.shift
-        support = [(i - k, v.inverse()) for i, v in self.support]
-        return WreathElement(self.context, -k, support)
+        values = {reduce(i - k): v.inverse() for i, v in self.support}
+        return WreathElement._trusted(self.context, -k, values)
 
     def is_identity(self) -> bool:
         return self.shift == 0 and not self.support
@@ -247,15 +246,8 @@ class WreathElement:
 
 
 def embed_level(x, context) -> WreathElement:
-    """Standard embedding of a lower-level element at coordinate 0."""
-    if isinstance(context, ZWreathContext):
-        expected = context.lower
-    elif context.level == 1:
-        expected = context.tower.base.context
-    else:
-        expected = context.tower.context(context.level - 1)
-    if x.context != expected:
-        raise ContextMismatchError("element does not live one level below")
+    """Standard embedding of a lower-level element at coordinate 0; the
+    constructor rejects an x that does not live one level below."""
     return WreathElement(context, 0, [(0, x)])
 
 
@@ -295,8 +287,9 @@ def enumerate_level(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET):
     n = ctx.top_order
     lower = list(enumerate_level(tower, level - 1, budget))
     for values in itertools.product(lower, repeat=n):
+        values = dict(enumerate(values))
         for shift in range(n):
-            yield WreathElement(ctx, shift, list(enumerate(values)))
+            yield WreathElement._trusted(ctx, shift, values)
 
 
 def realize_permutation(w: WreathElement) -> Permutation:
@@ -309,11 +302,10 @@ def realize_permutation(w: WreathElement) -> Permutation:
     if n is None:
         raise ValueError("Z-top wreath elements have no finite realization")
     if ctx.level == 1:
-        lower_degree = ctx.tower.base.context.degree
+        lower_degree = ctx.lower.degree
         realize_lower = lambda p: p
     else:
-        sample = realize_permutation(ctx.lower_identity())
-        lower_degree = sample.context.degree
+        lower_degree = realize_permutation(ctx.lower.identity).context.degree
         realize_lower = realize_permutation
     degree = n * lower_degree
     images = [0] * degree

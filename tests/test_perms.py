@@ -1,5 +1,6 @@
 import pytest
 
+from displacement.core import ContextMismatchError
 from displacement.perms import Permutation, SymmetricGroupContext, symmetric_group
 
 
@@ -58,3 +59,13 @@ def test_symmetric_group_generators():
 
 def test_context_caching():
     assert SymmetricGroupContext(5) is SymmetricGroupContext(5)
+
+
+def test_identity_is_shared_and_products_stay_in_their_context():
+    ctx = SymmetricGroupContext(4)
+    assert ctx.identity is SymmetricGroupContext(4).identity
+    p = Permutation.from_cycles(4, [(1, 2, 3)])
+    assert p * p.inverse() == ctx.identity
+    assert (p * p).context is ctx and sorted((p * p).images) == [0, 1, 2, 3]
+    with pytest.raises(ContextMismatchError):
+        p * Permutation.from_cycles(3, [(1, 2)])

@@ -212,3 +212,111 @@ def test_z_top_wreath():
     assert commutator(a, moved).is_identity()
     with pytest.raises(ValueError):
         realize_permutation(t)
+
+
+def test_constructor_rejects_values_outside_the_level_below():
+    tower = s3_tower([2, 2])
+    ctx1, ctx2 = tower.context(1), tower.context(2)
+    with pytest.raises(ContextMismatchError):
+        WreathElement(ctx1, 0, [(0, Permutation.from_cycles(4, [(1, 2)]))])
+    with pytest.raises(ContextMismatchError):
+        WreathElement(ctx1, 0, [(0, FreeGroupContext(2).generator(1))])
+    with pytest.raises(ContextMismatchError):
+        WreathElement(ctx1, 0, [(1, symmetric_group(4).context.identity)])
+    with pytest.raises(ContextMismatchError):
+        WreathElement(ctx2, 0, [(0, Permutation.from_cycles(3, [(1, 2)]))])
+    with pytest.raises(ContextMismatchError):
+        embed_level(ctx2.shift_generator(), ctx1)
+    a = Permutation.from_cycles(3, [(1, 2)])
+    with pytest.raises(ValueError):
+        WreathElement(ctx1, 0, [(0, a), (2, a)])  # 2 = 0 mod 2
+    assert WreathElement(ctx2, 0, [(1, ctx1.shift_generator())]).value_at(1) == (
+        ctx1.shift_generator()
+    )
+
+
+def reference_element(ctx, shift, values):
+    """(shift, support) in canonical form, from a map index -> value."""
+    n = ctx.top_order
+    reduce = (lambda x: x) if n is None else (lambda x: x % n)
+    support = sorted(
+        (reduce(m), v) for m, v in values.items() if not v.is_identity()
+    )
+    return reduce(shift), tuple(support)
+
+
+def reference_mul(a, b):
+    """(f, k)(g, l) = (m -> f(m) * g(m - k), k + l), point by point."""
+    k, n = a.shift, a.context.top_order
+    indices = {i for i, _ in a.support} | {i + k for i, _ in b.support}
+    if n is not None:
+        indices = {m % n for m in indices}
+    values = {m: a.value_at(m) * b.value_at(m - k) for m in indices}
+    return reference_element(a.context, k + b.shift, values)
+
+
+def reference_inverse(a):
+    """(f, k)^-1 = (m -> f(m + k)^-1, -k), point by point."""
+    k, n = a.shift, a.context.top_order
+    indices = {i - k for i, _ in a.support}
+    if n is not None:
+        indices = {m % n for m in indices}
+    values = {m: a.value_at(m + k).inverse() for m in indices}
+    return reference_element(a.context, -k, values)
+
+
+def assert_canonical(w):
+    n = w.context.top_order
+    indices = [i for i, _ in w.support]
+    assert indices == sorted(set(indices))
+    assert not any(v.is_identity() for _, v in w.support)
+    if n is not None:
+        assert 0 <= w.shift < n and all(0 <= i < n for i in indices)
+    assert WreathElement(w.context, w.shift, w.support) == w
+
+
+def random_over(rng, ctx, pick_value, spread=3):
+    """A random element of ctx with values drawn by pick_value, distinct
+    indices and a shift, unreduced, in -spread..spread."""
+    n = ctx.top_order
+    if n is None:
+        indices = rng.sample(range(-spread, spread + 1), rng.randrange(4))
+    else:
+        residues = rng.sample(range(n), rng.randrange(n + 1))
+        indices = [i + n * rng.randrange(-1, 2) for i in residues]
+    support = [(i, pick_value()) for i in indices]
+    return WreathElement(ctx, rng.randrange(-spread, spread + 1), support)
+
+
+def test_mul_and_inverse_against_pointwise_formula():
+    """Oracle for the contexts the permutation realization cannot check:
+    a Z top and a free-group base."""
+    rng = random.Random(17)
+    F = FreeGroupContext(2)
+    a, b = F.generator(1), F.generator(2)
+    letters = [a, b, a.inverse(), b.inverse(), a * b]
+    s3 = s3_tower([2]).base_elements()
+    free_tower = TowerSpec(free_group(2), ("prefix", (2, 3)))
+    ctx1, ctx2 = free_tower.context(1), free_tower.context(2)
+
+    def free_level1():
+        return random_over(rng, ctx1, lambda: rng.choice(letters))
+
+    cases = [
+        (ZWreathContext(symmetric_group(3).context), lambda: rng.choice(s3)),
+        (ZWreathContext(F), lambda: rng.choice(letters)),
+        (ctx1, lambda: rng.choice(letters)),
+        (ctx2, free_level1),
+    ]
+    for ctx, pick_value in cases:
+        for _ in range(150):
+            x = random_over(rng, ctx, pick_value)
+            y = random_over(rng, ctx, pick_value)
+            for w, expected in [
+                (x * y, reference_mul(x, y)),
+                (x.inverse(), reference_inverse(x)),
+                (x * x.inverse(), (0, ())),
+                (x.inverse() * x, (0, ())),
+            ]:
+                assert (w.shift, w.support) == expected
+                assert_canonical(w)
