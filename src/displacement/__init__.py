@@ -24,11 +24,10 @@ from .core import (
     FgSubgroup,
     PropertyReport,
     commutator,
+    commutes,
     conj,
     element_order,
     enumerate_subgroup,
-    inv,
-    mul,
     subgroups_commute,
 )
 from .perms import Permutation, SymmetricGroupContext, symmetric_group
@@ -51,12 +50,11 @@ __all__ = [
     "check_dissipator",
     "check_mitotic",
     "commutator",
+    "commutes",
     "conj",
     "derive_czc_from_M",
     "element_order",
     "enumerate_subgroup",
-    "inv",
-    "mul",
     "product_cc_witness",
     "subgroups_commute",
     "symmetric_group",

@@ -14,8 +14,20 @@ import time
 from typing import Optional
 
 from .core import BudgetExceededError
-from .serialize import ScenarioError, dump_report, parse_scenario
+from .serialize import dump_report, parse_scenario
 from .suites import list_suites, run_checks, run_suite
+
+
+def _at_least(low: int):
+    """argparse type: an integer >= ``low``, the scenario schema's minimum."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"
     )
-    parser.add_argument("--seed", type=int, help="seed for sampled checks")
-    parser.add_argument("--budget", type=int, help="override the search budget")
+    parser.add_argument("--seed", type=_at_least(0), help="seed for sampled checks")
+    parser.add_argument("--budget", type=_at_least(1), help="override the search budget")
     return parser
 
 
@@ -90,10 +102,7 @@ def main(argv: Optional[list] = None) -> int:
             merged.update(bounds)
             seed = scenario.get("seed", 0) if args.seed is None else args.seed
             report = run_checks(scenario["checks"], merged, seed)
-    except ScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a ScenarioError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BudgetExceededError as exc:

@@ -10,15 +10,16 @@ element interface:
   * ``elem.is_identity()``
   * equality and hashing by canonical form
 
-The free functions here (``mul``, ``conj``, ``commutator``,
-``subgroups_commute``) work uniformly over any of them and enforce that
+The free functions here (``conj``, ``commutator``, ``commutes``,
+``subgroups_commute``) work uniformly over any of them.  ``commutes``
+is the one commutation test; ``conj`` and ``commutator`` enforce that
 both operands live in the same ambient group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 
 class ContextMismatchError(ValueError):
@@ -36,16 +37,6 @@ def _require_same_context(a, b) -> None:
         )
 
 
-def mul(a, b):
-    """Group product a*b (same ambient group required)."""
-    _require_same_context(a, b)
-    return a * b
-
-
-def inv(a):
-    return a.inverse()
-
-
 def conj(t, g):
     """Conjugate t*g*t^-1."""
     _require_same_context(t, g)
@@ -56,6 +47,16 @@ def commutator(a, b):
     """[a, b] = a*b*a^-1*b^-1; identity iff a and b commute."""
     _require_same_context(a, b)
     return a * b * a.inverse() * b.inverse()
+
+
+def commutes(a, b) -> bool:
+    """Whether a*b = b*a, decided by comparing the two products.  This
+    is exact because equality is canonical in every realization: image
+    tuples (permutations), sorted supports with reduced shifts (wreath),
+    trimmed entries (matrices), merged breakpoints (PL maps), normal
+    forms or Britton's lemma (Britton words), freely reduced words, and
+    componentwise (products)."""
+    return a * b == b * a
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,9 @@ class FgSubgroup:
 
     def __init__(self, label: str, generators: Iterable[Any], context=None):
         gens = []
-        seen = []
         for g in generators:
-            if g.is_identity():
-                continue
-            if any(g == h for h in seen):
-                continue
-            seen.append(g)
-            gens.append(g)
+            if not g.is_identity() and not any(g == h for h in gens):
+                gens.append(g)
         if gens:
             ctx = gens[0].context
             for g in gens[1:]:
@@ -144,18 +140,24 @@ class FgSubgroup:
 
     def is_abelian(self) -> bool:
         return all(
-            commutator(a, b).is_identity()
+            commutes(a, b)
             for i, a in enumerate(self.generators)
             for b in self.generators[i + 1 :]
         )
 
     def conjugate(self, t) -> "FgSubgroup":
-        """The subgroup t H t^-1, generator by generator."""
-        return FgSubgroup(
-            f"^({self.label})",
-            [conj(t, g) for g in self.generators],
-            context=self.context,
-        )
+        """The subgroup t H t^-1, generator by generator: generator i of
+        the result is t h_i t^-1.  Conjugation by t is an injective
+        homomorphism, so the list stays free of identities and
+        duplicates and skips the constructor's normalization."""
+        if self.generators:
+            _require_same_context(t, self)
+        t_inv = t.inverse()
+        K = object.__new__(FgSubgroup)
+        K.label = f"^({self.label})"
+        K.generators = tuple(t * g * t_inv for g in self.generators)
+        K.context = self.context
+        return K
 
 
 def subgroups_commute(H: FgSubgroup, K: FgSubgroup) -> PropertyReport:
@@ -172,7 +174,7 @@ def subgroups_commute(H: FgSubgroup, K: FgSubgroup) -> PropertyReport:
         raise ContextMismatchError("subgroups live in different groups")
     for h in H.generators:
         for k in K.generators:
-            if not commutator(h, k).is_identity():
+            if not commutes(h, k):
                 return PropertyReport.failing(
                     desc, f"generators do not commute", counterexample=(h, k)
                 )

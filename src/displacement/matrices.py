@@ -16,7 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import ContextMismatchError, FgSubgroup, PropertyReport, commutator, conj, subgroups_commute
+# commutator and subgroups_commute are unused here but stay module
+# attributes: the benchmark tracer (bench/tracer.py) patches them by name
+from .core import ContextMismatchError, FgSubgroup, PropertyReport, commutator, subgroups_commute
 
 Row = Tuple[Fraction, ...]
 
@@ -275,9 +277,17 @@ def subspace_intersection(U: RationalSubspace, V: RationalSubspace) -> RationalS
     return RationalSubspace(U.ambient, vectors)
 
 
+def _image_in(g: RationalMatrix, v: Row, ambient: int) -> Row:
+    """g(v) as a vector of Q^ambient; ValueError if g moves v out of it."""
+    w = g.apply(v)
+    if any(w[ambient:]):
+        raise ValueError(f"{g!r} maps a vector out of Q^{ambient}")
+    return w[:ambient]
+
+
 def subspace_image(t: RationalMatrix, V: RationalSubspace) -> RationalSubspace:
     """The image t(V) inside the same ambient space."""
-    return RationalSubspace(V.ambient, [t.apply(v)[: V.ambient] for v in V.basis])
+    return RationalSubspace(V.ambient, [_image_in(t, v, V.ambient) for v in V.basis])
 
 
 def block_conjugate(X: RationalMatrix, g: RationalMatrix) -> RationalMatrix:
@@ -331,7 +341,7 @@ def scalar_action_check(H: FgSubgroup, V: RationalSubspace) -> PropertyReport:
     desc = f"{H.label} acts on a {V.dim}-dimensional subspace by scalars"
     checks = []
     for g in H.generators:
-        images = [t[: V.ambient] for t in (g.apply(v) for v in V.basis)]
+        images = [_image_in(g, v, V.ambient) for v in V.basis]
         for v, w in zip(V.basis, images):
             if not V.contains(w):
                 raise ValueError(f"subspace not invariant under {g!r}")
@@ -387,7 +397,4 @@ def gl_block_swap_witness(H: FgSubgroup, n: int = 0):
     cert = WitnessCertificate(
         property="CZNC", subject=H, payload={"t": t, "n": 2}, bounds={}
     )
-    report = check_cznc(H, t, 2)
-    if (t * t).is_identity() is False:
-        raise AssertionError("block swap must be an involution")
-    return cert, report
+    return cert, check_cznc(H, t, 2)

@@ -19,7 +19,8 @@ from . import checkers, hnn, matrices, plmaps, wreath
 from .core import (
     FgSubgroup,
     PropertyReport,
-    commutator,
+    commutes,
+    conj,
     element_order,
 )
 from .perms import symmetric_group
@@ -304,7 +305,7 @@ def run_pl_fixed_point(params, bounds, rng) -> PropertyReport:
         u = _random_pl_word(rng, (x0, x1), 6)
         if u(half) != half:
             moved += 1
-            if commutator(u, h).is_identity():
+            if commutes(u, h):
                 return PropertyReport.failing(
                     desc, f"element moving 1/2 centralizes h (sample {k})", u
                 )
@@ -333,28 +334,15 @@ def run_britton_engine(params, bounds, rng) -> PropertyReport:
     b_pres = hnn.binate_presentation(base)
     m_pres = hnn.mitosis_presentation(base)
     e = base.context.identity
+    d, s = b_pres.stable_letter("d"), m_pres.stable_letter("s")
     # defining relations, exhaustively over the base group
     for g in b_pres.group_elems:
-        lhs = (
-            b_pres.stable_letter("d")
-            * b_pres.base_element(e, g)
-            * b_pres.stable_letter("d").inverse()
-        )
-        if lhs != b_pres.base_element(g, g):
+        diagonal = b_pres.base_element(g, g)
+        if conj(d, b_pres.base_element(e, g)) != diagonal:
             return PropertyReport.failing(desc, "d (1,g) d^-1 != (g,g)", g)
-        back = (
-            b_pres.stable_letter("d").inverse()
-            * b_pres.base_element(g, g)
-            * b_pres.stable_letter("d")
-        )
-        if back != b_pres.base_element(e, g):
+        if d.inverse() * diagonal * d != b_pres.base_element(e, g):
             return PropertyReport.failing(desc, "d^-1 (g,g) d != (1,g)", g)
-        s_lhs = (
-            m_pres.stable_letter("s")
-            * m_pres.base_element(g, e)
-            * m_pres.stable_letter("s").inverse()
-        )
-        if s_lhs != m_pres.base_element(e, g):
+        if conj(s, m_pres.base_element(g, e)) != m_pres.base_element(e, g):
             return PropertyReport.failing(desc, "s (g,1) s^-1 != (1,g)", g)
     detail.append(
         f"defining rewrites verified for all {len(b_pres.group_elems)} base elements"
@@ -452,7 +440,7 @@ def run_mitosis(params, bounds, rng) -> PropertyReport:
     mit = checkers.check_mitotic(minus, s, d * s)
     # binate data derived from the mitosis pair: f = conj(t1, .) and the
     # conjugator t2 * t1^-1, so that t f(h) t^-1 = t2 h t2^-1 = h * f(h)
-    f = checkers.GeneratorMap.from_callable(minus, lambda h: s * h * s.inverse())
+    f = checkers.GeneratorMap(minus, minus.conjugate(s).generators)
     binate = checkers.check_binate(minus, f, d)
     return _merge(
         mit.description,

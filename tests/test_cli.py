@@ -95,6 +95,21 @@ def test_removed_flags_exit_two(capsys, flag):
     assert main(["--suite", "mitosis", flag, "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--budget", "0"), ("--budget", "-1"), ("--seed", "-1")]
+)
+def test_out_of_range_budget_and_seed_exit_two(capsys, flag, value):
+    """The same minimums as the scenario schema: budget >= 1, seed >= 0."""
+    assert main(["--suite", "mitosis", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "must be at least" in err
+
+
+def test_non_integer_budget_exits_two(capsys):
+    assert main(["--suite", "mitosis", "--budget", "ten"]) == 2
+    assert "invalid integer value: 'ten'" in capsys.readouterr().err
+
+
 def test_builtin_bass_serre_check_runs_as_a_scenario(capsys, tmp_path):
     path = write_scenario(tmp_path, {"checks": SUITES["bass-serre"]["checks"]})
     assert main(["--scenario", path]) == 0

@@ -185,6 +185,24 @@ def test_scalar_action_requires_invariance():
         scalar_action_check(H, V)
 
 
+def test_images_leaving_the_ambient_space_are_rejected():
+    """A matrix larger than the ambient space must not have its image
+    cut down to Q^ambient: the swap of Q^2 moves e1 of Q^1 to e2."""
+    V = span(1, (1,))
+    with pytest.raises(ValueError):
+        scalar_action_check(FgSubgroup("H", [block_swap(1)]), V)
+    with pytest.raises(ValueError):
+        subspace_image(block_swap(1), V)
+
+
+def test_larger_matrix_acts_when_the_dropped_coordinates_are_zero():
+    g = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    V = span(2, standard_basis_vector(2, 1))
+    rep = scalar_action_check(FgSubgroup("diag(1, 1, 2)", [g]), V)
+    assert rep.ok and rep.checks == (f"{g!r} acts by scalar 1",)
+    assert subspace_image(g, V) == V
+
+
 def test_block_swap_is_involution():
     for n in (1, 2, 3):
         t = block_swap(n)
