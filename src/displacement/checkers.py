@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (
     FgSubgroup,
     PropertyReport,
+    _require_same_context,
     commutator,
     commutes,
     conj,
@@ -62,10 +63,6 @@ class GeneratorMap:
         self.subject = H
         self.pairs: Tuple[tuple, ...] = tuple(zip(H.generators, images))
         self.images = images
-
-    @staticmethod
-    def from_callable(H: FgSubgroup, fn: Callable) -> "GeneratorMap":
-        return GeneratorMap(H, [fn(h) for h in H.generators])
 
     def image_subgroup(self) -> FgSubgroup:
         return FgSubgroup(
@@ -173,8 +170,11 @@ def check_binate(
             desc, "[H, f(H)] != 1", counterexample=rep.counterexample
         )
     checks.append("[H, f(H)] = 1 on generators")
+    if f.pairs:
+        _require_same_context(t, H)
+    t_inv = t.inverse()
     for h, fh in f.pairs:
-        if conj(t, fh) != h * fh:
+        if t * fh * t_inv != h * fh:
             return PropertyReport.failing(
                 desc, "t f(h) t^-1 != h * f(h)", counterexample=(h, fh)
             )
@@ -259,14 +259,6 @@ def finite_membership(Lam: FgSubgroup, budget: int = 10**7) -> MembershipOracle:
     return lambda x: x in elems
 
 
-def f_copy_membership() -> MembershipOracle:
-    """Membership oracle for the standard Thompson-style copy on (0, 1):
-    dyadic breakpoints, power-of-two slopes, support inside (0, 1)."""
-    from .plmaps import in_standard_f_copy
-
-    return in_standard_f_copy
-
-
 def check_M(
     Lam: FgSubgroup,
     t,
@@ -286,8 +278,11 @@ def check_M(
             desc, czc.checks[-1], counterexample=czc.counterexample
         )
     checks = list(czc.checks)
+    if S:
+        _require_same_context(s, S[0])
+    s_inv = s.inverse()
     for x in S:
-        if not membership(conj(s.inverse(), x)):
+        if not membership(s_inv * x * s):
             return PropertyReport.failing(
                 desc, "element not contained in the conjugate", counterexample=(x, s)
             )
@@ -308,10 +303,12 @@ def derive_czc_from_M(
         raise ValueError("expected an M certificate")
     t0 = cert.payload["t"]
     p_max = cert.payload["p_max"]
+    _require_same_context(s, t0)
+    s_inv = s.inverse()
     for h in H.generators:
-        if not membership(conj(s.inverse(), h)):
+        if not membership(s_inv * h * s):
             raise ValueError(f"generator {h!r} is not contained in s <Lam> s^-1")
-    t = conj(s, t0)
+    t = s * t0 * s_inv
     out = WitnessCertificate("CZC", H, {"t": t, "p_max": p_max}, dict(cert.bounds))
     return out, check_czc(H, t, p_max)
 

@@ -54,8 +54,8 @@ def commutes(a, b) -> bool:
     is exact because equality is canonical in every realization: image
     tuples (permutations), sorted supports with reduced shifts (wreath),
     trimmed entries (matrices), merged breakpoints (PL maps), normal
-    forms or Britton's lemma (Britton words), freely reduced words, and
-    componentwise (products)."""
+    forms (Britton words), freely reduced words, and componentwise
+    (products)."""
     return a * b == b * a
 
 

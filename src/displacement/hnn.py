@@ -1,7 +1,7 @@
-"""HNN towers over a square base: Britton reduction, normal forms,
+"""HNN extensions over a square base: Britton reduction, normal forms,
 Bass-Serre vertex queries and bounded refutation searches.
 
-Two presentations are materialized over a base group G:
+Two presentations are materialized over a finite base group G:
 
   * the one-letter tower  ``<G x G, d | d (1,g) d^-1 = (g,g)>``
   * the two-letter mitosis ``<G x G, s, d | s (g,1) s^-1 = (1,g),
@@ -12,11 +12,10 @@ two embeddings of G into G x G that one table defines per letter, and
 the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  Words are
 alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
 reduces its word once, and its products and inverses come reduced.
-For finite G the base G x G is enumerated once and encoded as integers,
-which makes reduction fast enough for exhaustive searches; for iterated
-towers (whose base is a pair of words) the same algorithms run on
-generic elements.  A Bass-Serre vertex is its normal-form word, ending
-in the identity base letter, with one stable letter per step of distance.
+The finite base G x G is enumerated once and encoded as integers, which
+makes reduction fast enough for exhaustive searches.  A Bass-Serre
+vertex is its normal-form word, ending in the identity base letter,
+with one stable letter per step of distance.
 """
 
 from __future__ import annotations
@@ -25,13 +24,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .checkers import check_cc, check_mitotic
+from .checkers import check_cc
 from .core import (
     BudgetExceededError,
     ContextMismatchError,
     FgSubgroup,
-    ProductContext,
-    ProductElement,
     PropertyReport,
     enumerate_subgroup,
 )
@@ -57,11 +54,6 @@ def _embeddings(x: str):
 
 def _embed(pattern, g, one) -> tuple:
     return tuple(g if carries else one for carries in pattern)
-
-
-def _carried(pattern, pair: ProductElement):
-    """The g of a pair in the image of the embedding."""
-    return pair.b if pattern[1] else pair.a
 
 
 class FiniteHnnPresentation:
@@ -162,8 +154,6 @@ class FiniteHnnPresentation:
     def phi_inv(self, x: str, b: int) -> int:
         return self._phi_inv[x][b]
 
-    has_transversals = True
-
     def decompose(self, side: str, x: str, b: int) -> Tuple[int, int]:
         """b = r * c with c in the subgroup and r its left-coset rep."""
         r = self._coset_rep[(side, x)][b]
@@ -198,67 +188,7 @@ class FiniteHnnPresentation:
         return self.label
 
 
-class ElementHnnPresentation:
-    """The same presentations with base G x G built from arbitrary group
-    elements (used for iterated towers where G is itself an HNN group).
-    No transversals: equality of words falls back on Britton's lemma."""
-
-    def __init__(self, inner_context, letters: Sequence[str], label: str):
-        self.inner = inner_context
-        self.pair = ProductContext(inner_context, inner_context)
-        self.letters = tuple(letters)
-        self.label = label
-        self._embeddings = {x: _embeddings(x) for x in letters}
-
-    def mul(self, a: ProductElement, b: ProductElement) -> ProductElement:
-        return a * b
-
-    def inv(self, a: ProductElement) -> ProductElement:
-        return a.inverse()
-
-    def is_base_identity(self, a: ProductElement) -> bool:
-        return a.is_identity()
-
-    def _image(self, pattern, g) -> ProductElement:
-        return self.pair.pair(*_embed(pattern, g, self.inner.identity))
-
-    def _in_image(self, pattern, b: ProductElement) -> bool:
-        return b == self._image(pattern, _carried(pattern, b))
-
-    def in_A(self, x: str, b: ProductElement) -> bool:
-        return self._in_image(self._embeddings[x][0], b)
-
-    def in_B(self, x: str, b: ProductElement) -> bool:
-        return self._in_image(self._embeddings[x][1], b)
-
-    def phi(self, x: str, b: ProductElement) -> ProductElement:
-        A, B = self._embeddings[x]
-        return self._image(B, _carried(A, b))
-
-    def phi_inv(self, x: str, b: ProductElement) -> ProductElement:
-        A, B = self._embeddings[x]
-        return self._image(A, _carried(B, b))
-
-    has_transversals = False
-
-    @property
-    def identity(self) -> "BrittonElement":
-        return BrittonElement(self, (self.pair.identity, ()))
-
-    def base_element(self, a, b) -> "BrittonElement":
-        return BrittonElement(self, (self.pair.pair(a, b), ()))
-
-    def stable_letter(self, x: str) -> "BrittonElement":
-        if x not in self.letters:
-            raise ValueError(f"no stable letter {x!r}")
-        e = self.pair.identity
-        return BrittonElement(self, (e, ((x, 1, e),)))
-
-    def __repr__(self):
-        return self.label
-
-
-# -- word algorithms (generic over either presentation kind) -----------
+# -- word algorithms ----------------------------------------------------
 
 
 def _pinch_sites(pres, letters) -> List[int]:
@@ -343,8 +273,6 @@ def normal_form(pres, word: Word) -> Word:
     rewritten to its left-coset transversal representative, pushing the
     subgroup part rightwards through the next stable letter.  Canonical:
     two words are equal in the group iff their normal forms coincide."""
-    if not pres.has_transversals:
-        raise ValueError("normal form needs a finite base with transversals")
     b0, letters = britton_reduce(pres, word)
     letters = list(letters)
     bases = [b0] + [b for _, _, b in letters]
@@ -361,8 +289,8 @@ def normal_form(pres, word: Word) -> Word:
 
 
 class BrittonElement:
-    """Group element of an HNN presentation, canonical by normal form
-    (finite base) or compared via Britton's lemma (tower stages)."""
+    """Group element of an HNN presentation: a Britton-reduced word,
+    equal and hashed by its normal form."""
 
     __slots__ = ("context", "word", "_canon")
 
@@ -408,14 +336,10 @@ class BrittonElement:
             return NotImplemented
         if self.context != other.context:
             return False
-        if self.context.has_transversals:
-            return self._canonical() == other._canonical()
-        return (self * other.inverse()).is_identity()
+        return self._canonical() == other._canonical()
 
     def __hash__(self):
-        if self.context.has_transversals:
-            return hash((id(self.context), self._canonical()))
-        return hash((id(self.context), stable_letter_count(self.word)))
+        return hash((id(self.context), self._canonical()))
 
     def __repr__(self):
         b0, letters = self.word
@@ -441,22 +365,11 @@ def mitosis_presentation(base: FgSubgroup) -> FiniteHnnPresentation:
 MAX_TREE_RADIUS = 4
 
 
-def canonical_vertex(pres: FiniteHnnPresentation, word: Word) -> Word:
-    """The representative word of the coset w * (base group): the normal
-    form of w with its last base letter set to the identity.  Two words
-    lie in the same coset iff their representatives coincide."""
-    b0, letters = normal_form(pres, word)
-    e = pres.identity_code
-    if not letters:
-        return (e, ())
-    x, sign, _ = letters[-1]
-    return (b0, letters[:-1] + ((x, sign, e),))
-
-
 @dataclass(frozen=True)
 class Vertex:
     """A vertex of the Bass-Serre tree: a coset of the base group,
-    carried by its representative word (see ``canonical_vertex``), whose
+    carried by its representative word (the normal form of any word of
+    the coset, with its last base letter set to the identity), whose
     stable letter count is its distance from the base vertex."""
 
     word: Word
@@ -510,14 +423,6 @@ def fixes_vertex(pres: FiniteHnnPresentation, g: Word, v: Vertex) -> bool:
     wi = word_inv(pres, v.word)
     prod = word_mul(pres, word_mul(pres, wi, g), v.word)
     return stable_letter_count(prod) == 0
-
-
-def bass_serre_fixed_vertices(
-    pres: FiniteHnnPresentation, g: "BrittonElement", radius: int
-) -> List[Vertex]:
-    """All vertices within the given radius of the base vertex that are
-    fixed by g, in breadth-first order."""
-    return [v for v in tree_ball(pres, radius) if fixes_vertex(pres, g.word, v)]
 
 
 # -- bounded searches and mitosis data ----------------------------------
@@ -588,52 +493,3 @@ def mitosis_data(base: FgSubgroup, budget: int = 10**3):
         raise BudgetExceededError(f"base group larger than budget {budget}")
     pres = mitosis_presentation(base)
     return pres.minus_subgroup(), pres.stable_letter("s"), pres.stable_letter("d")
-
-
-def mitosis_check(base: FgSubgroup, budget: int = 10**3) -> PropertyReport:
-    """Verify the mitosis data of m(G) by normal forms: s-conjugates of
-    G_- commute with G_-, and d*s realizes h |-> h * (s h s^-1) on every
-    generator."""
-    minus, s, d = mitosis_data(base, budget)
-    return check_mitotic(minus, s, d * s)
-
-
-# -- iterated binate tower ----------------------------------------------
-
-MAX_TOWER_STAGES = 3
-
-
-class BinateTower:
-    """Stages b^1(G), b^2(G), ... over a finite G.  Stage 1 uses the fast
-    finite-base presentation; later stages build on pairs of stage-(i-1)
-    words."""
-
-    def __init__(self, base: FgSubgroup, stages: int):
-        if not 1 <= stages <= MAX_TOWER_STAGES:
-            raise BudgetExceededError(f"stage budget is {MAX_TOWER_STAGES}")
-        self.base = base
-        self.presentations: List[object] = [binate_presentation(base)]
-        for i in range(1, stages):
-            self.presentations.append(
-                ElementHnnPresentation(
-                    self.presentations[i - 1],
-                    ("d",),
-                    f"b^{i + 1}({base.label})",
-                )
-            )
-
-    def presentation(self, stage: int):
-        return self.presentations[stage - 1]
-
-
-def b_tower_embed(x, tower: BinateTower, stage: int):
-    """The embedding of a stage-``stage`` element into stage+1 as the
-    base letter (x, 1)."""
-    pres_next = tower.presentation(stage + 1)
-    if stage == 0:
-        pres1 = tower.presentation(1)
-        return pres1.base_element(x, tower.base.context.identity)
-    inner = tower.presentation(stage)
-    if x.context != inner:
-        raise ContextMismatchError("element does not live at the stated stage")
-    return pres_next.base_element(x, inner.identity)

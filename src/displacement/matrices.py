@@ -1,4 +1,4 @@
-"""Exact rational matrices and subspaces.
+"""Exact rational matrices and centralizer spaces.
 
 Realizes the directed union of the GL_n(Q): a matrix of size n embeds in
 any larger size by identity padding, and the canonical form trims
@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 # commutator and subgroups_commute are unused here but stay module
 # attributes: the benchmark tracer (bench/tracer.py) patches them by name
-from .core import ContextMismatchError, FgSubgroup, PropertyReport, commutator, subgroups_commute
+from .core import FgSubgroup, commutator, subgroups_commute
 
 Row = Tuple[Fraction, ...]
 
@@ -192,17 +192,6 @@ class RationalMatrix:
     def __repr__(self):
         return "Mat" + repr([[str(x) for x in row] for row in self.entries])
 
-    def apply(self, vector: Sequence[Fraction]) -> Row:
-        """Image of a column vector (given as a row of coordinates)."""
-        n = max(self.size, len(vector))
-        m = self.padded(n)
-        v = tuple(map(_frac, vector)) + (Fraction(0),) * (n - len(vector))
-        return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
-def identity_matrix(n: int) -> RationalMatrix:
-    return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
 
 class RationalSubspace:
     """A linear subspace of Q^n, canonical by RREF basis."""
@@ -221,11 +210,6 @@ class RationalSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        v = tuple(map(_frac, vector))
-        red, _ = rref(list(self.basis) + [v])
-        return len(red) == self.dim
-
     def __eq__(self, other):
         if not isinstance(other, RationalSubspace):
             return NotImplemented
@@ -236,58 +220,6 @@ class RationalSubspace:
 
     def __repr__(self):
         return f"RationalSubspace(dim {self.dim} in Q^{self.ambient})"
-
-
-def span(ambient: int, *vectors: Sequence) -> RationalSubspace:
-    return RationalSubspace(ambient, vectors)
-
-
-def standard_basis_vector(ambient: int, i: int) -> Row:
-    """e_i, 1-based."""
-    return tuple(Fraction(1) if j == i - 1 else Fraction(0) for j in range(ambient))
-
-
-def subspace_sum(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
-    if U.ambient != V.ambient:
-        raise ContextMismatchError("subspaces of different ambient dimension")
-    return RationalSubspace(U.ambient, list(U.basis) + list(V.basis))
-
-
-def subspace_intersection(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
-    """Exact intersection: solve a.U - b.V = 0 over the stacked bases."""
-    if U.ambient != V.ambient:
-        raise ContextMismatchError("subspaces of different ambient dimension")
-    k, m = U.dim, V.dim
-    if k == 0 or m == 0:
-        return RationalSubspace(U.ambient, [])
-    # columns: a_1..a_k, b_1..b_m; rows: one equation per ambient coordinate
-    rows = []
-    for c in range(U.ambient):
-        rows.append(
-            tuple(U.basis[i][c] for i in range(k))
-            + tuple(-V.basis[j][c] for j in range(m))
-        )
-    sols = nullspace(rows, k + m)
-    vectors = []
-    for sol in sols:
-        vec = tuple(
-            sum(sol[i] * U.basis[i][c] for i in range(k)) for c in range(U.ambient)
-        )
-        vectors.append(vec)
-    return RationalSubspace(U.ambient, vectors)
-
-
-def _image_in(g: RationalMatrix, v: Row, ambient: int) -> Row:
-    """g(v) as a vector of Q^ambient; ValueError if g moves v out of it."""
-    w = g.apply(v)
-    if any(w[ambient:]):
-        raise ValueError(f"{g!r} maps a vector out of Q^{ambient}")
-    return w[:ambient]
-
-
-def subspace_image(t: RationalMatrix, V: RationalSubspace) -> RationalSubspace:
-    """The image t(V) inside the same ambient space."""
-    return RationalSubspace(V.ambient, [_image_in(t, v, V.ambient) for v in V.basis])
 
 
 def block_conjugate(X: RationalMatrix, g: RationalMatrix) -> RationalMatrix:
@@ -331,32 +263,6 @@ def matrices_of(space: RationalSubspace, n: int) -> List[Tuple[Row, ...]]:
         tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
         for v in space.basis
     ]
-
-
-def scalar_action_check(H: FgSubgroup, V: RationalSubspace) -> PropertyReport:
-    """Pass iff every generator of H acts on V as a scalar.
-
-    Raises ValueError if V is not invariant under some generator.
-    """
-    desc = f"{H.label} acts on a {V.dim}-dimensional subspace by scalars"
-    checks = []
-    for g in H.generators:
-        images = [_image_in(g, v, V.ambient) for v in V.basis]
-        for v, w in zip(V.basis, images):
-            if not V.contains(w):
-                raise ValueError(f"subspace not invariant under {g!r}")
-        if not V.basis:
-            continue
-        v0, w0 = V.basis[0], images[0]
-        j = next(i for i, x in enumerate(v0) if x != 0)
-        lam = w0[j] / v0[j]
-        for v, w in zip(V.basis, images):
-            if any(wi != lam * vi for vi, wi in zip(v, w)):
-                return PropertyReport.failing(
-                    desc, "non-scalar action", counterexample=(g, v)
-                )
-        checks.append(f"{g!r} acts by scalar {lam}")
-    return PropertyReport.passing(desc, checks)
 
 
 def block_swap(n: int) -> RationalMatrix:

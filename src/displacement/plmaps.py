@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import FgSubgroup, PropertyReport
+from .core import PropertyReport
 
 Point = Tuple[Fraction, Fraction]
 
@@ -372,11 +372,6 @@ def tower_gamma(depth: int):
         gens.append(t)
         intervals.append((l - 1, r + 3 * c))
     return gens, dissipators, intervals
-
-
-def tower_subgroup(depth: int) -> FgSubgroup:
-    gens, _, _ = tower_gamma(depth)
-    return FgSubgroup(f"Gamma_{depth}", gens)
 
 
 def _is_power_of_two(n: int) -> bool:

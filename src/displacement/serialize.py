@@ -12,8 +12,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any
 
-import jsonschema
-
 from .core import FgSubgroup, PropertyReport
 
 
@@ -24,10 +22,6 @@ class ScenarioError(ValueError):
 def fraction_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -89,11 +83,8 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def _britton_token(pres, code) -> Any:
-    try:
-        a, b = pres.decode(code)
-        return [repr(a), repr(b)]
-    except AttributeError:
-        return repr(code)
+    a, b = pres.decode(code)
+    return [repr(a), repr(b)]
 
 
 def load_schema() -> dict:
@@ -103,6 +94,9 @@ def load_schema() -> dict:
 
 def parse_scenario(source) -> dict:
     """Parse and validate a scenario from a path, file object or dict."""
+    # imported here, not at module level: only --scenario runs need it
+    import jsonschema
+
     if isinstance(source, dict):
         data = source
     else:

@@ -222,11 +222,16 @@ def run_gl_z2(params, bounds, rng) -> PropertyReport:
     return PropertyReport.passing(rep.description, detail)
 
 
-def _random_pl_word(rng, gens, max_len: int):
-    pool = list(gens) + [g.inverse() for g in gens]
+def _pl_letters(gens) -> list:
+    """The generators followed by their inverses: the letters that
+    ``_random_pl_word`` draws from, built once per check."""
+    return list(gens) + [g.inverse() for g in gens]
+
+
+def _random_pl_word(rng, letters, max_len: int):
     w = plmaps.PLContext().identity
     for _ in range(rng.randint(1, max_len)):
-        w = w * rng.choice(pool)
+        w = w * rng.choice(letters)
     return w
 
 
@@ -251,8 +256,9 @@ def run_pl_tower(params, bounds, rng) -> PropertyReport:
         return merged
     detail.extend(merged.checks)
     level_sets = [plmaps.IntervalSet([iv]) for iv in intervals]
+    letters = _pl_letters(gens)
     for k in range(samples):
-        g = _random_pl_word(rng, gens, 8)
+        g = _random_pl_word(rng, letters, 8)
         sup = plmaps.pl_support(g)
         for (l0, r0), (l1, r1) in zip(sup.intervals, sup.intervals[1:]):
             if r0 > l1:
@@ -288,7 +294,6 @@ def run_pl_fixed_point(params, bounds, rng) -> PropertyReport:
     if not plmaps.in_standard_f_copy(h):
         return PropertyReport.failing(desc, "h is not in the standard copy on (0, 1)")
     detail.append("h lies in the standard copy on (0, 1)")
-    x0, x1 = plmaps.thompson_generators()
     top = samples // 3 + 1
     for u in (h, h.inverse()):
         power = u
@@ -301,8 +306,9 @@ def run_pl_fixed_point(params, bounds, rng) -> PropertyReport:
         f"{2 * top} centralizing elements (h^k and h^-k, k = 1..{top}) fix 1/2 exactly"
     )
     moved = 0
+    letters = _pl_letters(plmaps.thompson_generators())
     for k in range(samples):
-        u = _random_pl_word(rng, (x0, x1), 6)
+        u = _random_pl_word(rng, letters, 6)
         if u(half) != half:
             moved += 1
             if commutes(u, h):

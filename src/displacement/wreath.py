@@ -26,9 +26,7 @@ from .core import (
     BudgetExceededError,
     ContextMismatchError,
     FgSubgroup,
-    PropertyReport,
     commutator,
-    element_order,
     enumerate_subgroup,
     subgroups_commute,
 )
@@ -354,19 +352,6 @@ def brute_search_zp_witness(
         if check_cznc(H, t, p).ok:
             return t
     return None
-
-
-def torsion_obstruction_check(H: FgSubgroup, t) -> PropertyReport:
-    """Confirm that a finite-order t fails the Z-conjugates conditions
-    for a non-abelian H: at p = ord(t) the conjugate is H itself."""
-    desc = f"torsion obstruction for {H.label} with ord(t) witness"
-    if H.is_abelian():
-        return PropertyReport(desc, "not-applicable", ("H is abelian",))
-    p = element_order(t)
-    # t^p = 1, so [H, t^p H t^-p] = [H, H], which is nontrivial
-    return PropertyReport.passing(
-        desc, [f"fails at p = ord(t) = {p}", "[H, H] != 1 since H is not abelian"]
-    )
 
 
 def sym_zn_witness(H: FgSubgroup, n: int):

@@ -21,16 +21,17 @@ from displacement.checkers import (
 )
 from displacement.core import FgSubgroup, commutator, conj, element_order
 from displacement.hnn import (
-    bass_serre_fixed_vertices,
     binate_presentation,
     britton_reduce,
     cc_witness_search_b1,
+    fixes_vertex,
     is_identity,
     iter_reduced_words,
-    mitosis_check,
+    mitosis_data,
     mitosis_presentation,
     normal_form,
     stable_letter_count,
+    tree_ball,
 )
 from displacement.matrices import (
     RationalMatrix,
@@ -50,7 +51,7 @@ from displacement.plmaps import (
     unique_fixed_point_element,
 )
 from displacement.serialize import dump_report
-from displacement.suites import run_suite, _random_pl_word
+from displacement.suites import run_suite, _pl_letters, _random_pl_word
 from displacement.wreath import (
     TowerSpec,
     brute_search_zp_witness,
@@ -174,8 +175,9 @@ def test_criterion_07_pl_tower():
             level = FgSubgroup(f"Gamma_{i}", gens[: i + 1])
             assert check_czc(level, t, 10).verdict == "bounded-pass"
         level_sets = [IntervalSet([iv]) for iv in intervals[:-1]]
+        letters = _pl_letters(gens)
         for _ in range(200):
-            g = _random_pl_word(rng, gens, 8)
+            g = _random_pl_word(rng, letters, 8)
             sup = pl_support(g)
             for (l0, r0), (l1, r1) in zip(sup.intervals, sup.intervals[1:]):
                 assert r0 <= l1
@@ -198,8 +200,9 @@ def test_criterion_08_unique_fixed_point():
         for k in range(50):
             assert power(half) == half
             power = power * (h if k % 2 else h.inverse())
+        letters = _pl_letters((x0, x1))
         for k in range(50):
-            u = _random_pl_word(rng, (x0, x1), 6)
+            u = _random_pl_word(rng, letters, 6)
             if commutator(u, h).is_identity():
                 assert u(half) == half
 
@@ -237,13 +240,15 @@ def test_criterion_10_bass_serre_fixed_vertices():
     def body():
         bp = binate_presentation(S3)
         e = S3.context.identity
+        ball3, ball1 = tree_ball(bp, 3), tree_ball(bp, 1)
         for g in bp.group_elems:
             if g == e:
                 continue
-            fixed = bass_serre_fixed_vertices(bp, bp.base_element(g, e), 3)
+            left = bp.base_element(g, e).word
+            fixed = [v for v in ball3 if fixes_vertex(bp, left, v)]
             assert len(fixed) == 1 and fixed[0].distance == 0
-            diag = bass_serre_fixed_vertices(bp, bp.base_element(g, g), 1)
-            assert len(diag) >= 2
+            diag = bp.base_element(g, g).word
+            assert sum(fixes_vertex(bp, diag, v) for v in ball1) >= 2
 
     _timed(10, "left factors fix one tree vertex, diagonals fix more", 120, body)
 
@@ -257,13 +262,9 @@ def test_criterion_11_no_commuting_conjugates():
 
 def test_criterion_12_mitosis():
     def body():
-        assert mitosis_check(S3).ok
-        pres = mitosis_presentation(S3)
-        minus = pres.minus_subgroup()
-        s = pres.stable_letter("s")
-        d = pres.stable_letter("d")
+        minus, s, d = mitosis_data(S3)
         assert check_mitotic(minus, s, d * s).ok
-        f = GeneratorMap.from_callable(minus, lambda h: conj(s, h))
+        f = GeneratorMap(minus, [conj(s, h) for h in minus])
         assert check_binate(minus, f, d).ok
 
     _timed(12, "splitting data passes both the mitosis and binate checks", 10, body)
@@ -285,8 +286,10 @@ def test_criterion_14_full_suite():
         report = run_suite("all")
         assert report["totals"]["violations"] == 0
         assert report["totals"]["checks"] >= 18
-        # the byte-stable report of `--suite all --seed 0`
-        golden = Path(__file__).parent / "golden" / "all-seed0.json"
-        assert dump_report(report) == golden.read_text()
+        # the byte-stable reports of `--suite all` at seeds 0 and 1
+        golden = Path(__file__).parent / "golden"
+        assert dump_report(report) == (golden / "all-seed0.json").read_text()
+        report1 = run_suite("all", seed=1)
+        assert dump_report(report1) == (golden / "all-seed1.json").read_text()
 
     _timed(14, "full verification suite runs clean end to end", 600, body)

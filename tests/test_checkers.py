@@ -17,20 +17,19 @@ from displacement.checkers import (
     check_dissipator,
     check_mitotic,
     derive_czc_from_M,
-    f_copy_membership,
     finite_membership,
     product_cc_witness,
     verify_certificate,
 )
-from displacement.core import FgSubgroup, conj
+from displacement.core import ContextMismatchError, FgSubgroup, conj
 from displacement.hnn import mitosis_presentation
 from displacement.perms import Permutation, symmetric_group
 from displacement.plmaps import (
     IntervalSet,
     PLContext,
+    in_standard_f_copy,
     thompson_generators,
     tower_gamma,
-    tower_subgroup,
 )
 from displacement.wreath import TowerSpec, WreathElement, embed_subgroup
 
@@ -113,7 +112,7 @@ def test_check_binate():
     minus = pres.minus_subgroup()
     s = pres.stable_letter("s")
     d = pres.stable_letter("d")
-    f = GeneratorMap.from_callable(minus, lambda h: conj(s, h))
+    f = GeneratorMap(minus, [conj(s, h) for h in minus])
     rep = check_binate(minus, f, d)
     assert rep.ok
     assert any("assumed" in c for c in rep.checks)
@@ -163,11 +162,11 @@ def test_check_M_with_f_copy():
     t = dissipators[0]
     s = PLContext().identity
     S = [gens[0], gens[1], gens[0] * gens[1].inverse()]
-    rep = check_M(Lam, t, S, s, 5, f_copy_membership())
+    rep = check_M(Lam, t, S, s, 5, in_standard_f_copy)
     assert rep.verdict == "bounded-pass"
     # an element supported outside (0, 1) is not in the copy
     outside = dissipators[0]
-    rep2 = check_M(Lam, t, [outside], s, 5, f_copy_membership())
+    rep2 = check_M(Lam, t, [outside], s, 5, in_standard_f_copy)
     assert not rep2.ok
 
 
@@ -199,22 +198,22 @@ def test_derive_czc_from_M():
             "S": [],
             "s": PLContext().identity,
             "p_max": 5,
-            "membership": f_copy_membership(),
+            "membership": in_standard_f_copy,
         },
     )
     assert verify_certificate(cert).ok
     # H sits inside the standard copy, s is a conjugator into it
     x0, x1 = thompson_generators()
     H = FgSubgroup("H", [gens[0]])
-    out, rep = derive_czc_from_M(cert, H, x0, f_copy_membership())
+    out, rep = derive_czc_from_M(cert, H, x0, in_standard_f_copy)
     assert rep.ok
     assert out.property == "CZC"
     assert out.payload["t"] == conj(x0, t)
     with pytest.raises(ValueError):
-        derive_czc_from_M(out, H, x0, f_copy_membership())  # not an M cert
+        derive_czc_from_M(out, H, x0, in_standard_f_copy)  # not an M cert
     outsider = FgSubgroup("O", [dissipators[0]])
     with pytest.raises(ValueError):
-        derive_czc_from_M(cert, outsider, x0, f_copy_membership())
+        derive_czc_from_M(cert, outsider, x0, in_standard_f_copy)
 
 
 def test_product_cc_witness():
@@ -254,7 +253,7 @@ def test_verify_certificate_dispatch():
         WitnessCertificate(
             "BINATE",
             minus,
-            {"f": GeneratorMap.from_callable(minus, lambda h: conj(s, h)), "t": d},
+            {"f": GeneratorMap(minus, [conj(s, h) for h in minus]), "t": d},
         ),
         WitnessCertificate("MITOTIC", minus, {"t1": s, "t2": d * s}),
         WitnessCertificate(
@@ -270,7 +269,7 @@ def test_verify_certificate_dispatch():
                 "S": [gens[0]],
                 "s": PLContext().identity,
                 "p_max": 3,
-                "membership": f_copy_membership(),
+                "membership": in_standard_f_copy,
             },
         ),
     ]
@@ -289,5 +288,71 @@ def test_generator_map_validation():
     H, t = s3_level1()
     with pytest.raises(ValueError):
         GeneratorMap(H, [t])  # wrong number of images
-    m = GeneratorMap.from_callable(H, lambda h: h)
+    m = GeneratorMap(H, H.generators)
     assert m.image_subgroup().generators == H.generators
+
+
+def _inversions_of(monkeypatch, element):
+    """Record each call of ``element.inverse()``, on that very object."""
+    calls = []
+    cls = type(element)
+    original = cls.inverse
+
+    def inverse(self):
+        if self is element:
+            calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cls, "inverse", inverse)
+    return calls
+
+
+def _m_certificate():
+    gens, dissipators, _ = tower_gamma(2)
+    Lam = FgSubgroup("Gamma_1", gens[:2])
+    payload = {
+        "t": dissipators[0],
+        "S": [],
+        "s": PLContext().identity,
+        "p_max": 3,
+        "membership": in_standard_f_copy,
+    }
+    return WitnessCertificate("M", Lam, payload)
+
+
+def test_each_conjugator_is_inverted_once_per_call(monkeypatch):
+    pres = mitosis_presentation(S3)
+    minus = pres.minus_subgroup()
+    s, d = pres.stable_letter("s"), pres.stable_letter("d")
+    f = GeneratorMap(minus, [conj(s, h) for h in minus])
+    calls = _inversions_of(monkeypatch, d)
+    assert check_binate(minus, f, d).ok
+    assert len(calls) == 1
+
+    cert = _m_certificate()
+    x0, _ = thompson_generators()
+    Lam = cert.subject
+    S = [conj(x0, g) for g in Lam.generators]
+    calls = _inversions_of(monkeypatch, x0)
+    assert check_M(Lam, cert.payload["t"], S, x0, 3, in_standard_f_copy).ok
+    assert len(calls) == 1
+    calls.clear()
+    out, rep = derive_czc_from_M(cert, Lam, x0, in_standard_f_copy)
+    assert len(calls) == 1
+    assert rep.ok and out.payload["t"] == conj(x0, cert.payload["t"])
+
+
+def test_conjugators_from_another_group_are_rejected():
+    pres = mitosis_presentation(S3)
+    minus = pres.minus_subgroup()
+    s = pres.stable_letter("s")
+    f = GeneratorMap(minus, [conj(s, h) for h in minus])
+    perm = Permutation.from_cycles(3, [(1, 2)])
+    with pytest.raises(ContextMismatchError):
+        check_binate(minus, f, perm)
+    cert = _m_certificate()
+    Lam = cert.subject
+    with pytest.raises(ContextMismatchError):
+        check_M(Lam, cert.payload["t"], list(Lam.generators), perm, 3, in_standard_f_copy)
+    with pytest.raises(ContextMismatchError):
+        derive_czc_from_M(cert, Lam, perm, in_standard_f_copy)

@@ -1,6 +1,8 @@
 """Command line interface: exit codes, determinism, report formats."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,16 @@ def write_scenario(tmp_path, payload, name="scen.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_importing_the_cli_does_not_load_jsonschema():
+    """Only scenario files need the schema validator, so ``--suite`` runs
+    start without importing it."""
+    code = "import sys, displacement.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_list_suites(capsys):

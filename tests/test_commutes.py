@@ -6,7 +6,7 @@ import pytest
 
 from displacement.core import FgSubgroup, ProductContext, commutator, commutes, conj
 from displacement.freewords import FreeGroupContext
-from displacement.hnn import BinateTower, binate_presentation, mitosis_presentation
+from displacement.hnn import binate_presentation, mitosis_presentation
 from displacement.matrices import GLContext, RationalMatrix
 from displacement.perms import Permutation, symmetric_group
 from displacement.plmaps import thompson_generators
@@ -38,13 +38,6 @@ def _britton(make, letter):
     return pres.base_element(CYCLE, E3), pres.stable_letter(letter)
 
 
-def _binate_stage2():
-    tower = BinateTower(S3, 2)
-    inner, outer = tower.presentation(1), tower.presentation(2)
-    g = inner.base_element(CYCLE, E3) * inner.stable_letter("d")
-    return outer.base_element(inner.identity, g), outer.stable_letter("d")
-
-
 def _product():
     ctx = ProductContext(S3.context, GLContext())
     return (
@@ -65,7 +58,6 @@ NON_COMMUTING = {
     "pl-homeo": thompson_generators,
     "britton-b(Sym3)": lambda: _britton(binate_presentation, "d"),
     "britton-m(Sym3)": lambda: _britton(mitosis_presentation, "s"),
-    "britton-binate-tower-stage-2": _binate_stage2,
     "free-word": lambda: tuple(FreeGroupContext(2).generator(i) for i in (1, 2)),
     "product": _product,
 }

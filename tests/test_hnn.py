@@ -5,25 +5,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from displacement.checkers import check_cc
+from displacement.checkers import check_cc, check_mitotic
 from displacement.core import BudgetExceededError, commutator, conj
-from displacement.freewords import FreeGroupContext
 from displacement.hnn import (
-    BinateTower,
     BrittonElement,
-    ElementHnnPresentation,
     FiniteHnnPresentation,
-    b_tower_embed,
-    bass_serre_fixed_vertices,
     binate_presentation,
     britton_reduce,
-    canonical_vertex,
     cc_witness_search_b1,
     fixes_vertex,
     is_identity,
     is_reduced,
     iter_reduced_words,
-    mitosis_check,
+    mitosis_data,
     mitosis_presentation,
     normal_form,
     stable_letter_count,
@@ -216,6 +210,23 @@ def test_tree_ball_counts(bp):
         tree_ball(bp, 5)
 
 
+def canonical_vertex(pres, word):
+    """The representative word of the coset w * (base group): the normal
+    form of w with its last base letter set to the identity.  Two words
+    lie in the same coset iff their representatives coincide."""
+    b0, letters = normal_form(pres, word)
+    e = pres.identity_code
+    if not letters:
+        return (e, ())
+    x, sign, _ = letters[-1]
+    return (b0, letters[:-1] + ((x, sign, e),))
+
+
+def fixed_vertices(pres, g, radius):
+    """The vertices within the radius that g fixes, in ``tree_ball`` order."""
+    return [v for v in tree_ball(pres, radius) if fixes_vertex(pres, g.word, v)]
+
+
 def _reference_walk(pres, max_distance):
     """The tree walk by normal forms: every candidate child w r x^sign of
     every vertex w is normalized, and kept when its coset is new."""
@@ -280,7 +291,7 @@ def test_vertex_labels_are_coset_invariants(bp):
 def test_unique_fixed_vertex_for_left_factor(bp):
     for g in S3.generators:
         elem = bp.base_element(g, E3)
-        fixed = bass_serre_fixed_vertices(bp, elem, 3)
+        fixed = fixed_vertices(bp, elem, 3)
         assert len(fixed) == 1
         assert fixed[0].distance == 0
 
@@ -288,13 +299,13 @@ def test_unique_fixed_vertex_for_left_factor(bp):
 def test_diagonal_fixes_the_d_edge(bp):
     for g in (G, H):
         elem = bp.base_element(g, g)
-        fixed = bass_serre_fixed_vertices(bp, elem, 1)
+        fixed = fixed_vertices(bp, elem, 1)
         assert len(fixed) >= 2
         assert any(v.distance == 0 for v in fixed)
 
 
 def test_identity_fixes_everything(bp):
-    fixed = bass_serre_fixed_vertices(bp, bp.identity, 2)
+    fixed = fixed_vertices(bp, bp.identity, 2)
     assert len(fixed) == len(tree_ball(bp, 2))
 
 
@@ -317,7 +328,7 @@ def test_centralizing_elements_preserve_fixed_sets(bp):
     g = bp.base_element(G, G)
     ball2 = {v.word: v for v in tree_ball(bp, 2)}
     ball3 = {v.word: v for v in tree_ball(bp, 3)}
-    fixed = {v.word for v in bass_serre_fixed_vertices(bp, g, 2)}
+    fixed = {v.word for v in fixed_vertices(bp, g, 2)}
     candidates = [
         bp.base_element(G, G),
         bp.base_element(G.inverse(), G.inverse()),
@@ -376,8 +387,9 @@ def test_two_letter_words_cover_the_sym3_ball(bp):
 
 
 def test_mitosis_check():
-    assert mitosis_check(S3).ok
-    assert mitosis_check(symmetric_group(2)).ok
+    for base in (S3, symmetric_group(2)):
+        minus, s, d = mitosis_data(base)
+        assert check_mitotic(minus, s, d * s).ok
 
 
 def test_mitosis_splitting_elementwise(mp):
@@ -389,68 +401,6 @@ def test_mitosis_splitting_elementwise(mp):
         assert conj(ds, h) == h * conj(s, h)
 
 
-def test_binate_tower_stages():
-    tower = BinateTower(S3, 3)
-    x = G
-    lifted1 = b_tower_embed(x, tower, 0)
-    assert not lifted1.is_identity()
-    lifted2 = b_tower_embed(lifted1, tower, 1)
-    lifted3 = b_tower_embed(lifted2, tower, 2)
-    assert not lifted3.is_identity()
-    # homomorphism on a random pair at stage 1 -> 2
-    a = b_tower_embed(G, tower, 0)
-    b = b_tower_embed(H, tower, 0)
-    assert b_tower_embed(a * b, tower, 1) == b_tower_embed(a, tower, 1) * b_tower_embed(
-        b, tower, 1
-    )
-    with pytest.raises(BudgetExceededError):
-        BinateTower(S3, 4)
-
-
-def test_stage_two_relation():
-    """The d-relation holds at stage 2 where the base is pairs of
-    stage-1 words."""
-    tower = BinateTower(S3, 2)
-    p2 = tower.presentation(2)
-    d = p2.stable_letter("d")
-    inner = tower.presentation(1)
-    g = inner.base_element(G, E3) * inner.stable_letter("d")
-    x = p2.base_element(inner.identity, g)
-    assert conj(d, x) == p2.base_element(g, g)
-    assert not x.is_identity()
-
-
-def test_free_group_base():
-    """Identity testing over a free-group base uses reduced words."""
-    pres = ElementHnnPresentation(FreeGroupContext(2), ("d",), "b(F2)")
-    a = FreeGroupContext(2).generator(1)
-    d = pres.stable_letter("d")
-    x = pres.base_element(FreeGroupContext(2).identity, a)
-    assert conj(d, x) == pres.base_element(a, a)
-    y = pres.base_element(a, FreeGroupContext(2).identity)
-    assert not conj(d, y).is_identity()
-    assert stable_letter_count(conj(d, y).word) == 2
-
-
-def test_free_group_base_s_relation():
-    """The mitosis relation s (g,1) s^-1 = (1,g) over a free-group base,
-    and the splitting of (g,1) by ds."""
-    F = FreeGroupContext(2)
-    pres = ElementHnnPresentation(F, ("d", "s"), "m(F2)")
-    one, a, b = F.identity, F.generator(1), F.generator(2)
-    s, d = pres.stable_letter("s"), pres.stable_letter("d")
-    for g in (a, b, a * b.inverse()):
-        h = pres.base_element(g, one)
-        assert conj(s, h) == pres.base_element(one, g)
-        assert conj(s.inverse(), pres.base_element(one, g)) == h
-        assert conj(d * s, h) == h * conj(s, h)
-        # (1,g) is not in A_s, so s (1,g) s^-1 keeps both stable letters
-        assert stable_letter_count(conj(s, pres.base_element(one, g)).word) == 2
-        assert not conj(s, pres.base_element(one, g)).is_identity()
-
-
 def test_unknown_stable_letter_is_rejected_at_construction():
     with pytest.raises(ValueError, match="unknown stable letter 't'"):
         FiniteHnnPresentation(S3, ("d", "t"), "bad")
-    with pytest.raises(ValueError, match="unknown stable letter 't'"):
-        ElementHnnPresentation(FreeGroupContext(2), ("t",), "bad")

@@ -18,7 +18,6 @@ from displacement.plmaps import (
     pl_support,
     thompson_generators,
     tower_gamma,
-    tower_subgroup,
     unique_fixed_point_element,
 )
 

@@ -16,7 +16,6 @@ from displacement.serialize import (
     dump_report,
     fraction_str,
     load_schema,
-    parse_fraction,
     parse_scenario,
     to_jsonable,
 )
@@ -27,7 +26,7 @@ F = Fraction
 
 def test_fraction_round_trip():
     for x in (F(1, 3), F(-7, 2), F(4), F(0)):
-        assert parse_fraction(fraction_str(x)) == x
+        assert Fraction(fraction_str(x)) == x
     assert fraction_str(F(1, 2)) == "1/2"
 
 

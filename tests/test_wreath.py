@@ -27,7 +27,6 @@ from displacement.wreath import (
     level_order,
     realize_permutation,
     sym_zn_witness,
-    torsion_obstruction_check,
     zn_witness,
 )
 
@@ -174,16 +173,19 @@ def test_budget_enforced():
 
 
 def test_torsion_obstruction():
+    """A conjugator of finite order p fails the Z-conjugates conditions
+    for a non-abelian H at p = ord(t), where t^p H t^-p is H itself."""
     t3 = s3_tower([3])
     H = embed_subgroup(symmetric_group(3), t3, 1)
     t = t3.context(1).shift_generator()
     assert element_order(t) == 3
-    assert torsion_obstruction_check(H, t).ok
-    assert torsion_obstruction_check(H, t3.context(1).identity).ok
+    rep = check_czc(H, t, 3)
+    assert rep.verdict == "fail" and rep.checks[-1] == "[H, t^3 H t^-3] != 1"
+    assert not check_czc(H, t3.context(1).identity, 1).ok
     abelian = embed_subgroup(
         FgSubgroup("A", [Permutation.from_cycles(3, [(1, 2)])]), t3, 1
     )
-    assert torsion_obstruction_check(abelian, t).verdict == "not-applicable"
+    assert check_czc(abelian, t, 3).verdict == "bounded-pass"
 
 
 def test_sym_zn_witness():
