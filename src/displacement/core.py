@@ -138,13 +138,6 @@ class FgSubgroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def is_abelian(self) -> bool:
-        return all(
-            commutes(a, b)
-            for i, a in enumerate(self.generators)
-            for b in self.generators[i + 1 :]
-        )
-
     def conjugate(self, t) -> "FgSubgroup":
         """The subgroup t H t^-1, generator by generator: generator i of
         the result is t h_i t^-1.  Conjugation by t is an injective

@@ -16,6 +16,13 @@ The finite base G x G is enumerated once and encoded as integers, which
 makes reduction fast enough for exhaustive searches.  A Bass-Serre
 vertex is its normal-form word, ending in the identity base letter,
 with one stable letter per step of distance.
+
+Bass-Serre vertex queries: ``tree_ball`` lists the vertices within a
+radius, and ``fixed_vertices`` the ones a base element g fixes.  The
+latter descends from the base vertex through fixed vertices only, each
+carrying w^-1 g w as a base code, so a child costs a few table lookups.
+``fixes_vertex`` tests one vertex by word arithmetic, as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -383,39 +390,76 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
     return list(_walk_tree(pres, radius))
 
 
+def _children(pres: FiniteHnnPresentation, word: Word):
+    """The children of the vertex w (base) with word ``word``, in walk
+    order, each as (x, sign, r, child word): the vertices w r x^sign
+    (base) for r in the transversal of the subgroup x^sign starts from,
+    already in normal form, except the one r that pinches against a
+    last letter x^-sign: it leads back to w's parent."""
+    e = pres.identity_code
+    b0, letters = word
+    for x in pres.letters:
+        for sign in (1, -1):
+            side = "B" if sign == 1 else "A"
+            pinch = letters and letters[-1][:2] == (x, -sign)
+            back = pres._coset_rep[(side, x)][e] if pinch else None
+            for r in pres._transversal[(side, x)]:
+                if r == back:
+                    continue
+                if letters:
+                    y, ey, _ = letters[-1]
+                    child = (b0, letters[:-1] + ((y, ey, r), (x, sign, e)))
+                else:
+                    child = (r, ((x, sign, e),))
+                yield x, sign, r, child
+
+
 def _walk_tree(pres: FiniteHnnPresentation, radius: int) -> Iterator[Vertex]:
     """The vertices of ``tree_ball(pres, radius)``, yielded in its order
-    as the walk reaches them.  The children of w (base) are w r x^sign
-    (base) for r in the transversal of the subgroup x^sign starts from,
-    already in normal form, except the one r that pinches against a last
-    letter x^-sign: it leads back to w's parent."""
+    as the walk reaches them."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
-    e = pres.identity_code
-    base = Vertex((e, ()), 0)
+    base = Vertex((pres.identity_code, ()), 0)
     yield base
     frontier = [base]
     for dist in range(1, radius + 1):
         nxt = []
         for v in frontier:
-            b0, letters = v.word
-            for x in pres.letters:
-                for sign in (1, -1):
-                    side = "B" if sign == 1 else "A"
-                    pinch = letters and letters[-1][:2] == (x, -sign)
-                    back = pres._coset_rep[(side, x)][e] if pinch else None
-                    for r in pres._transversal[(side, x)]:
-                        if r == back:
-                            continue
-                        if letters:
-                            y, ey, _ = letters[-1]
-                            word = (b0, letters[:-1] + ((y, ey, r), (x, sign, e)))
-                        else:
-                            word = (r, ((x, sign, e),))
-                        vert = Vertex(word, dist)
-                        yield vert
-                        nxt.append(vert)
+            for _, _, _, word in _children(pres, v.word):
+                vert = Vertex(word, dist)
+                yield vert
+                nxt.append(vert)
         frontier = nxt
+
+
+def fixed_vertices(
+    pres: FiniteHnnPresentation, code: int, radius: int
+) -> List[Vertex]:
+    """The vertices within ``radius`` that the base element g with code
+    ``code`` fixes, in ``tree_ball`` order.
+
+    The fixed set of a tree automorphism is a subtree, and a base
+    element fixes the base vertex, so the walk descends only through
+    fixed vertices.  A fixed vertex w carries c = w^-1 g w in the base
+    group.  Its child u = w r x^sign is fixed iff u^-1 g u =
+    x^-sign a x^sign, with a = r^-1 c r, lies in the base group, that is
+    (Britton's lemma) iff a lies in B_x for sign +1 or in A_x for
+    sign -1; then u carries phi_x^-1(a) or phi_x(a)."""
+    if radius > MAX_TREE_RADIUS:
+        raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
+    fixed = [Vertex((pres.identity_code, ()), 0)]
+    frontier = [(fixed[0].word, code)]
+    for dist in range(1, radius + 1):
+        nxt = []
+        for word, c in frontier:
+            for x, sign, r, child in _children(pres, word):
+                a = pres.mul(pres.mul(pres.inv(r), c), r)
+                carried = pres._phi_inv[x][a] if sign == 1 else pres._phi[x][a]
+                if carried != -1:
+                    fixed.append(Vertex(child, dist))
+                    nxt.append((child, carried))
+        frontier = nxt
+    return fixed
 
 
 def fixes_vertex(pres: FiniteHnnPresentation, g: Word, v: Vertex) -> bool:

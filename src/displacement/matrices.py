@@ -210,14 +210,6 @@ class RationalSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalSubspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
-
     def __repr__(self):
         return f"RationalSubspace(dim {self.dim} in Q^{self.ambient})"
 

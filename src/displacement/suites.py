@@ -391,11 +391,10 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
     pres = hnn.binate_presentation(base)
     e = base.context.identity
     nontrivial = [g for g in pres.group_elems if not g.is_identity()]
-    ball = hnn.tree_ball(pres, radius)
-    detail = [f"tree ball of radius {radius} has {len(ball)} vertices"]
+    size = sum(1 for _ in hnn._walk_tree(pres, radius))
+    detail = [f"tree ball of radius {radius} has {size} vertices"]
     for g in nontrivial:
-        word = (pres.encode(g, e), ())
-        fixed = [v for v in ball if hnn.fixes_vertex(pres, word, v)]
+        fixed = hnn.fixed_vertices(pres, pres.encode(g, e), radius)
         if len(fixed) != 1 or fixed[0].distance != 0:
             return PropertyReport.failing(
                 desc, f"(g,1) fixes {len(fixed)} vertices within radius {radius}", g
@@ -403,26 +402,22 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
     detail.append(
         f"all {len(nontrivial)} nontrivial (g,1) fix exactly the base vertex"
     )
-    ball1 = hnn.tree_ball(pres, 1)
     for g in nontrivial:
-        word = (pres.encode(g, g), ())
-        fixed = [v for v in ball1 if hnn.fixes_vertex(pres, word, v)]
-        if len(fixed) < 2:
+        if len(hnn.fixed_vertices(pres, pres.encode(g, g), 1)) < 2:
             return PropertyReport.failing(
                 desc, "diagonal element fixes fewer than 2 vertices", g
             )
     detail.append("every nontrivial (g,g) fixes at least 2 vertices at radius 1")
     # stabilizer structure at radius 1, exhaustively over the base group
-    for v in ball1:
-        if v.distance == 0:
-            continue
-        r = v.word[0]
-        sign = v.word[1][0][1]
-        member = pres._in_B["d"] if sign == 1 else pres._in_A["d"]
-        for code in range(pres.size):
+    sphere1 = hnn.tree_ball(pres, 1)[1:]
+    for code in range(pres.size):
+        fixed = {v.word for v in hnn.fixed_vertices(pres, code, 1)}
+        for v in sphere1:
+            r = v.word[0]
+            sign = v.word[1][0][1]
+            member = pres._in_B["d"] if sign == 1 else pres._in_A["d"]
             expected = member[pres.mul(pres.mul(pres.inv(r), code), r)]
-            got = hnn.fixes_vertex(pres, (code, ()), v)
-            if expected != got:
+            if expected != (v.word in fixed):
                 return PropertyReport.failing(
                     desc, "stabilizer mismatch at a radius-1 vertex", (v.word, code)
                 )

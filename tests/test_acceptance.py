@@ -41,7 +41,7 @@ from displacement.matrices import (
     gl_block_swap_witness,
     matrices_of,
 )
-from displacement.perms import Permutation, symmetric_group
+from displacement.perms import symmetric_group
 from displacement.plmaps import (
     IntervalSet,
     displaces,

@@ -149,7 +149,3 @@ def test_product_realization():
     assert (x * x).a.is_identity()
     assert not (y * y).is_identity()
 
-
-def test_is_abelian():
-    assert FgSubgroup("A", [Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])]).is_abelian()
-    assert not symmetric_group(3).is_abelian()

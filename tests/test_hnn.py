@@ -13,6 +13,7 @@ from displacement.hnn import (
     binate_presentation,
     britton_reduce,
     cc_witness_search_b1,
+    fixed_vertices,
     fixes_vertex,
     is_identity,
     is_reduced,
@@ -222,8 +223,9 @@ def canonical_vertex(pres, word):
     return (b0, letters[:-1] + ((x, sign, e),))
 
 
-def fixed_vertices(pres, g, radius):
-    """The vertices within the radius that g fixes, in ``tree_ball`` order."""
+def scanned_fixed_vertices(pres, g, radius):
+    """The vertices within the radius that g fixes, in ``tree_ball`` order,
+    by testing every vertex of the ball with ``fixes_vertex``."""
     return [v for v in tree_ball(pres, radius) if fixes_vertex(pres, g.word, v)]
 
 
@@ -291,7 +293,7 @@ def test_vertex_labels_are_coset_invariants(bp):
 def test_unique_fixed_vertex_for_left_factor(bp):
     for g in S3.generators:
         elem = bp.base_element(g, E3)
-        fixed = fixed_vertices(bp, elem, 3)
+        fixed = scanned_fixed_vertices(bp, elem, 3)
         assert len(fixed) == 1
         assert fixed[0].distance == 0
 
@@ -299,13 +301,13 @@ def test_unique_fixed_vertex_for_left_factor(bp):
 def test_diagonal_fixes_the_d_edge(bp):
     for g in (G, H):
         elem = bp.base_element(g, g)
-        fixed = fixed_vertices(bp, elem, 1)
+        fixed = scanned_fixed_vertices(bp, elem, 1)
         assert len(fixed) >= 2
         assert any(v.distance == 0 for v in fixed)
 
 
 def test_identity_fixes_everything(bp):
-    fixed = fixed_vertices(bp, bp.identity, 2)
+    fixed = scanned_fixed_vertices(bp, bp.identity, 2)
     assert len(fixed) == len(tree_ball(bp, 2))
 
 
@@ -328,7 +330,7 @@ def test_centralizing_elements_preserve_fixed_sets(bp):
     g = bp.base_element(G, G)
     ball2 = {v.word: v for v in tree_ball(bp, 2)}
     ball3 = {v.word: v for v in tree_ball(bp, 3)}
-    fixed = {v.word for v in fixed_vertices(bp, g, 2)}
+    fixed = {v.word for v in scanned_fixed_vertices(bp, g, 2)}
     candidates = [
         bp.base_element(G, G),
         bp.base_element(G.inverse(), G.inverse()),
@@ -344,6 +346,38 @@ def test_centralizing_elements_preserve_fixed_sets(bp):
                 assert fixes_vertex(bp, g.word, ball3[moved])
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "make, degree, radius",
+    [
+        (binate_presentation, 3, 3),
+        (binate_presentation, 2, 3),
+        (mitosis_presentation, 3, 2),
+    ],
+)
+def test_descent_finds_the_scanned_fixed_set(make, degree, radius):
+    """For every base element, the descent through fixed vertices returns
+    exactly the vertices that the word-algebra test finds in the ball,
+    in the same order; the identity fixes the whole ball."""
+    pres = make(symmetric_group(degree))
+    ball = tree_ball(pres, radius)
+    for code in range(pres.size):
+        scan = [v for v in ball if fixes_vertex(pres, (code, ()), v)]
+        assert fixed_vertices(pres, code, radius) == scan
+    assert fixed_vertices(pres, pres.identity_code, radius) == ball
+    with pytest.raises(BudgetExceededError):
+        fixed_vertices(pres, pres.identity_code, 5)
+
+
+def test_descent_reaches_fixed_vertices_beyond_radius_one(bp):
+    """A diagonal (g,g) fixes the edge to d (base) and, beyond it, a
+    subtree: the descent must go past distance 1 to find all of it."""
+    for g in (G, H):
+        elem = bp.base_element(g, g)
+        scan = scanned_fixed_vertices(bp, elem, 3)
+        assert any(v.distance >= 2 for v in scan)
+        assert fixed_vertices(bp, bp.encode(g, g), 3) == scan
 
 
 def test_cc_search_small_cases():

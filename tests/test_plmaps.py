@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from displacement.core import FgSubgroup, commutator, conj, subgroups_commute
+from displacement.core import FgSubgroup, conj, subgroups_commute
 from displacement.plmaps import (
     IntervalSet,
     PLContext,

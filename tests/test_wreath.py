@@ -11,7 +11,6 @@ from displacement.core import (
     FgSubgroup,
     commutator,
     element_order,
-    enumerate_subgroup,
 )
 from displacement.freewords import FreeGroupContext, free_group
 from displacement.perms import Permutation, symmetric_group
