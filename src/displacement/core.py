@@ -53,9 +53,9 @@ def commutes(a, b) -> bool:
     """Whether a*b = b*a, decided by comparing the two products.  This
     is exact because equality is canonical in every realization: image
     tuples (permutations), sorted supports with reduced shifts (wreath),
-    trimmed entries (matrices), merged breakpoints (PL maps), normal
-    forms (Britton words), freely reduced words, and componentwise
-    (products)."""
+    reduced and trimmed (num, den) pairs (matrices), merged and reduced
+    (pts, den) pairs (PL maps), normal forms (Britton words), freely
+    reduced words, and componentwise (products)."""
     return a * b == b * a
 
 

@@ -387,7 +387,7 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
     """All vertices within the given distance of the base vertex, in
     breadth-first order with deterministic child ordering (stable
     letter, sign, transversal index)."""
-    return list(_walk_tree(pres, radius))
+    return [Vertex(word, dist) for word, dist in _walk_tree(pres, radius)]
 
 
 def _children(pres: FiniteHnnPresentation, word: Word):
@@ -414,21 +414,21 @@ def _children(pres: FiniteHnnPresentation, word: Word):
                 yield x, sign, r, child
 
 
-def _walk_tree(pres: FiniteHnnPresentation, radius: int) -> Iterator[Vertex]:
-    """The vertices of ``tree_ball(pres, radius)``, yielded in its order
-    as the walk reaches them."""
+def _walk_tree(pres: FiniteHnnPresentation, radius: int) -> Iterator[Tuple[Word, int]]:
+    """The (word, distance) pairs of ``tree_ball(pres, radius)``, yielded
+    in its order as the walk reaches them, without building ``Vertex``
+    objects."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
-    base = Vertex((pres.identity_code, ()), 0)
-    yield base
+    base = (pres.identity_code, ())
+    yield base, 0
     frontier = [base]
     for dist in range(1, radius + 1):
         nxt = []
-        for v in frontier:
-            for _, _, _, word in _children(pres, v.word):
-                vert = Vertex(word, dist)
-                yield vert
-                nxt.append(vert)
+        for word in frontier:
+            for _, _, _, child in _children(pres, word):
+                yield child, dist
+                nxt.append(child)
         frontier = nxt
 
 
@@ -509,15 +509,15 @@ def cc_witness_search_b1(
     minus = pres.minus_subgroup()
     desc = f"commuting-conjugates search in {pres.label}"
     visited = 0
-    for v in _walk_tree(pres, max_letters):
+    for word, dist in _walk_tree(pres, max_letters):
         if visited == budget:
             raise BudgetExceededError(
                 f"more than {budget} Bass-Serre vertices within distance {max_letters}"
             )
         visited += 1
-        t = BrittonElement._trusted(pres, v.word)
+        t = BrittonElement._trusted(pres, word)
         if check_cc(minus, t).ok:
-            found = f"witness at Bass-Serre vertex {visited}, distance {v.distance}"
+            found = f"witness at Bass-Serre vertex {visited}, distance {dist}"
             return PropertyReport(desc, "some", (found,), t)
     return PropertyReport(
         desc,

@@ -5,11 +5,23 @@ identity outside the first and last breakpoints (so both ends lie on the
 diagonal), and all breakpoints and slopes are exact rationals with
 positive slopes.  The group operation is composition.
 
-The public constructor ``PLHomeo(...)`` validates and canonicalises its
-breakpoints.  Products and inverses of valid maps are valid by
-construction, so they take a trusted path that skips that validation:
-``pl_compose`` is one merge walk over the two breakpoint lists, and
-``PLHomeo.inverse`` reflects the list in the diagonal.
+The breakpoints are held as integer points ``pts`` over one positive
+common denominator ``den``, divided by the gcd of ``den`` and all
+coordinates, so that ``(pts, den)`` is canonical and ``==`` and
+``hash`` compare it.  ``pl_compose``, evaluation and ``pl_support``
+compute on these integers: rationals are compared by cross-multiplying
+and interpolated with one division at the end.  ``Fraction`` appears
+only at the boundary: the public constructors and ``PLHomeo.__call__``
+accept it, and ``breakpoints``, ``slopes``, values, the endpoints of an
+``IntervalSet`` and ``repr`` are Fractions.
+
+The public constructor ``PLHomeo(...)`` validates its breakpoints,
+brings them to a common denominator and canonicalises them with
+``_merge``, the one canonicaliser.  Products and inverses of valid maps
+are valid by construction, so they take a trusted path that skips the
+validation: ``pl_compose`` is one merge walk over the two breakpoint
+lists followed by ``_merge``, and ``PLHomeo.inverse`` reflects the list
+in the diagonal.
 
 This module also builds the standard generators of Thompson's group F
 on (0, 1) and the restricted tower obtained by repeatedly adjoining a
@@ -22,12 +34,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import PropertyReport
 
 Point = Tuple[Fraction, Fraction]
+IntPoint = Tuple[int, int]
 
 
 def _frac(x) -> Fraction:
@@ -52,20 +67,21 @@ class PLContext:
         return PLHomeo(())
 
 
-def _merge(pts: Sequence[Point]) -> Tuple[Point, ...]:
-    """The canonical form of a strictly increasing breakpoint list whose
-    ends lie on the diagonal: collinear interior points and redundant
-    diagonal anchors at either end are dropped."""
-    keep: List[Point] = []
-    slope = None  # of the segment ending at keep[-1]
+def _merge(pts: Sequence[IntPoint], den: int) -> Tuple[Tuple[IntPoint, ...], int]:
+    """The canonical form of a strictly increasing list of integer points
+    over the denominator den > 0 whose ends lie on the diagonal:
+    collinear interior points and redundant diagonal anchors at either
+    end are dropped, and the points and den are divided by their gcd."""
+    keep: List[IntPoint] = []
+    dx0 = dy0 = 0  # the segment ending at keep[-1]; dx0 = 0 while there is none
     for p in pts:
         if keep:
-            s = (p[1] - keep[-1][1]) / (p[0] - keep[-1][0])
-            if s == slope:
+            dx, dy = p[0] - keep[-1][0], p[1] - keep[-1][1]
+            if dx0 and dy * dx0 == dy0 * dx:
                 # keep has no collinear triple, so at most this one point goes
                 keep[-1] = p
                 continue
-            slope = s
+            dx0, dy0 = dx, dy
         keep.append(p)
     diagonal = [x == y for x, y in keep]
     lo, hi = 0, len(keep)
@@ -73,10 +89,18 @@ def _merge(pts: Sequence[Point]) -> Tuple[Point, ...]:
         lo += 1
     while hi - lo >= 2 and diagonal[hi - 1] and diagonal[hi - 2]:
         hi -= 1
-    return tuple(keep[lo:hi]) if hi - lo >= 2 else ()
+    if hi - lo < 2:
+        return (), 1
+    keep = keep[lo:hi]
+    g = den
+    for x, y in keep:
+        g = gcd(g, x, y)
+        if g == 1:
+            return tuple(keep), den
+    return tuple([(x // g, y // g) for x, y in keep]), den // g
 
 
-def _canonical(points: Sequence[Point]) -> Tuple[Point, ...]:
+def _canonical(points: Sequence[Point]) -> Tuple[Tuple[IntPoint, ...], int]:
     """Validate arbitrary breakpoints and return their canonical form."""
     pts = sorted(set(points))
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
@@ -86,65 +110,84 @@ def _canonical(points: Sequence[Point]) -> Tuple[Point, ...]:
         raise ValueError("a single off-diagonal breakpoint is not a homeomorphism")
     if pts and (pts[0][0] != pts[0][1] or pts[-1][0] != pts[-1][1]):
         raise ValueError("map must be the identity outside its breakpoints")
-    return _merge(pts)
+    den = lcm(*[c.denominator for c in chain.from_iterable(pts)])
+    return _merge(
+        [
+            (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+            for x, y in pts
+        ],
+        den,
+    )
 
 
 class PLHomeo:
     """An orientation-preserving PL homeomorphism of R, identity outside
     a bounded interval."""
 
-    __slots__ = ("breakpoints",)
+    __slots__ = ("pts", "den")
 
     def __init__(self, breakpoints: Iterable[Sequence]):
         pts = [(_frac(x), _frac(y)) for x, y in breakpoints]
-        self.breakpoints = _canonical(pts)
+        self.pts, self.den = _canonical(pts)
 
     @classmethod
-    def _trusted(cls, breakpoints: Tuple[Point, ...]) -> "PLHomeo":
-        """The map with these breakpoints, which must already be canonical.
-        Only closed operations (product, inverse) call this."""
+    def _trusted(cls, pts: Tuple[IntPoint, ...], den: int) -> "PLHomeo":
+        """The map with breakpoints pts / den, which must already be
+        canonical.  Only closed operations (product, inverse) call this."""
         h = object.__new__(cls)
-        h.breakpoints = breakpoints
+        h.pts = pts
+        h.den = den
         return h
 
     @property
     def context(self) -> PLContext:
         return PLContext()
 
+    @property
+    def breakpoints(self) -> Tuple[Point, ...]:
+        """The breakpoints as Fractions, derived from ``pts`` and ``den``."""
+        den = self.den
+        return tuple([(Fraction(x, den), Fraction(y, den)) for x, y in self.pts])
+
     def __call__(self, x) -> Fraction:
         x = _frac(x)
-        bps = self.breakpoints
-        if not bps or x <= bps[0][0] or x >= bps[-1][0]:
+        q = x.denominator
+        pts = self.pts
+        # in the units of pts, x is t / q
+        t = x.numerator * self.den
+        if not pts or t <= pts[0][0] * q or t >= pts[-1][0] * q:
             return x
-        i = bisect_right(bps, x, key=itemgetter(0)) - 1
-        (x0, y0), (x1, y1) = bps[i], bps[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        # the last breakpoint with x_i <= t / q, that is x_i <= floor(t / q)
+        i = bisect_right(pts, t // q, key=itemgetter(0)) - 1
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        w = x1 - x0
+        return Fraction(y0 * w * q + (y1 - y0) * (t - x0 * q), self.den * q * w)
 
     def inverse(self) -> "PLHomeo":
         # reflecting in the diagonal keeps the list canonical
-        return PLHomeo._trusted(tuple((y, x) for x, y in self.breakpoints))
+        return PLHomeo._trusted(tuple([(y, x) for x, y in self.pts]), self.den)
 
     def __mul__(self, other: "PLHomeo") -> "PLHomeo":
         return pl_compose(self, other)
 
     def is_identity(self) -> bool:
-        return not self.breakpoints
+        return not self.pts
 
     def __eq__(self, other):
         if not isinstance(other, PLHomeo):
             return NotImplemented
-        return self.breakpoints == other.breakpoints
+        return self.den == other.den and self.pts == other.pts
 
     def __hash__(self):
-        return hash(self.breakpoints)
+        return hash((self.pts, self.den))
 
     def __repr__(self):
         return "PL" + repr([(str(x), str(y)) for x, y in self.breakpoints])
 
     def slopes(self) -> Tuple[Fraction, ...]:
         return tuple(
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:])
+            Fraction(y1 - y0, x1 - x0)
+            for (x0, y0), (x1, y1) in zip(self.pts, self.pts[1:])
         )
 
 
@@ -155,36 +198,53 @@ def pl_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     the breakpoints (u_j, v_j) of f, in increasing order of that middle
     coordinate.  Each y_i yields (x_i, f(y_i)) and each u_j yields
     (g^-1(u_j), v_j), the other map being interpolated inside the segment
-    the walk is in, or the identity outside its breakpoints."""
-    gb, fb = g.breakpoints, f.breakpoints
+    the walk is in, or the identity outside its breakpoints.
+
+    With G and F the denominators of g and f, y_i / G and u_j / F are
+    compared as y_i F and u_j G.  Each point is built as an integer
+    triple (X, Y, Q) standing for (X / Q, Y / Q); the triples are brought
+    to the lcm of their Q at the end, and ``_merge`` reduces that."""
+    gb, fb = g.pts, f.pts
+    G, F = g.den, f.den
+    FG = F * G
     m, k = len(gb), len(fb)
     i = j = 0
-    pts: List[Point] = []
+    pts: List[Tuple[int, int, int]] = []
     while i < m or j < k:
-        if i < m and (j == k or gb[i][1] < fb[j][0]):
+        if i < m and (j == k or gb[i][1] * F < fb[j][0] * G):
             x, z = gb[i]
             i += 1
             if 0 < j < k:
                 (u0, v0), (u1, v1) = fb[j - 1], fb[j]
-                y = v0 + (v1 - v0) * (z - u0) / (u1 - u0)
+                w = u1 - u0
+                pt = (x * F * w, v0 * G * w + (v1 - v0) * (z * F - u0 * G), FG * w)
             else:
-                y = z
-        elif i == m or fb[j][0] != gb[i][1]:
+                pt = (x, z, G)
+        elif i == m or fb[j][0] * G != gb[i][1] * F:
             z, y = fb[j]
             j += 1
             if 0 < i < m:
                 (x0, y0), (x1, y1) = gb[i - 1], gb[i]
-                x = x0 + (x1 - x0) * (z - y0) / (y1 - y0)
+                h = y1 - y0
+                pt = (x0 * F * h + (x1 - x0) * (z * G - y0 * F), y * G * h, FG * h)
             else:
-                x = z
+                pt = (z, y, F)
         else:
-            x, y = gb[i][0], fb[j][1]
+            pt = (gb[i][0] * F, fb[j][1] * G, FG)
             i += 1
             j += 1
-        if pts and (x <= pts[-1][0] or y <= pts[-1][1]):
-            raise AssertionError(f"composition walk not strictly increasing at {(x, y)}")
-        pts.append((x, y))
-    return PLHomeo._trusted(_merge(pts))
+        if pts:
+            X, Y, Q = pt
+            Xp, Yp, Qp = pts[-1]
+            if X * Qp <= Xp * Q or Y * Qp <= Yp * Q:
+                raise AssertionError(
+                    f"composition walk not strictly increasing at {(X, Y)} / {Q}"
+                )
+        pts.append(pt)
+    den = lcm(*[Q for _, _, Q in pts])
+    return PLHomeo._trusted(
+        *_merge([(X * (den // Q), Y * (den // Q)) for X, Y, Q in pts], den)
+    )
 
 
 @dataclass(frozen=True)
@@ -238,39 +298,41 @@ def pl_support(g: PLHomeo) -> IntervalSet:
 
     Isolated interior fixed points split the support: they are not part
     of it, and the flanking intervals stay separate."""
-    bps = g.breakpoints
-    if not bps:
+    pts, den = g.pts, g.den
+    if not pts:
         return IntervalSet([])
-    # refine with interior diagonal crossings, then record d(x) = g(x) - x
-    refined: List[Tuple[Fraction, Fraction]] = []  # (x, d)
-    for i, (x0, y0) in enumerate(bps):
-        refined.append((x0, y0 - x0))
-        if i + 1 < len(bps):
-            x1, y1 = bps[i + 1]
-            d0, d1 = y0 - x0, y1 - x1
+    # refine with interior diagonal crossings, as (X, Q, d): the point
+    # x = X / Q and d, whose sign is that of g(x) - x
+    refined: List[Tuple[int, int, int]] = []
+    for i, (x0, y0) in enumerate(pts):
+        d0 = y0 - x0
+        refined.append((x0, den, d0))
+        if i + 1 < len(pts):
+            x1, y1 = pts[i + 1]
+            d1 = y1 - x1
             if (d0 > 0 and d1 < 0) or (d0 < 0 and d1 > 0):
-                # linear in between; exact crossing point
-                xc = x0 + (x1 - x0) * d0 / (d0 - d1)
-                refined.append((xc, Fraction(0)))
+                # linear in between; exact crossing x0 + (x1 - x0) d0 / (d0 - d1)
+                s = d0 - d1
+                refined.append((x0 * s + (x1 - x0) * d0, den * s, 0))
     out = []
     start = None
     for i in range(len(refined) - 1):
-        (x0, d0), (x1, d1) = refined[i], refined[i + 1]
+        (x0, q0, d0), (x1, q1, d1) = refined[i], refined[i + 1]
         nonzero = not (d0 == 0 and d1 == 0)
         if nonzero:
             if start is None:
-                start = x0
+                start = (x0, q0)
             # close the interval if the right endpoint is a fixed point
             if d1 == 0:
-                out.append((start, x1))
+                out.append((start, (x1, q1)))
                 start = None
         else:
             if start is not None:
-                out.append((start, x0))
+                out.append((start, (x0, q0)))
                 start = None
     if start is not None:
-        out.append((start, refined[-1][0]))
-    return IntervalSet(out)
+        out.append((start, refined[-1][:2]))
+    return IntervalSet([(Fraction(*l), Fraction(*r)) for l, r in out])
 
 
 def thompson_generators() -> Tuple[PLHomeo, PLHomeo]:

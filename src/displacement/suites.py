@@ -117,12 +117,12 @@ def run_sym_zn_witness(params, bounds, rng) -> PropertyReport:
     return rep
 
 
-def _random_unitriangular(rng, n: int, upper: bool) -> List[List[Fraction]]:
-    m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def _random_unitriangular(rng, n: int, upper: bool) -> List[List[int]]:
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if (j > i) if upper else (j < i):
-                m[i][j] = Fraction(rng.randint(-3, 3))
+                m[i][j] = rng.randint(-3, 3)
     return m
 
 
@@ -130,12 +130,12 @@ def _random_invertible(rng, n: int) -> matrices.RationalMatrix:
     """L*D*U with unit triangles and invertible diagonal: always in GL_n."""
     low = _random_unitriangular(rng, n, upper=False)
     up = _random_unitriangular(rng, n, upper=True)
-    diag = [Fraction(rng.choice([1, -1, 2, -2, 3])) for _ in range(n)]
+    diag = [rng.choice([1, -1, 2, -2, 3]) for _ in range(n)]
     prod = [
-        [sum(low[i][k] * diag[k] * up[k][j] for k in range(n)) for j in range(n)]
+        tuple([sum(low[i][k] * diag[k] * up[k][j] for k in range(n)) for j in range(n)])
         for i in range(n)
     ]
-    return matrices.RationalMatrix._trusted(tuple(map(tuple, prod)))
+    return matrices.RationalMatrix._trusted(tuple(prod))
 
 
 def _mul2(a, b):
@@ -408,7 +408,9 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
                 desc, "diagonal element fixes fewer than 2 vertices", g
             )
     detail.append("every nontrivial (g,g) fixes at least 2 vertices at radius 1")
-    # stabilizer structure at radius 1, exhaustively over the base group
+    # stabilizer structure at radius 1, exhaustively over the base group:
+    # the descent and the word-algebra test must both agree with the
+    # associated-subgroup membership of r^-1 g r
     sphere1 = hnn.tree_ball(pres, 1)[1:]
     for code in range(pres.size):
         fixed = {v.word for v in hnn.fixed_vertices(pres, code, 1)}
@@ -417,7 +419,9 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
             sign = v.word[1][0][1]
             member = pres._in_B["d"] if sign == 1 else pres._in_A["d"]
             expected = member[pres.mul(pres.mul(pres.inv(r), code), r)]
-            if expected != (v.word in fixed):
+            by_descent = v.word in fixed
+            by_word_algebra = hnn.fixes_vertex(pres, (code, ()), v)
+            if not expected == by_descent == by_word_algebra:
                 return PropertyReport.failing(
                     desc, "stabilizer mismatch at a radius-1 vertex", (v.word, code)
                 )

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from displacement.checkers import check_cznc, check_czc, verify_certificate
 from displacement.core import FgSubgroup, conj, subgroups_commute
@@ -55,6 +58,88 @@ def test_canonical_trim():
 def test_singular_rejected():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [2, 4]])
+
+
+def assert_canonical(m):
+    """den > 0, the gcd of den and all entries is 1, and the trailing
+    row and column are not those of the identity."""
+    assert m.den > 0
+    assert gcd(m.den, *chain.from_iterable(m.num)) == 1
+    n = m.size
+    assert all(len(row) == n for row in m.num)
+    if n > 1:
+        last = [m.num[n - 1][j] for j in range(n)] + [m.num[i][n - 1] for i in range(n)]
+        assert last != [0] * (n - 1) + [m.den] + [0] * (n - 1) + [m.den]
+
+
+def test_fractional_entries_have_one_canonical_form():
+    """The constructor and the trusted path, from any scaling of the same
+    integer grid, give equal matrices with equal hashes."""
+    public = RationalMatrix([[F(1, 2), F(1, 3)], [0, F(2, 3)]])
+    assert (public.num, public.den) == (((3, 2), (0, 4)), 6)
+    for num, den in [
+        (((3, 2), (0, 4)), 6),
+        (((6, 4), (0, 8)), 12),
+        (((-3, -2), (0, -4)), -6),
+        (((-30, -20), (0, -40)), -60),
+    ]:
+        trusted = RationalMatrix._trusted(num, den)
+        assert_canonical(trusted)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert trusted.entries == public.entries == ((F(1, 2), F(1, 3)), (0, F(2, 3)))
+
+
+def test_trim_with_a_denominator():
+    """Trailing rows and columns of the identity are trimmed when den > 1,
+    where the identity block reads den, not 1."""
+    m = RationalMatrix([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert (m.num, m.den) == (((1,),), 2)
+    assert m == RationalMatrix._trusted(((1, 0, 0), (0, 2, 0), (0, 0, 2)), 2)
+    assert RationalMatrix._trusted(((3, 0), (0, 3)), 3).is_identity()
+    a = RationalMatrix([[F(1, 2), F(1, 3)], [0, F(2, 3)]])
+    b = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, F(5, 7)]])
+    c = a * b
+    assert c.size == 3 and c.den == 42
+    assert c * b.inverse() == a and (c * b.inverse()).size == 2
+    # not trimmed: an off-diagonal entry in the last column
+    assert RationalMatrix([[1, F(1, 2)], [0, 1]]).size == 2
+
+
+def test_singular_input_rejected_with_fractions():
+    with pytest.raises(ValueError, match="singular"):
+        RationalMatrix([[F(1, 2), F(1, 3)], [F(3, 2), 1]])
+    with pytest.raises(ValueError, match="singular"):
+        RationalMatrix([[0, 0, 0], [0, F(1, 3), 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        RationalMatrix._trusted(((1, 2), (2, 4)), 3).inverse()
+    with pytest.raises(ValueError, match="square"):
+        RationalMatrix([[1, 0], [0]])
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def rational_invertible(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    try:
+        return RationalMatrix(rows)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_invertible(), rational_invertible())
+def test_closed_operations_stay_canonical(a, b):
+    """Products and inverses are reduced, with a positive denominator,
+    and equal to the public constructor on their own entries."""
+    for m in (a, b, a * b, a.inverse(), (a * b).inverse(), a * a.inverse()):
+        assert_canonical(m)
+        again = RationalMatrix(m.entries)
+        assert (again.num, again.den) == (m.num, m.den)
+        assert hash(again) == hash(m)
+    assert (a * a.inverse()).is_identity()
 
 
 def test_mul_pads_to_common_size():

@@ -1,7 +1,16 @@
-"""Exact PL homeomorphisms: composition oracle, supports, the tower."""
+"""Exact PL homeomorphisms: composition oracle, supports, the tower.
 
+The integer kernels of ``plmaps`` are tested against the Fraction
+kernels below, which compute composition, evaluation and supports
+directly on the breakpoints as rationals."""
+
+import functools
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
+from math import gcd
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +32,103 @@ from displacement.plmaps import (
 
 F = Fraction
 X0, X1 = thompson_generators()
+
+
+# -- reference kernels on Fraction breakpoints ---------------------------
+
+
+def ref_merge(pts):
+    """Canonical form of a strictly increasing Fraction breakpoint list
+    with diagonal ends: collinear points and redundant diagonal anchors
+    dropped."""
+    keep = []
+    slope = None  # of the segment ending at keep[-1]
+    for p in pts:
+        if keep:
+            s = (p[1] - keep[-1][1]) / (p[0] - keep[-1][0])
+            if s == slope:
+                keep[-1] = p
+                continue
+            slope = s
+        keep.append(p)
+    diagonal = [x == y for x, y in keep]
+    lo, hi = 0, len(keep)
+    while hi - lo >= 2 and diagonal[lo] and diagonal[lo + 1]:
+        lo += 1
+    while hi - lo >= 2 and diagonal[hi - 1] and diagonal[hi - 2]:
+        hi -= 1
+    return tuple(keep[lo:hi]) if hi - lo >= 2 else ()
+
+
+def ref_eval(bps, x):
+    """The value at x of the map with Fraction breakpoints bps."""
+    x = F(x)
+    if not bps or x <= bps[0][0] or x >= bps[-1][0]:
+        return x
+    i = bisect_right(bps, x, key=itemgetter(0)) - 1
+    (x0, y0), (x1, y1) = bps[i], bps[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def ref_compose(fb, gb):
+    """Breakpoints of f . g by one merge walk over the images of g's
+    breakpoints and f's breakpoints, all in Fractions."""
+    m, k = len(gb), len(fb)
+    i = j = 0
+    pts = []
+    while i < m or j < k:
+        if i < m and (j == k or gb[i][1] < fb[j][0]):
+            x, z = gb[i]
+            i += 1
+            if 0 < j < k:
+                (u0, v0), (u1, v1) = fb[j - 1], fb[j]
+                y = v0 + (v1 - v0) * (z - u0) / (u1 - u0)
+            else:
+                y = z
+        elif i == m or fb[j][0] != gb[i][1]:
+            z, y = fb[j]
+            j += 1
+            if 0 < i < m:
+                (x0, y0), (x1, y1) = gb[i - 1], gb[i]
+                x = x0 + (x1 - x0) * (z - y0) / (y1 - y0)
+            else:
+                x = z
+        else:
+            x, y = gb[i][0], fb[j][1]
+            i += 1
+            j += 1
+        assert not pts or (x > pts[-1][0] and y > pts[-1][1])
+        pts.append((x, y))
+    return ref_merge(pts)
+
+
+def ref_support(bps):
+    """The open support of the map with Fraction breakpoints bps."""
+    if not bps:
+        return IntervalSet([])
+    refined = []  # (x, g(x) - x)
+    for i, (x0, y0) in enumerate(bps):
+        refined.append((x0, y0 - x0))
+        if i + 1 < len(bps):
+            x1, y1 = bps[i + 1]
+            d0, d1 = y0 - x0, y1 - x1
+            if (d0 > 0 and d1 < 0) or (d0 < 0 and d1 > 0):
+                refined.append((x0 + (x1 - x0) * d0 / (d0 - d1), F(0)))
+    out = []
+    start = None
+    for (x0, d0), (x1, d1) in zip(refined, refined[1:]):
+        if d0 != 0 or d1 != 0:
+            if start is None:
+                start = x0
+            if d1 == 0:
+                out.append((start, x1))
+                start = None
+        elif start is not None:
+            out.append((start, x0))
+            start = None
+    if start is not None:
+        out.append((start, refined[-1][0]))
+    return IntervalSet(out)
 
 
 def random_word(rng, gens, max_len):
@@ -117,6 +223,97 @@ def test_compose_arbitrary_maps(pair):
         assert h(x) == f(g(x))
     assert PLHomeo(h.breakpoints) == h
     assert (h * h.inverse()).is_identity()
+
+
+def assert_canonical(h):
+    """(pts, den) is reduced, with den > 0, and the public constructor
+    gives the same pair from the Fraction breakpoints."""
+    assert h.den > 0
+    assert gcd(h.den, *chain.from_iterable(h.pts)) == 1
+    again = PLHomeo(h.breakpoints)
+    assert (again.pts, again.den) == (h.pts, h.den)
+    assert hash(again) == hash(h)
+
+
+def sample_points(*maps):
+    """Every breakpoint abscissa of the maps, two outside points, and the
+    midpoints between consecutive ones."""
+    xs = sorted({x for h in maps for x, _ in h.breakpoints} | {F(-13), F(13)})
+    return xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+
+
+def assert_matches_reference(h):
+    """Evaluation, support and inverse of h against the Fraction kernels."""
+    bps = h.breakpoints
+    for x in sample_points(h):
+        assert h(x) == ref_eval(bps, x)
+    assert pl_support(h) == ref_support(bps)
+    inv = h.inverse()
+    assert inv.breakpoints == tuple((y, x) for x, y in bps)
+    assert ref_compose(bps, inv.breakpoints) == ()
+    assert_canonical(h)
+
+
+@settings(max_examples=300)
+@given(pl_pairs())
+def test_kernels_match_fraction_reference(pair):
+    """Compose, evaluate, support and invert arbitrary maps, with negative
+    coordinates and supports in every relative position, against the
+    Fraction reference kernels."""
+    f, g = pair
+    h = pl_compose(f, g)
+    assert h.breakpoints == ref_compose(f.breakpoints, g.breakpoints)
+    for x in sample_points(f, g):
+        assert h(x) == ref_eval(f.breakpoints, ref_eval(g.breakpoints, x))
+    for k in (f, g, h):
+        assert_matches_reference(k)
+
+
+@functools.cache
+def tower5_letters():
+    """The depth-5 tower generators, their inverses, and the conjugates
+    of both by t^p for each dissipator t and 1 <= p <= 10, as the
+    Z-conjugate check of the tower forms them."""
+    gens, dissipators, _ = tower_gamma(5)
+    pool = gens + [g.inverse() for g in gens]
+    letters = list(pool)
+    for t in dissipators:
+        power = t
+        for _ in range(10):
+            letters += [conj(power, g) for g in pool]
+            power = power * t
+    return letters
+
+
+# deferred, so that a broken kernel fails the tests, not their collection
+tower5_letter = st.deferred(lambda: st.sampled_from(tower5_letters()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(tower5_letter, min_size=1, max_size=8))
+def test_tower_words_match_fraction_reference(word):
+    """Products of depth-5 tower letters, built one letter at a time on
+    both sides, agree with the Fraction reference at every step."""
+    h, ref = PLContext().identity, ()
+    for letter in word:
+        h = h * letter
+        ref = ref_compose(ref, letter.breakpoints)
+        assert h.breakpoints == ref
+    assert_matches_reference(h)
+
+
+def test_sampled_depth5_words_reach_large_denominators():
+    """Sampled depth-5 tower words have common denominators past 64 bits;
+    on those, the integer kernels still agree with the reference."""
+    rng = random.Random(1)
+    widest = 0
+    for _ in range(200):
+        h = PLContext().identity
+        for _ in range(rng.randint(1, 8)):
+            h = h * rng.choice(tower5_letters())
+        widest = max(widest, h.den.bit_length())
+        assert_matches_reference(h)
+    assert widest > 64
 
 
 def test_support_examples():

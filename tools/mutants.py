@@ -1,0 +1,206 @@
+"""Mutation gate: each named one-line mutant of the program must be
+caught by the tests named for it.
+
+    python3 tools/mutants.py
+
+Run from anywhere; paths are resolved from this file.  For each mutant
+the script copies ``src/`` to a fresh temporary directory, replaces one
+line of one module in the copy, and runs the mutant's tests with pytest
+against the copy (``PYTHONPATH`` points at it, and the script first
+checks that ``displacement`` really imports from there).  A mutant
+survives when its tests pass.  Before any mutant, each distinct test
+selection must pass on an unmutated copy.  Hypothesis runs with a fixed
+seed, so a verdict repeats.
+
+Exits 0 when every mutant is killed, and 1 when one survives, when a
+mutant's line is not found exactly once, or when a baseline run fails.
+Standard library only; the tests need pytest, hypothesis and sympy.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+TIMEOUT_S = 900
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """Replace the one line of ``module`` (under src/displacement) that
+    reads ``old``, ignoring indentation, by ``new``.  With ``within``,
+    the line is looked for only in the top-level definition whose first
+    line starts with it."""
+
+    name: str
+    module: str
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+    within: Optional[str] = None
+
+
+MATRIX_TESTS = ("tests/test_matrices.py", "tests/test_matrices_sympy.py")
+PL_TESTS = ("tests/test_plmaps.py",)
+DESCENT_TESTS = ("tests/test_hnn.py", "-k", "descent")
+
+MUTANTS: Tuple[Mutant, ...] = (
+    Mutant(
+        "matrix-gcd-dropped", "matrices.py",
+        "if g != 1:", "if g == -1:", MATRIX_TESTS,
+    ),
+    Mutant(
+        "matrix-den-sign-flipped", "matrices.py",
+        "if den < 0:", "if den > 0:", MATRIX_TESTS,
+    ),
+    Mutant(
+        "bareiss-wrong-previous-pivot", "matrices.py",
+        "prev = p", "prev = prev if pivots else p", MATRIX_TESTS,
+    ),
+    Mutant(
+        "matrix-trim-skipped", "matrices.py",
+        "while m > 1:", "while False:", MATRIX_TESTS,
+    ),
+    Mutant(
+        "pl-gcd-dropped", "plmaps.py",
+        "g = gcd(g, x, y)", "g = 1", PL_TESTS,
+    ),
+    Mutant(
+        "compose-wrong-cross-multiplication", "plmaps.py",
+        "if i < m and (j == k or gb[i][1] * F < fb[j][0] * G):",
+        "if i < m and (j == k or gb[i][1] * G < fb[j][0] * F):",
+        PL_TESTS,
+    ),
+    Mutant(
+        "compose-wrong-interpolation-bound", "plmaps.py",
+        "if 0 < j < k:", "if 0 <= j < k:", PL_TESTS,
+    ),
+    Mutant(
+        "collinearity-reversed", "plmaps.py",
+        "if dx0 and dy * dx0 == dy0 * dx:",
+        "if dx0 and dy * dy0 == dx0 * dx:",
+        PL_TESTS,
+    ),
+    Mutant(
+        "descent-stops-at-distance-1", "hnn.py",
+        "for dist in range(1, radius + 1):",
+        "for dist in range(1, min(radius, 1) + 1):",
+        DESCENT_TESTS, within="def fixed_vertices(",
+    ),
+    Mutant(
+        "descent-carries-parent-code", "hnn.py",
+        "nxt.append((child, carried))", "nxt.append((child, c))", DESCENT_TESTS,
+    ),
+    Mutant(
+        "descent-swaps-phi", "hnn.py",
+        "carried = pres._phi_inv[x][a] if sign == 1 else pres._phi[x][a]",
+        "carried = pres._phi[x][a] if sign == 1 else pres._phi_inv[x][a]",
+        DESCENT_TESTS,
+    ),
+    Mutant(
+        "descent-conjugates-the-wrong-way", "hnn.py",
+        "a = pres.mul(pres.mul(pres.inv(r), c), r)",
+        "a = pres.mul(pres.mul(r, c), pres.inv(r))",
+        DESCENT_TESTS,
+    ),
+)
+
+
+def _region(lines: List[str], within: Optional[str]) -> range:
+    """Indices of the lines a mutant may touch: the whole module, or the
+    top-level definition starting with ``within`` up to the next one."""
+    if within is None:
+        return range(len(lines))
+    starts = [i for i, line in enumerate(lines) if line.startswith(within)]
+    if len(starts) != 1:
+        raise ValueError(f"{len(starts)} top-level lines start with {within!r}")
+    end = next(
+        (i for i in range(starts[0] + 1, len(lines))
+         if lines[i].startswith(("def ", "class ", "@"))),
+        len(lines),
+    )
+    return range(starts[0], end)
+
+
+def mutate(text: str, mutant: Mutant) -> str:
+    """``text`` with the mutant's line replaced; raises ValueError unless
+    exactly one line in its region reads ``old``."""
+    lines = text.splitlines(keepends=True)
+    hits = [i for i in _region(lines, mutant.within) if lines[i].strip() == mutant.old]
+    if len(hits) != 1:
+        raise ValueError(f"{mutant.name}: {len(hits)} lines read {mutant.old!r}")
+    line = lines[hits[0]]
+    indent = line[: len(line) - len(line.lstrip())]
+    lines[hits[0]] = indent + mutant.new + "\n"
+    return "".join(lines)
+
+
+def _copy_src(mutant: Optional[Mutant]) -> str:
+    """A temporary directory holding src/, mutated if a mutant is given."""
+    tmp = tempfile.mkdtemp(prefix="mutant-")
+    shutil.copytree(SRC, os.path.join(tmp, "src"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        path = os.path.join(tmp, "src", "displacement", mutant.module)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(mutate(text, mutant))
+    return tmp
+
+
+def _tests_pass(tmp: str, tests: Sequence[str]) -> bool:
+    """Run the tests against the copy in tmp; True when they all pass."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import displacement; print(displacement.__file__)"],
+        cwd=tmp, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not where.startswith(os.path.join(tmp, "src") + os.sep):
+        raise RuntimeError(f"displacement imported from {where}, not from the copy")
+    args = [os.path.join(ROOT, t) if t.startswith("tests/") else t for t in tests]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *args],
+        cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+    return run.returncode == 0
+
+
+def run(mutants: Sequence[Mutant]) -> int:
+    """Run the baselines, then every mutant; returns the exit code."""
+    for m in mutants:  # fail early on a stale mutant
+        with open(os.path.join(SRC, "displacement", m.module)) as fh:
+            mutate(fh.read(), m)
+    failed = False
+    for tests in dict.fromkeys(m.tests for m in mutants):
+        tmp = _copy_src(None)
+        try:
+            ok = _tests_pass(tmp, tests)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        print(f"{'baseline ok' if ok else 'BASELINE FAILS':16s} {' '.join(tests)}", flush=True)
+        failed |= not ok
+    if failed:
+        return 1
+    for m in mutants:
+        tmp = _copy_src(m)
+        try:
+            survived = _tests_pass(tmp, m.tests)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        print(f"{'SURVIVED' if survived else 'killed':16s} {m.name}", flush=True)
+        failed |= survived
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(MUTANTS))
