@@ -13,7 +13,19 @@ the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  Words are
 alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
 reduces its word once, and its products and inverses come reduced.
 The finite base G x G is enumerated once and encoded as integers, which
-makes reduction fast enough for exhaustive searches.  A Bass-Serre
+makes reduction fast enough for exhaustive searches.
+
+Britton reduction is one left-to-right pass that pushes the stable
+letters onto a stack, each tested against the top: a pinch pops the
+top and merges its base letters into the new top, which the next letter
+is tested against.  The stack never holds a pinch, so the pass removes
+the leftmost pinch first, the word it returns is the one that
+rescanning after every pinch would return, and its cost is linear in
+the word's length.  ``word_mul`` pushes v's letters onto u's, so the
+product of reduced words pinches only at the seam.  Normal forms of
+reduced words come from tables: the sweep that picks each coset's
+representative r records, for each b = r c, the base letter that c
+becomes on the far side of the stable letter.  A Bass-Serre
 vertex is its normal-form word, ending in the identity base letter,
 with one stable letter per step of distance.
 
@@ -114,20 +126,31 @@ class FiniteHnnPresentation:
         # every associated subgroup, used by normal forms and the tree.
         # In an ascending sweep the first code of each coset b*S is its
         # minimum, so it becomes the representative of the whole coset.
+        # The same sweep fills the push tables: b*c, with c in the
+        # subgroup, gets push[b*c] = phi_x^-1(c) for B_x and phi_x(c) for
+        # A_x, the base letter that c becomes on the far side of x^+-1.
         self._index = index
         self._coset_rep: Dict[Tuple[str, str], List[int]] = {}
+        self._push: Dict[Tuple[str, str], List[int]] = {}
         self._transversal: Dict[Tuple[str, str], List[int]] = {}
         for x in letters:
-            for side, member in (("A", self._in_A[x]), ("B", self._in_B[x])):
+            for side, member, across in (
+                ("A", self._in_A[x], self._phi[x]),
+                ("B", self._in_B[x], self._phi_inv[x]),
+            ):
                 sub = [c for c in range(N) if member[c]]
                 rep = [-1] * N
+                push = [-1] * N
                 reps = []
                 for b in range(N):
                     if rep[b] == -1:
                         reps.append(b)
                         for c in sub:
-                            rep[self.mul(b, c)] = b
+                            bc = self.mul(b, c)
+                            rep[bc] = b
+                            push[bc] = across[c]
                 self._coset_rep[(side, x)] = rep
+                self._push[(side, x)] = push
                 self._transversal[(side, x)] = reps
 
     # -- base group arithmetic on codes --------------------------------
@@ -160,12 +183,6 @@ class FiniteHnnPresentation:
 
     def phi_inv(self, x: str, b: int) -> int:
         return self._phi_inv[x][b]
-
-    def decompose(self, side: str, x: str, b: int) -> Tuple[int, int]:
-        """b = r * c with c in the subgroup and r its left-coset rep."""
-        r = self._coset_rep[(side, x)][b]
-        c = self.mul(self.inv(r), b)
-        return r, c
 
     # -- element interface ---------------------------------------------
 
@@ -212,18 +229,53 @@ def _pinch_sites(pres, letters) -> List[int]:
     return sites
 
 
+def _push_letters(pres, b0: int, stack: List, letters) -> int:
+    """Push ``letters`` in turn onto ``stack``, the pinch-free letters of
+    a word b0 stack..., and return the word's new first base letter.
+
+    Each letter is tested against the top: a pinch x a x^-1 (a in A_x)
+    or x^-1 b x (b in B_x) pops the top, and the merged base letter goes
+    to the new top, which the next letter is tested against.  The stack
+    never holds a pinch, so this removes the leftmost pinch first, in
+    one pass."""
+    mul = pres.mul
+    top = stack[-1] if stack else None
+    for letter in letters:
+        if top is not None and top[0] == letter[0] and top[1] == -letter[1]:
+            x, f, c = top
+            mid = (pres._phi if f == 1 else pres._phi_inv)[x][c]
+            if mid != -1:
+                stack.pop()
+                merged = mul(mid, letter[2])
+                if stack:
+                    y, g, b = stack[-1]
+                    top = stack[-1] = (y, g, mul(b, merged))
+                else:
+                    b0 = mul(b0, merged)
+                    top = None
+                continue
+        stack.append(letter)
+        top = letter
+    return b0
+
+
 def britton_reduce(pres, word: Word, rng=None) -> Word:
     """Britton reduction: remove pinches x a x^-1 (a in A_x) and
-    x^-1 b x (b in B_x) until none remain.  ``rng`` randomizes the pinch
-    order (used by the confluence tests); the result is always equal to
-    the input in the group, and the default order is deterministic."""
+    x^-1 b x (b in B_x) until none remain, leftmost first, in one stack
+    pass.  ``rng`` instead pinches at a random site each time (the
+    confluence check of ``britton-engine``); the result is always equal
+    to the input in the group."""
     b0, letters = word
+    if rng is None:
+        stack: List = []
+        b0 = _push_letters(pres, b0, stack, letters)
+        return (b0, tuple(stack))
     letters = list(letters)
     while True:
         sites = _pinch_sites(pres, letters)
         if not sites:
             break
-        i = sites[0] if rng is None else sites[rng.randrange(len(sites))]
+        i = sites[rng.randrange(len(sites))]
         x1, e1, b1 = letters[i]
         _, _, b2 = letters[i + 1]
         mid = pres.phi(x1, b1) if e1 == 1 else pres.phi_inv(x1, b1)
@@ -242,15 +294,20 @@ def is_reduced(pres, word: Word) -> bool:
 
 
 def word_mul(pres, u: Word, v: Word) -> Word:
-    """Concatenation followed by reduction."""
+    """The reduced product of a reduced word u and a word v: v's letters
+    are pushed onto u's, so for a reduced v pinches happen only at the
+    seam."""
     b0u, lu = u
     b0v, lv = v
-    if not lu:
-        return britton_reduce(pres, (pres.mul(b0u, b0v), lv))
-    lu = list(lu)
-    x, e, b = lu[-1]
-    lu[-1] = (x, e, pres.mul(b, b0v))
-    return britton_reduce(pres, (b0u, tuple(lu) + lv))
+    stack = list(lu)
+    if stack:
+        x, e, b = stack[-1]
+        stack[-1] = (x, e, pres.mul(b, b0v))
+        b0 = b0u
+    else:
+        b0 = pres.mul(b0u, b0v)
+    b0 = _push_letters(pres, b0, stack, lv)
+    return (b0, tuple(stack))
 
 
 def word_inv(pres, u: Word) -> Word:
@@ -276,22 +333,29 @@ def stable_letter_count(word: Word) -> int:
 
 
 def normal_form(pres, word: Word) -> Word:
-    """Britton-reduced word with every base letter (except the last)
-    rewritten to its left-coset transversal representative, pushing the
-    subgroup part rightwards through the next stable letter.  Canonical:
-    two words are equal in the group iff their normal forms coincide."""
-    b0, letters = britton_reduce(pres, word)
-    letters = list(letters)
-    bases = [b0] + [b for _, _, b in letters]
-    for i, (x, e, _) in enumerate(letters):
-        side = "B" if e == 1 else "A"
-        r, c = pres.decompose(side, x, bases[i])
-        bases[i] = r
-        pushed = pres.phi_inv(x, c) if e == 1 else pres.phi(x, c)
-        bases[i + 1] = pres.mul(pushed, bases[i + 1])
+    """The normal form of any word: ``reduced_normal_form`` of its
+    Britton reduction.  Canonical: two words are equal in the group iff
+    their normal forms coincide."""
+    return reduced_normal_form(pres, britton_reduce(pres, word))
+
+
+def reduced_normal_form(pres, word: Word) -> Word:
+    """The normal form of a Britton-reduced word: every base letter
+    (except the last) rewritten to its left-coset transversal
+    representative r, where it is r c, and the subgroup part c pushed
+    rightwards through the next stable letter, all by table lookup."""
+    b, letters = word
+    if not letters:
+        return word
+    reps, pushes, mul = pres._coset_rep, pres._push, pres.mul
+    bases = []
+    for x, e, nxt in letters:
+        key = ("B", x) if e == 1 else ("A", x)
+        bases.append(reps[key][b])
+        b = mul(pushes[key][b], nxt)
     return (
         bases[0],
-        tuple((x, e, bases[i + 1]) for i, (x, e, _) in enumerate(letters)),
+        tuple([(x, e, r) for (x, e, _), r in zip(letters, bases[1:] + [b])]),
     )
 
 
@@ -318,7 +382,7 @@ class BrittonElement:
 
     def _canonical(self) -> Word:
         if self._canon is None:
-            self._canon = normal_form(self.context, self.word)
+            self._canon = reduced_normal_form(self.context, self.word)
         return self._canon
 
     def __mul__(self, other: "BrittonElement") -> "BrittonElement":

@@ -284,6 +284,16 @@ class RationalSubspace:
         self.ambient = ambient
         self.basis: Tuple[Row, ...] = tuple(tuple(r) for r in red)
 
+    @classmethod
+    def _trusted(cls, ambient: int, basis: Sequence[Row]) -> "RationalSubspace":
+        """The subspace spanned by ``basis``, which must already be an RREF
+        basis of vectors of length ``ambient``, such as ``nullspace``
+        returns: taken as it is, with no second elimination."""
+        x = object.__new__(cls)
+        x.ambient = ambient
+        x.basis = tuple(basis)
+        return x
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -322,7 +332,7 @@ def centralizer_space(gens: Sequence[RationalMatrix], ambient: int = 0) -> Ratio
                     coeff[i * n + k] += gp[k][j]
                     coeff[k * n + j] -= gp[i][k]
                 rows.append(coeff)
-    return RationalSubspace(n * n, nullspace(rows, n * n))
+    return RationalSubspace._trusted(n * n, nullspace(rows, n * n))
 
 
 def matrices_of(space: RationalSubspace, n: int) -> List[Tuple[Row, ...]]:

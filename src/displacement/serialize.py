@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Any
 
@@ -92,10 +93,22 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=None)
+def _scenario_validator():
+    """The validator of the shipped scenario schema, built once per
+    process, after the schema itself is checked against its metaschema."""
+    # imported here, not at module level: only --scenario runs need it
+    from jsonschema.validators import validator_for
+
+    schema = load_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def parse_scenario(source) -> dict:
     """Parse and validate a scenario from a path, file object or dict."""
-    # imported here, not at module level: only --scenario runs need it
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
     if isinstance(source, dict):
         data = source
@@ -112,11 +125,11 @@ def parse_scenario(source) -> dict:
             ) from exc
         except OSError as exc:
             raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    try:
-        jsonschema.validate(data, load_schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ScenarioError(f"scenario invalid at {path}: {exc.message}") from exc
+    # the error that jsonschema.validate would raise
+    error = best_match(_scenario_validator().iter_errors(data))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ScenarioError(f"scenario invalid at {path}: {error.message}") from error
     return data
 
 

@@ -1,5 +1,6 @@
 """Britton rewriting, normal forms, the tree, and bounded searches."""
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from displacement.hnn import (
     mitosis_data,
     mitosis_presentation,
     normal_form,
+    reduced_normal_form,
     stable_letter_count,
     tree_ball,
     word_inv,
@@ -190,6 +192,153 @@ def test_products_and_inverses_of_reduced_words_are_reduced(case):
     assert a.inverse() == BrittonElement(pres, raw_inverse)
     assert (a * b).is_identity() == is_identity(pres, raw_product)
     assert (a * a.inverse()).is_identity()
+
+
+# -- the site-list engine, kept as the reference of the one-pass one ------
+
+
+def reference_pinch_sites(pres, letters):
+    """Indices i where letters i, i+1 form a pinch."""
+    sites = []
+    for i in range(len(letters) - 1):
+        x1, e1, b1 = letters[i]
+        x2, e2, _ = letters[i + 1]
+        if x1 != x2 or e1 != -e2:
+            continue
+        if (e1 == 1 and pres.in_A(x1, b1)) or (e1 == -1 and pres.in_B(x1, b1)):
+            sites.append(i)
+    return sites
+
+
+def reference_reduce(pres, word, rng=None):
+    """Britton reduction by rescanning the whole word for pinch sites
+    after every pinch, pinching at the leftmost site, or at a random one
+    drawn with ``rng.randrange``."""
+    b0, letters = word
+    letters = list(letters)
+    while True:
+        sites = reference_pinch_sites(pres, letters)
+        if not sites:
+            break
+        i = sites[0] if rng is None else sites[rng.randrange(len(sites))]
+        x1, e1, b1 = letters[i]
+        _, _, b2 = letters[i + 1]
+        mid = pres.phi(x1, b1) if e1 == 1 else pres.phi_inv(x1, b1)
+        merged = pres.mul(mid, b2)
+        if i == 0:
+            b0 = pres.mul(b0, merged)
+        else:
+            xp, ep, bp = letters[i - 1]
+            letters[i - 1] = (xp, ep, pres.mul(bp, merged))
+        del letters[i : i + 2]
+    return (b0, tuple(letters))
+
+
+def reference_normal_form(pres, word):
+    """The normal form of a reduced word by decomposing each base letter
+    as b = r c, with r = rep(b) and c = r^-1 b, and pushing phi_x^-+1(c)
+    through the next stable letter."""
+    b0, letters = word
+    bases = [b0] + [b for _, _, b in letters]
+    for i, (x, e, _) in enumerate(letters):
+        side = "B" if e == 1 else "A"
+        r = pres._coset_rep[(side, x)][bases[i]]
+        c = pres.mul(pres.inv(r), bases[i])
+        bases[i] = r
+        pushed = pres.phi_inv(x, c) if e == 1 else pres.phi(x, c)
+        bases[i + 1] = pres.mul(pushed, bases[i + 1])
+    return (bases[0], tuple((x, e, bases[i + 1]) for i, (x, e, _) in enumerate(letters)))
+
+
+ENGINE_PRESENTATIONS = (
+    binate_presentation(S3),
+    mitosis_presentation(S3),
+    mitosis_presentation(symmetric_group(2)),
+)
+
+
+@st.composite
+def engine_words(draw, max_letters=8):
+    """A presentation and a word of up to ``max_letters`` stable letters
+    over it, with base letters often trivial or in an associated
+    subgroup and stable letters from a small pool, so that pinches
+    chain."""
+    pres = draw(st.sampled_from(ENGINE_PRESENTATIONS))
+    assoc = [
+        c
+        for c in range(pres.size)
+        if any(pres.in_A(x, c) or pres.in_B(x, c) for x in pres.letters)
+    ]
+    base = st.one_of(
+        st.integers(0, pres.size - 1),
+        st.sampled_from(assoc),
+        st.just(pres.identity_code),
+    )
+    letter = st.tuples(st.sampled_from(pres.letters), st.sampled_from((1, -1)), base)
+    word = st.tuples(base, st.lists(letter, max_size=max_letters).map(tuple))
+    return pres, draw(word), draw(word)
+
+
+@settings(max_examples=250, deadline=None)
+@given(engine_words())
+def test_engine_one_pass_reduction_is_the_leftmost_reduction(case):
+    """The stack pass returns exactly the word that leftmost-first
+    rescanning returns, and the randomized order makes the same draws
+    and pinches as the site-list loop."""
+    pres, w, v = case
+    reduced = britton_reduce(pres, w)
+    assert reduced == reference_reduce(pres, w)
+    assert is_reduced(pres, reduced)
+    seed = v[0] + 7 * len(v[1])
+    assert britton_reduce(pres, w, rng=random.Random(seed)) == reference_reduce(
+        pres, w, rng=random.Random(seed)
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(engine_words())
+def test_engine_seam_product_is_the_reduced_concatenation(case):
+    """word_mul of reduced words, which pinches only at the seam, is
+    exactly the reduction of the raw concatenation; so is word_mul of a
+    reduced word and an unreduced one."""
+    pres, w1, w2 = case
+    u, v = reference_reduce(pres, w1), reference_reduce(pres, w2)
+    assert word_mul(pres, u, v) == reference_reduce(pres, _concat(pres, u, v))
+    assert word_mul(pres, u, w2) == reference_reduce(pres, _concat(pres, u, w2))
+
+
+@pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
+def test_engine_normal_form_tables_match_decomposition(make):
+    """On every reduced word of Sym(3) with one or two stable letters,
+    the push-table normal form equals the decomposition one, word for
+    word.  The reference of (b0, x^e b1, y^f b2) is that of the word with
+    b2 = 1, whose last base letter is then multiplied by b2."""
+    pres = make(S3)
+    N, e1 = pres.size, pres.identity_code
+    shapes = [(x, e) for x in pres.letters for e in (1, -1)]
+    checked = 0
+    for x, e in shapes:
+        for b0, b1 in itertools.product(range(N), repeat=2):
+            one = (b0, ((x, e, b1),))
+            assert reduced_normal_form(pres, one) == reference_normal_form(pres, one)
+            checked += 1
+    for (x, e), (y, f) in itertools.product(shapes, repeat=2):
+        member = pres._in_A[x] if e == 1 else pres._in_B[x]
+        for b0, b1 in itertools.product(range(N), repeat=2):
+            if x == y and e == -f and member[b1]:
+                continue  # a pinch: not reduced
+            r0, (first, (_, _, last)) = reference_normal_form(
+                pres, (b0, ((x, e, b1), (y, f, e1)))
+            )
+            for b2 in range(N):
+                expected = (r0, (first, (y, f, pres.mul(last, b2))))
+                assert reduced_normal_form(pres, (b0, ((x, e, b1), (y, f, b2)))) == expected
+                checked += 1
+    n = len(pres.group_elems)
+    pinched = len(shapes) * N * n * N  # one inverse shape per shape
+    assert checked == len(shapes) * N * N + len(shapes) ** 2 * N**3 - pinched
+    word = (b0, ((x, e, b1), (y, f, b2)))
+    assert normal_form(pres, word) == reference_normal_form(pres, word)
 
 
 def test_element_interface(bp):

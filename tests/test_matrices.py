@@ -217,6 +217,18 @@ def test_centralizer_of_gl2z_is_scalars():
     assert M[0][0] == M[1][1] and M[0][1] == 0 and M[1][0] == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rational_invertible(), min_size=1, max_size=3), st.integers(0, 4))
+def test_centralizer_basis_needs_no_second_elimination(gens, ambient):
+    """centralizer_space takes the RREF basis of ``nullspace`` as it is;
+    the validating constructor, which eliminates again, gives the same
+    basis."""
+    space = centralizer_space(gens, ambient=ambient)
+    again = RationalSubspace(space.ambient, space.basis)
+    assert again.ambient == space.ambient
+    assert again.basis == space.basis
+
+
 def test_swap_moves_plane_off_itself():
     """The block swap of Q^4 maps <e1, e2> onto <e3, e4>: the plane and
     its image (the first two columns) together span Q^4."""

@@ -4,7 +4,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from jsonschema.validators import validator_for
 
+from displacement import serialize
 from displacement.checkers import WitnessCertificate
 from displacement.core import PropertyReport
 from displacement.hnn import binate_presentation
@@ -72,6 +74,27 @@ def test_schema_loads_and_validates():
         parse_scenario({"checks": []})  # must list at least one check
     with pytest.raises(ScenarioError):
         parse_scenario({"checks": [{"id": "a", "type": "mitosis"}], "extra": 1})
+
+
+def test_shipped_schema_passes_its_metaschema():
+    schema = load_schema()
+    validator_for(schema).check_schema(schema)  # raises SchemaError if not
+
+
+def test_second_parse_reuses_the_validator(monkeypatch):
+    """The schema is checked and its validator built once per process."""
+    serialize._scenario_validator.cache_clear()
+    loads = []
+    monkeypatch.setattr(serialize, "load_schema", lambda: loads.append(1) or load_schema())
+    good = {"checks": [{"id": "a", "type": "mitosis"}]}
+    assert parse_scenario(good) == good
+    first = serialize._scenario_validator()
+    with pytest.raises(ScenarioError, match="'id' is a required property"):
+        parse_scenario({"checks": [{"type": "mitosis"}]})
+    assert parse_scenario(good) == good
+    assert serialize._scenario_validator() is first
+    assert len(loads) == 1
+    serialize._scenario_validator.cache_clear()
 
 
 def test_parse_scenario_from_file(tmp_path):

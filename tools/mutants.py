@@ -50,6 +50,7 @@ class Mutant:
 MATRIX_TESTS = ("tests/test_matrices.py", "tests/test_matrices_sympy.py")
 PL_TESTS = ("tests/test_plmaps.py",)
 DESCENT_TESTS = ("tests/test_hnn.py", "-k", "descent")
+ENGINE_TESTS = ("tests/test_hnn.py", "-k", "engine")
 
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
@@ -109,6 +110,22 @@ MUTANTS: Tuple[Mutant, ...] = (
         "a = pres.mul(pres.mul(pres.inv(r), c), r)",
         "a = pres.mul(pres.mul(r, c), pres.inv(r))",
         DESCENT_TESTS,
+    ),
+    Mutant(
+        "stack-pass-skips-retest-after-pinch", "hnn.py",
+        "top = stack[-1] = (y, g, mul(b, merged))",
+        "stack[-1] = (y, g, mul(b, merged)); top = None",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "word-mul-without-seam-reduction", "hnn.py",
+        "b0 = _push_letters(pres, b0, stack, lv)", "stack.extend(lv)", ENGINE_TESTS,
+    ),
+    Mutant(
+        "push-table-from-phi", "hnn.py",
+        '("B", self._in_B[x], self._phi_inv[x]),',
+        '("B", self._in_B[x], self._phi[x]),',
+        ENGINE_TESTS,
     ),
 )
 
