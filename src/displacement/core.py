@@ -54,8 +54,8 @@ def commutes(a, b) -> bool:
     is exact because equality is canonical in every realization: image
     tuples (permutations), sorted supports with reduced shifts (wreath),
     reduced and trimmed (num, den) pairs (matrices), merged and reduced
-    (pts, den) pairs (PL maps), normal forms (Britton words), freely
-    reduced words, and componentwise (products)."""
+    (pts, den) pairs (PL maps), normal forms (Britton words), and
+    componentwise (products)."""
     return a * b == b * a
 
 

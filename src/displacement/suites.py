@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import checkers, hnn, matrices, plmaps, wreath
 from .core import (
@@ -24,7 +24,7 @@ from .core import (
     element_order,
 )
 from .perms import symmetric_group
-from .serialize import to_jsonable
+from .serialize import ScenarioError, to_jsonable
 
 DEFAULT_BOUNDS = {"budget": 10**7, "radius": 3}
 
@@ -32,15 +32,18 @@ DEFAULT_BOUNDS = {"budget": 10**7, "radius": 3}
 # looks runners up here at call time
 CHECK_TYPES: Dict[str, Callable[..., PropertyReport]] = {}
 DEFAULT_EXPECT: Dict[str, str] = {}
+REQUIRED_PARAMS: Dict[str, Tuple[str, ...]] = {}
 
 
-def check_type(name: str, expect: str = "pass"):
+def check_type(name: str, expect: str = "pass", required: Tuple[str, ...] = ()):
     """Register a runner under its scenario type name, together with the
-    verdict a check of that type is expected to reach by default."""
+    verdict a check of that type is expected to reach by default and the
+    params a scenario must give it."""
 
     def register(fn):
         CHECK_TYPES[name] = fn
         DEFAULT_EXPECT[name] = expect
+        REQUIRED_PARAMS[name] = required
         return fn
 
     return register
@@ -70,14 +73,14 @@ def _tower(params) -> wreath.TowerSpec:
 # -- check implementations ----------------------------------------------
 
 
-@check_type("wreath-zn-witness")
+@check_type("wreath-zn-witness", required=("orders", "level", "p"))
 def run_wreath_zn_witness(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
     _, rep = wreath.zn_witness(tower, tower.base, params["level"], params["p"])
     return rep
 
 
-@check_type("wreath-brute-search", expect="none")
+@check_type("wreath-brute-search", expect="none", required=("orders", "level", "p"))
 def run_wreath_brute_search(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
     level = params["level"]
@@ -90,7 +93,7 @@ def run_wreath_brute_search(params, bounds, rng) -> PropertyReport:
     return PropertyReport(desc, "some", (f"witness found among {size} elements",), t)
 
 
-@check_type("wreath-torsion-exhaustive")
+@check_type("wreath-torsion-exhaustive", required=("orders", "level"))
 def run_wreath_torsion_exhaustive(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
     level = params["level"]
@@ -110,7 +113,7 @@ def run_wreath_torsion_exhaustive(params, bounds, rng) -> PropertyReport:
     )
 
 
-@check_type("sym-zn-witness")
+@check_type("sym-zn-witness", required=("n",))
 def run_sym_zn_witness(params, bounds, rng) -> PropertyReport:
     H = symmetric_group(params.get("degree", 3))
     _, rep = wreath.sym_zn_witness(H, params["n"])
@@ -363,13 +366,13 @@ def run_britton_engine(params, bounds, rng) -> PropertyReport:
                 return PropertyReport.failing(desc, "reduced 1-letter word is trivial", word)
             count += 1
     detail.append(f"all {count} reduced one-stable-letter words are nontrivial")
-    # confluence under randomized pinch orders
+    # confluence under randomized pinch orders (both results are reduced)
     for pres in (b_pres, m_pres):
         for k in range(samples):
             w = _random_britton_word(rng, pres, 6)
             first = hnn.britton_reduce(pres, w)
             second = hnn.britton_reduce(pres, w, rng=rng)
-            if hnn.normal_form(pres, first) != hnn.normal_form(pres, second):
+            if hnn.reduced_normal_form(pres, first) != hnn.reduced_normal_form(pres, second):
                 return PropertyReport.failing(desc, f"confluence breaks at sample {k}", w)
             quot = hnn.word_mul(pres, first, hnn.word_inv(pres, second))
             if not hnn.is_identity(pres, quot):
@@ -432,7 +435,7 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
     return PropertyReport.passing(desc, detail)
 
 
-@check_type("cc-search-b1", expect="none")
+@check_type("cc-search-b1", expect="none", required=("max_letters",))
 def run_cc_search_b1(params, bounds, rng) -> PropertyReport:
     base = symmetric_group(params.get("degree", 3))
     return hnn.cc_witness_search_b1(base, params["max_letters"], bounds["budget"])
@@ -651,8 +654,12 @@ def run_checks(checks: List[dict], bounds: dict, seed: int) -> dict:
     merged_bounds = dict(DEFAULT_BOUNDS)
     merged_bounds.update(bounds or {})
     for check in checks:
-        if check["type"] not in CHECK_TYPES:
-            raise ValueError(f"unknown check type {check['type']!r}")
+        ctype = check["type"]
+        if ctype not in CHECK_TYPES:
+            raise ValueError(f"unknown check type {ctype!r}")
+        missing = [p for p in REQUIRED_PARAMS[ctype] if p not in check.get("params", {})]
+        if missing:
+            raise ScenarioError(f"check {check['id']!r} lacks params: {', '.join(missing)}")
     results = [_run_one(c, merged_bounds, seed) for c in checks]
     ok = sum(1 for r in results if r["ok"])
     return {

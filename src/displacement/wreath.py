@@ -3,15 +3,15 @@
 Level 0 of a tower is a finite permutation group given by generators;
 level i+1 is (level i) wr Z/n_{i+1} with the top group acting by
 translating coordinates: (f, k)(g, l) = (f . k|>g, k+l) where
-(k|>g)(x) = g(x - k).  Only finite levels are ever materialized; the
-sequence of top orders comes from a lazy rule.
+(k|>g)(x) = g(x - k).  Every level is finite: its top order comes from
+an explicit prefix of orders.
 
 Every wreath context carries ``lower``, the context one level below.
 ``WreathElement(...)`` rejects duplicate indices and values outside
 ``lower``; products (one merge of the two supports), inverses and
 enumerated elements share its normalization but skip its checks.
 Tower contexts are built once per tower and level and compare by
-identity; a ``ZWreathContext`` is not interned and compares by ``lower``.
+identity.
 """
 
 from __future__ import annotations
@@ -35,23 +35,11 @@ from .perms import Permutation, SymmetricGroupContext
 SEARCH_BUDGET = 10**7
 
 
-def _primes():
-    n = 2
-    while True:
-        if all(n % p for p in range(2, int(n**0.5) + 1)):
-            yield n
-        n += 1
-
-
 class TowerSpec:
     """Base group plus the sequence of cyclic top orders.
 
-    ``rule`` is one of:
-      ("prefix", (n1, n2, ...))      -- explicit finite prefix
-      ("constant", c)                -- n_i = c for all i
-      ("primes",)                    -- n_i = i-th prime (increasing primes)
-      ("prime-products", (p1, ...))  -- n_i = p1 * ... * p_i for the given
-                                        increasing primes, cycled as needed
+    ``rule`` is ("prefix", (n1, n2, ...)): level i has top Z/n_i, for
+    every level the prefix covers.
     """
 
     def __init__(self, base: FgSubgroup, rule: tuple, label: str = ""):
@@ -68,22 +56,12 @@ class TowerSpec:
         if i < 1:
             raise ValueError("levels are 1-based")
         kind = self.rule[0]
-        if kind == "prefix":
-            seq = self.rule[1]
-            if i > len(seq):
-                raise ValueError(f"prefix of length {len(seq)} has no n_{i}")
-            value = seq[i - 1]
-        elif kind == "constant":
-            value = self.rule[1]
-        elif kind == "primes":
-            value = next(itertools.islice(_primes(), i - 1, None))
-        elif kind == "prime-products":
-            ps = self.rule[1]
-            value = 1
-            for j in range(i):
-                value *= ps[j % len(ps)]
-        else:
+        if kind != "prefix":
             raise ValueError(f"unknown rule {kind!r}")
+        seq = self.rule[1]
+        if i > len(seq):
+            raise ValueError(f"prefix of length {len(seq)} has no n_{i}")
+        value = seq[i - 1]
         if value < 2:
             raise ValueError(f"n_{i} = {value} < 2")
         return value
@@ -119,40 +97,12 @@ class WreathContext:
     def __repr__(self):
         return f"{self.tower.label}[level {self.level}]"
 
-    def reduce(self, idx: int) -> int:
-        """A coordinate or shift in canonical form, reduced mod n."""
-        return idx % self.top_order
-
     @property
     def identity(self) -> "WreathElement":
         return WreathElement._trusted(self, 0, {})
 
     def shift_generator(self) -> "WreathElement":
         return WreathElement._trusted(self, 1, {})
-
-
-class ZWreathContext(WreathContext):
-    """A restricted wreath product (lower group) wr Z: unbounded integer
-    shifts, finite support maps.  Not enumerable; not tied to a tower,
-    and not interned, so it compares by its lower group."""
-
-    top_order = None
-
-    def __init__(self, lower, label: str = ""):
-        self.lower = lower
-        self.label = label or f"{lower!r} wr Z"
-
-    def __eq__(self, other):
-        return isinstance(other, ZWreathContext) and self.lower == other.lower
-
-    def __hash__(self):
-        return hash(("z-wreath", self.lower))
-
-    def __repr__(self):
-        return self.label
-
-    def reduce(self, idx: int) -> int:
-        return idx
 
 
 class WreathElement:
@@ -165,11 +115,12 @@ class WreathElement:
     __slots__ = ("context", "shift", "support")
 
     def __init__(self, context: WreathContext, shift: int, support):
+        n = context.top_order
         values: Dict[int, object] = {}
         for idx, val in support:
             if val.context != context.lower:
                 raise ContextMismatchError(f"{val!r} does not live in {context.lower!r}")
-            idx = context.reduce(idx)
+            idx %= n
             if idx in values:
                 raise ValueError(f"duplicate support index {idx}")
             values[idx] = val
@@ -190,13 +141,13 @@ class WreathElement:
         """The canonical form: identity values dropped, the shift reduced,
         the support sorted by index."""
         self.context = context
-        self.shift = context.reduce(shift)
+        self.shift = shift % context.top_order
         self.support = tuple(
             sorted((i, v) for i, v in values.items() if not v.is_identity())
         )
 
     def value_at(self, idx: int):
-        idx = self.context.reduce(idx)
+        idx %= self.context.top_order
         for i, v in self.support:
             if i == idx:
                 return v
@@ -207,20 +158,20 @@ class WreathElement:
             return NotImplemented
         if self.context != other.context:
             raise ContextMismatchError("wreath elements of different levels/towers")
-        reduce = self.context.reduce
+        n = self.context.top_order
         k = self.shift
         # (f, k)(g, l) has value f(m) * g(m - k) at m: fold g into f
         values = dict(self.support)
         for i, v in other.support:
-            m = reduce(i + k)
+            m = (i + k) % n
             u = values.get(m)
             values[m] = v if u is None else u * v
         return WreathElement._trusted(self.context, k + other.shift, values)
 
     def inverse(self) -> "WreathElement":
-        reduce = self.context.reduce
+        n = self.context.top_order
         k = self.shift
-        values = {reduce(i - k): v.inverse() for i, v in self.support}
+        values = {(i - k) % n: v.inverse() for i, v in self.support}
         return WreathElement._trusted(self.context, -k, values)
 
     def is_identity(self) -> bool:
@@ -297,8 +248,6 @@ def realize_permutation(w: WreathElement) -> Permutation:
     point (j, x) maps to (j + k, f_{j+k}(x))."""
     ctx = w.context
     n = ctx.top_order
-    if n is None:
-        raise ValueError("Z-top wreath elements have no finite realization")
     if ctx.level == 1:
         lower_degree = ctx.lower.degree
         realize_lower = lambda p: p

@@ -127,6 +127,34 @@ def test_builtin_bass_serre_check_runs_as_a_scenario(capsys, tmp_path):
     assert main(["--scenario", path]) == 0
 
 
+# check type -> a complete set of params; each one is required
+COMPLETE_PARAMS = {
+    "wreath-zn-witness": {"orders": [2], "level": 1, "p": 2},
+    "wreath-brute-search": {"orders": [2], "level": 1, "p": 2},
+    "wreath-torsion-exhaustive": {"orders": [2], "level": 1},
+    "sym-zn-witness": {"n": 2},
+    "cc-search-b1": {"max_letters": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "ctype, missing",
+    [(ctype, p) for ctype, params in COMPLETE_PARAMS.items() for p in params],
+)
+def test_missing_required_param_exits_two(tmp_path, ctype, missing):
+    params = {k: v for k, v in COMPLETE_PARAMS[ctype].items() if k != missing}
+    path = write_scenario(
+        tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "displacement", "--scenario", path],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert missing in run.stderr and "'x'" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_check_type_registry_matches_the_schema():
     items = load_schema()["properties"]["checks"]["items"]
     enum = items["properties"]["type"]["enum"]

@@ -5,12 +5,11 @@ realization: ``commutes`` against the commutator oracle, and
 import pytest
 
 from displacement.core import FgSubgroup, ProductContext, commutator, commutes, conj
-from displacement.freewords import FreeGroupContext
 from displacement.hnn import binate_presentation, mitosis_presentation
 from displacement.matrices import GLContext, RationalMatrix
 from displacement.perms import Permutation, symmetric_group
 from displacement.plmaps import thompson_generators
-from displacement.wreath import TowerSpec, ZWreathContext, embed_level
+from displacement.wreath import TowerSpec, embed_level
 
 S3 = symmetric_group(3)
 E3 = S3.context.identity
@@ -24,13 +23,6 @@ def _wreath_level2():
     ctx = tower.context(2)
     a = embed_level(embed_level(SWAP, tower.context(1)), ctx)
     return a, ctx.shift_generator()
-
-
-def _z_wreath_free():
-    F = FreeGroupContext(2)
-    ctx = ZWreathContext(F)
-    a = embed_level(F.generator(1), ctx)
-    return a, ctx.shift_generator() * embed_level(F.generator(2), ctx)
 
 
 def _britton(make, letter):
@@ -50,7 +42,6 @@ def _product():
 NON_COMMUTING = {
     "permutation": lambda: (SWAP, OTHER_SWAP),
     "wreath-level-2": _wreath_level2,
-    "z-wreath-over-F2": _z_wreath_free,
     "rational-matrix": lambda: (
         RationalMatrix([[1, 1], [0, 1]]),
         RationalMatrix([[1, 0], [1, 1]]),
@@ -58,7 +49,6 @@ NON_COMMUTING = {
     "pl-homeo": thompson_generators,
     "britton-b(Sym3)": lambda: _britton(binate_presentation, "d"),
     "britton-m(Sym3)": lambda: _britton(mitosis_presentation, "s"),
-    "free-word": lambda: tuple(FreeGroupContext(2).generator(i) for i in (1, 2)),
     "product": _product,
 }
 

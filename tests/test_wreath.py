@@ -9,15 +9,13 @@ from displacement.core import (
     BudgetExceededError,
     ContextMismatchError,
     FgSubgroup,
-    commutator,
     element_order,
 )
-from displacement.freewords import FreeGroupContext, free_group
+from displacement.matrices import RationalMatrix
 from displacement.perms import Permutation, symmetric_group
 from displacement.wreath import (
     TowerSpec,
     WreathElement,
-    ZWreathContext,
     brute_search_zp_witness,
     embed_level,
     embed_subgroup,
@@ -50,13 +48,11 @@ def random_element(rng, tower, level):
 
 
 def test_rule_variants():
-    base = symmetric_group(3)
-    assert TowerSpec(base, ("constant", 5)).n(3) == 5
-    assert TowerSpec(base, ("primes",)).n(4) == 7
-    pp = TowerSpec(base, ("prime-products", (2, 3, 5)))
-    assert pp.n(1) == 2 and pp.n(2) == 6 and pp.n(3) == 30
+    assert s3_tower([2, 5]).n(2) == 5
     with pytest.raises(ValueError):
         s3_tower([2]).n(2)
+    with pytest.raises(ValueError):
+        TowerSpec(symmetric_group(3), ("constant", 5)).n(1)
 
 
 def test_mul_against_permutation_realization():
@@ -141,14 +137,6 @@ def test_zn_witness_with_composite_top():
         zn_witness(tower, tower.base, 1, 3)  # 3 does not divide 4
 
 
-def test_zn_witness_free_base():
-    """The witness construction needs no finite base: free-group bases
-    check the same generator-level conditions."""
-    tower = TowerSpec(free_group(2), ("prefix", (2,)))
-    cert, rep = zn_witness(tower, tower.base, 1, 2)
-    assert rep.ok
-
-
 def test_brute_search():
     tower = s3_tower([2])
     H = embed_subgroup(symmetric_group(3), tower, 1)
@@ -199,29 +187,13 @@ def test_sym_zn_witness():
     assert element_order(t) == 3
 
 
-def test_z_top_wreath():
-    ctx = ZWreathContext(symmetric_group(3).context)
-    t = ctx.shift_generator()
-    a = embed_level(Permutation.from_cycles(3, [(1, 2)]), ctx)
-    # shifts accumulate without wrapping
-    p = t
-    for _ in range(9):
-        p = p * t
-    assert p.shift == 10
-    moved = p * a * p.inverse()
-    assert moved.support[0][0] == 10
-    assert commutator(a, moved).is_identity()
-    with pytest.raises(ValueError):
-        realize_permutation(t)
-
-
 def test_constructor_rejects_values_outside_the_level_below():
     tower = s3_tower([2, 2])
     ctx1, ctx2 = tower.context(1), tower.context(2)
     with pytest.raises(ContextMismatchError):
         WreathElement(ctx1, 0, [(0, Permutation.from_cycles(4, [(1, 2)]))])
     with pytest.raises(ContextMismatchError):
-        WreathElement(ctx1, 0, [(0, FreeGroupContext(2).generator(1))])
+        WreathElement(ctx1, 0, [(0, RationalMatrix([[1, 1], [0, 1]]))])
     with pytest.raises(ContextMismatchError):
         WreathElement(ctx1, 0, [(1, symmetric_group(4).context.identity)])
     with pytest.raises(ContextMismatchError):
@@ -239,19 +211,14 @@ def test_constructor_rejects_values_outside_the_level_below():
 def reference_element(ctx, shift, values):
     """(shift, support) in canonical form, from a map index -> value."""
     n = ctx.top_order
-    reduce = (lambda x: x) if n is None else (lambda x: x % n)
-    support = sorted(
-        (reduce(m), v) for m, v in values.items() if not v.is_identity()
-    )
-    return reduce(shift), tuple(support)
+    support = sorted((m % n, v) for m, v in values.items() if not v.is_identity())
+    return shift % n, tuple(support)
 
 
 def reference_mul(a, b):
     """(f, k)(g, l) = (m -> f(m) * g(m - k), k + l), point by point."""
     k, n = a.shift, a.context.top_order
-    indices = {i for i, _ in a.support} | {i + k for i, _ in b.support}
-    if n is not None:
-        indices = {m % n for m in indices}
+    indices = {i % n for i, _ in a.support} | {(i + k) % n for i, _ in b.support}
     values = {m: a.value_at(m) * b.value_at(m - k) for m in indices}
     return reference_element(a.context, k + b.shift, values)
 
@@ -259,9 +226,7 @@ def reference_mul(a, b):
 def reference_inverse(a):
     """(f, k)^-1 = (m -> f(m + k)^-1, -k), point by point."""
     k, n = a.shift, a.context.top_order
-    indices = {i - k for i, _ in a.support}
-    if n is not None:
-        indices = {m % n for m in indices}
+    indices = {(i - k) % n for i, _ in a.support}
     values = {m: a.value_at(m + k).inverse() for m in indices}
     return reference_element(a.context, -k, values)
 
@@ -271,45 +236,33 @@ def assert_canonical(w):
     indices = [i for i, _ in w.support]
     assert indices == sorted(set(indices))
     assert not any(v.is_identity() for _, v in w.support)
-    if n is not None:
-        assert 0 <= w.shift < n and all(0 <= i < n for i in indices)
+    assert 0 <= w.shift < n and all(0 <= i < n for i in indices)
     assert WreathElement(w.context, w.shift, w.support) == w
 
 
 def random_over(rng, ctx, pick_value, spread=3):
     """A random element of ctx with values drawn by pick_value, distinct
-    indices and a shift, unreduced, in -spread..spread."""
+    residues as indices, each unreduced by up to one multiple of n, and
+    a shift, unreduced, in -spread..spread."""
     n = ctx.top_order
-    if n is None:
-        indices = rng.sample(range(-spread, spread + 1), rng.randrange(4))
-    else:
-        residues = rng.sample(range(n), rng.randrange(n + 1))
-        indices = [i + n * rng.randrange(-1, 2) for i in residues]
-    support = [(i, pick_value()) for i in indices]
+    residues = rng.sample(range(n), rng.randrange(n + 1))
+    support = [(i + n * rng.randrange(-1, 2), pick_value()) for i in residues]
     return WreathElement(ctx, rng.randrange(-spread, spread + 1), support)
 
 
 def test_mul_and_inverse_against_pointwise_formula():
-    """Oracle for the contexts the permutation realization cannot check:
-    a Z top and a free-group base."""
+    """Oracle independent of the permutation realization: products and
+    inverses at both levels of a Sym(3) tower against the pointwise
+    formula, from unreduced indices and shifts."""
     rng = random.Random(17)
-    F = FreeGroupContext(2)
-    a, b = F.generator(1), F.generator(2)
-    letters = [a, b, a.inverse(), b.inverse(), a * b]
-    s3 = s3_tower([2]).base_elements()
-    free_tower = TowerSpec(free_group(2), ("prefix", (2, 3)))
-    ctx1, ctx2 = free_tower.context(1), free_tower.context(2)
+    tower = s3_tower([2, 3])
+    s3 = tower.base_elements()
+    ctx1, ctx2 = tower.context(1), tower.context(2)
 
-    def free_level1():
-        return random_over(rng, ctx1, lambda: rng.choice(letters))
+    def level1():
+        return random_over(rng, ctx1, lambda: rng.choice(s3))
 
-    cases = [
-        (ZWreathContext(symmetric_group(3).context), lambda: rng.choice(s3)),
-        (ZWreathContext(F), lambda: rng.choice(letters)),
-        (ctx1, lambda: rng.choice(letters)),
-        (ctx2, free_level1),
-    ]
-    for ctx, pick_value in cases:
+    for ctx, pick_value in [(ctx1, lambda: rng.choice(s3)), (ctx2, level1)]:
         for _ in range(150):
             x = random_over(rng, ctx, pick_value)
             y = random_over(rng, ctx, pick_value)

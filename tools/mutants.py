@@ -51,6 +51,9 @@ MATRIX_TESTS = ("tests/test_matrices.py", "tests/test_matrices_sympy.py")
 PL_TESTS = ("tests/test_plmaps.py",)
 DESCENT_TESTS = ("tests/test_hnn.py", "-k", "descent")
 ENGINE_TESTS = ("tests/test_hnn.py", "-k", "engine")
+WREATH_TESTS = ("tests/test_wreath.py",)
+COMMUTES_TESTS = ("tests/test_commutes.py",)
+CHECKER_TESTS = ("tests/test_checkers.py", "tests/test_wreath.py")
 
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
@@ -126,6 +129,52 @@ MUTANTS: Tuple[Mutant, ...] = (
         '("B", self._in_B[x], self._phi_inv[x]),',
         '("B", self._in_B[x], self._phi[x]),',
         ENGINE_TESTS,
+    ),
+    Mutant(
+        "wreath-merge-factors-swapped", "wreath.py",
+        "values[m] = v if u is None else u * v",
+        "values[m] = v if u is None else v * u",
+        WREATH_TESTS,
+    ),
+    Mutant(
+        "wreath-merge-shifts-backwards", "wreath.py",
+        "m = (i + k) % n", "m = (i - k) % n", WREATH_TESTS,
+    ),
+    Mutant(
+        "commutes-always-true", "core.py",
+        "return a * b == b * a", "return True", COMMUTES_TESTS,
+    ),
+    Mutant(
+        "conjugate-by-the-inverse", "core.py",
+        "K.generators = tuple(t * g * t_inv for g in self.generators)",
+        "K.generators = tuple(t_inv * g * t for g in self.generators)",
+        COMMUTES_TESTS,
+    ),
+    Mutant(
+        "tree-walk-without-pinch-back-skip", "hnn.py",
+        "if r == back:", "if False:", ("tests/test_hnn.py",),
+    ),
+    Mutant(
+        "cznc-power-loop-one-short", "checkers.py",
+        "failure, tn = _conjugates_commute(H, t, desc, n)",
+        "failure, tn = _conjugates_commute(H, t, desc, n - 1)",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "czc-power-loop-one-short", "checkers.py",
+        "failure, _ = _conjugates_commute(H, t, desc, p_max + 1)",
+        "failure, _ = _conjugates_commute(H, t, desc, p_max)",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "czc-claims-an-unbounded-pass", "checkers.py",
+        'return PropertyReport.bounded(desc, [f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])',
+        'return PropertyReport.passing(desc, [f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])',
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "brute-search-verdicts-swapped", "suites.py",
+        "if t is None:", "if t is not None:", ("tests/test_cli.py",),
     ),
 )
 
