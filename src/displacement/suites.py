@@ -33,17 +33,27 @@ DEFAULT_BOUNDS = {"budget": 10**7, "radius": 3}
 CHECK_TYPES: Dict[str, Callable[..., PropertyReport]] = {}
 DEFAULT_EXPECT: Dict[str, str] = {}
 REQUIRED_PARAMS: Dict[str, Tuple[str, ...]] = {}
+# scenario type name -> params -> what makes them meaningless, or None
+MEANING: Dict[str, Callable[[dict], Optional[str]]] = {}
 
 
-def check_type(name: str, expect: str = "pass", required: Tuple[str, ...] = ()):
+def check_type(
+    name: str,
+    expect: str = "pass",
+    required: Tuple[str, ...] = (),
+    meaning: Optional[Callable[[dict], Optional[str]]] = None,
+):
     """Register a runner under its scenario type name, together with the
-    verdict a check of that type is expected to reach by default and the
-    params a scenario must give it."""
+    verdict a check of that type is expected to reach by default, the
+    params a scenario must give it and, with ``meaning``, a test of
+    those params that ``run_checks`` applies before any check runs."""
 
     def register(fn):
         CHECK_TYPES[name] = fn
         DEFAULT_EXPECT[name] = expect
         REQUIRED_PARAMS[name] = required
+        if meaning is not None:
+            MEANING[name] = meaning
         return fn
 
     return register
@@ -70,17 +80,41 @@ def _tower(params) -> wreath.TowerSpec:
     return wreath.TowerSpec(base, ("prefix", tuple(params["orders"])))
 
 
+def _level_in_orders(params) -> Optional[str]:
+    level, orders = params["level"], params["orders"]
+    if level > len(orders):
+        return f"level {level} needs {level} orders, got {len(orders)}"
+    return None
+
+
+def _p_divides_top_order(params) -> Optional[str]:
+    problem = _level_in_orders(params)
+    if problem is None:
+        level, p = params["level"], params["p"]
+        n = params["orders"][level - 1]
+        if n % p:
+            return f"p = {p} does not divide n_{level} = {n}"
+    return problem
+
+
 # -- check implementations ----------------------------------------------
 
 
-@check_type("wreath-zn-witness", required=("orders", "level", "p"))
+@check_type(
+    "wreath-zn-witness", required=("orders", "level", "p"), meaning=_p_divides_top_order
+)
 def run_wreath_zn_witness(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
     _, rep = wreath.zn_witness(tower, tower.base, params["level"], params["p"])
     return rep
 
 
-@check_type("wreath-brute-search", expect="none", required=("orders", "level", "p"))
+@check_type(
+    "wreath-brute-search",
+    expect="none",
+    required=("orders", "level", "p"),
+    meaning=_level_in_orders,
+)
 def run_wreath_brute_search(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
     level = params["level"]
@@ -89,18 +123,26 @@ def run_wreath_brute_search(params, bounds, rng) -> PropertyReport:
     t = wreath.brute_search_zp_witness(tower, level, H, params["p"], bounds["budget"])
     desc = "wreath-brute-search"
     if t is None:
-        return PropertyReport(desc, "none", (f"exhausted all {size} elements, no witness",))
+        through = ""
+        if wreath.base_normalizes(tower, level, H):
+            orbits = len(wreath.base_conjugacy_representatives(tower, bounds["budget"]))
+            through = f" through {orbits} base-group conjugacy orbits"
+        line = f"exhausted all {size} elements{through}, no witness"
+        return PropertyReport(desc, "none", (line,))
     return PropertyReport(desc, "some", (f"witness found among {size} elements",), t)
 
 
-@check_type("wreath-torsion-exhaustive", required=("orders", "level"))
+@check_type(
+    "wreath-torsion-exhaustive", required=("orders", "level"), meaning=_level_in_orders
+)
 def run_wreath_torsion_exhaustive(params, bounds, rng) -> PropertyReport:
     tower = _tower(params)
     level = params["level"]
     H = wreath.embed_subgroup(tower.base, tower, level)
     desc = "wreath-torsion-exhaustive"
+    size = wreath.level_order(tower, level, bounds["budget"])
     count = 0
-    for t in wreath.enumerate_level(tower, level, bounds["budget"]):
+    for t in wreath.search_candidates(tower, level, H, bounds["budget"]):
         order = element_order(t)
         rep = checkers.check_czc(H, t, order)
         if rep.ok:
@@ -108,9 +150,10 @@ def run_wreath_torsion_exhaustive(params, bounds, rng) -> PropertyReport:
                 desc, f"t of order {order} passes the Z-conjugate conditions", t
             )
         count += 1
-    return PropertyReport.passing(
-        desc, [f"all {count} elements fail the Z-conjugate conditions at p <= ord(t)"]
-    )
+    line = f"all {size} elements fail the Z-conjugate conditions at p <= ord(t)"
+    if wreath.base_normalizes(tower, level, H):
+        line += f", checked on {count} base-group conjugacy orbits"
+    return PropertyReport.passing(desc, [line])
 
 
 @check_type("sym-zn-witness", required=("n",))
@@ -656,10 +699,14 @@ def run_checks(checks: List[dict], bounds: dict, seed: int) -> dict:
     for check in checks:
         ctype = check["type"]
         if ctype not in CHECK_TYPES:
-            raise ValueError(f"unknown check type {ctype!r}")
-        missing = [p for p in REQUIRED_PARAMS[ctype] if p not in check.get("params", {})]
+            raise ScenarioError(f"check {check['id']!r} has unknown type {ctype!r}")
+        params = check.get("params", {})
+        missing = [p for p in REQUIRED_PARAMS[ctype] if p not in params]
         if missing:
             raise ScenarioError(f"check {check['id']!r} lacks params: {', '.join(missing)}")
+        problem = MEANING[ctype](params) if ctype in MEANING else None
+        if problem is not None:
+            raise ScenarioError(f"check {check['id']!r}: {problem}")
     results = [_run_one(c, merged_bounds, seed) for c in checks]
     ok = sum(1 for r in results if r["ok"])
     return {

@@ -17,6 +17,7 @@ identity.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from typing import Dict, List, Optional
 
 from .checkers import WitnessCertificate, check_cznc
@@ -50,6 +51,7 @@ class TowerSpec:
         self.label = label or f"{base.label} tower {rule!r}"
         self._contexts: Dict[int, "WreathContext"] = {}
         self._base_elems: Optional[List[Permutation]] = None
+        self._orbit_reps: Optional[List["WreathElement"]] = None
 
     def n(self, i: int) -> int:
         """Top order of level i (1-based)."""
@@ -79,6 +81,27 @@ class TowerSpec:
             elems = enumerate_subgroup(list(self.base.generators), budget)
             self._base_elems = sorted(elems, key=lambda p: p.images)
         return self._base_elems
+
+    def class_minima(self, budget: int = SEARCH_BUDGET) -> List[Permutation]:
+        """The least element of each conjugacy class of the base group,
+        in the order of ``base_elements``.  Elements are visited in that
+        order, so the first element of each class is its minimum."""
+        gens = [(s, s.inverse()) for s in self.base.generators]
+        seen = set()
+        minima = []
+        for g in self.base_elements(budget):
+            if g in seen:
+                continue
+            cls = [g]
+            seen.add(g)
+            for x in cls:  # closure under conjugation by the generators
+                for s, s_inv in gens:
+                    y = s * x * s_inv
+                    if y not in seen:
+                        seen.add(y)
+                        cls.append(y)
+            minima.append(cls[0])
+        return minima
 
     def __repr__(self):
         return f"TowerSpec({self.label})"
@@ -226,8 +249,13 @@ def level_order(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET) -> in
 
 
 def enumerate_level(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET):
-    """Yield every element of a finite wreath level in canonical order
-    (lexicographic in the support tuple, then by shift)."""
+    """Yield every element of a finite wreath level in canonical order:
+    lexicographic in the values at coordinates 0, 1, ..., n-1 (each
+    ordered as the level below enumerates it), then by shift.
+
+    This is the raw space.  The level-1 searches walk it only when the
+    base group does not normalize H; otherwise they walk
+    ``base_conjugacy_representatives``, its least elements per orbit."""
     level_order(tower, level, budget)
     if level == 0:
         yield from tower.base_elements(budget)
@@ -239,6 +267,68 @@ def enumerate_level(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET):
         values = dict(enumerate(values))
         for shift in range(n):
             yield WreathElement._trusted(ctx, shift, values)
+
+
+def base_conjugacy_representatives(
+    tower: TowerSpec, budget: int = SEARCH_BUDGET
+) -> List[WreathElement]:
+    """One element of level 1 per orbit of the base group B = G^n acting
+    by conjugation, each the least of its orbit in canonical order, and
+    sorted in that order.
+
+    Conjugating (f, k) by b in B gives m -> b(m) f(m) b(m - k)^-1, so the
+    orbit of (f, k) is fixed by k and by the conjugacy class in G of the
+    product of f along each of the d = gcd(k, n) cycles of i -> i + k
+    (the classes of a wreath product, James-Kerber, ch. 4).  Cycle c is
+    the residue class of c mod d; its least representative puts the
+    class minimum at the cycle's greatest point n - d + c and the
+    identity everywhere else.  That gives sum_k c^gcd(k, n) elements for
+    c conjugacy classes of G."""
+    level_order(tower, 1, budget)
+    if tower._orbit_reps is None:
+        ctx = tower.context(1)
+        n = ctx.top_order
+        rank = {g: i for i, g in enumerate(tower.base_elements(budget))}
+        minima = tower.class_minima(budget)
+        keyed = []
+        for k in range(n):
+            d = gcd(k, n)
+            for choice in itertools.product(minima, repeat=d):
+                values = {n - d + c: g for c, g in enumerate(choice)}
+                keyed.append(([0] * (n - d) + [rank[g] for g in choice], k, values))
+        keyed.sort(key=lambda item: item[:2])
+        tower._orbit_reps = [WreathElement._trusted(ctx, k, v) for _, k, v in keyed]
+    return tower._orbit_reps
+
+
+def base_normalizes(tower: TowerSpec, level: int, H: FgSubgroup) -> bool:
+    """Whether the base group B = G^n of level 1 normalizes H: H lives
+    at level 1 at coordinate 0, and its values there generate a normal
+    subgroup of G.  Then B-conjugation preserves every condition of a
+    conjugator t relative to H, and a search may test one t per orbit."""
+    if level != 1 or H.context != tower.context(1):
+        return False
+    values = []
+    for h in H.generators:
+        if h.shift or any(i != 0 for i, _ in h.support):
+            return False
+        values.append(h.value_at(0))
+    G = tower.base
+    inner = set(enumerate_subgroup([G.context.identity, *values]))
+    return all(s * x * s.inverse() in inner for s in G.generators for x in values)
+
+
+def search_candidates(
+    tower: TowerSpec, level: int, H: FgSubgroup, budget: int = SEARCH_BUDGET
+):
+    """The conjugators a search for H must test, in canonical order: the
+    least element of each base-group orbit when the base group
+    normalizes H, and every element of the level otherwise.  The first
+    t satisfying a conjugation-invariant condition is the same in both,
+    because it is the least element of its orbit."""
+    if base_normalizes(tower, level, H):
+        return base_conjugacy_representatives(tower, budget)
+    return enumerate_level(tower, level, budget)
 
 
 def realize_permutation(w: WreathElement) -> Permutation:
@@ -293,11 +383,14 @@ def brute_search_zp_witness(
     """Exhaustive search of a finite wreath level for a Z/p witness for H.
 
     Returns the first witness in canonical enumeration order, or None
-    once the whole level has been exhausted.  Errors (rather than
-    subsampling) if the level is larger than the budget."""
+    once the whole level has been exhausted.  Where the base group
+    normalizes H, exhaustive means over its conjugacy orbits: one least
+    element each, which cover the level because being a witness is
+    invariant under that conjugation (``search_candidates``).  Errors
+    (rather than subsampling) if the level is larger than the budget."""
     if H.context != tower.context(level):
         raise ContextMismatchError("H must live at the searched level")
-    for t in enumerate_level(tower, level, budget):
+    for t in search_candidates(tower, level, H, budget):
         if check_cznc(H, t, p).ok:
             return t
     return None

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from displacement.cli import main, render_text
-from displacement.serialize import load_schema
-from displacement.suites import CHECK_TYPES, DEFAULT_EXPECT, SUITES, run_suite
+from displacement.serialize import ScenarioError, load_schema
+from displacement.suites import CHECK_TYPES, DEFAULT_EXPECT, SUITES, run_checks, run_suite
 
 
 GOOD_SCENARIO = {
@@ -155,6 +155,54 @@ def test_missing_required_param_exits_two(tmp_path, ctype, missing):
     assert "Traceback" not in run.stderr
 
 
+# a check that exceeds a budget of 10 as soon as it runs (exit 3)
+OVER_BUDGET = {
+    "id": "deep",
+    "type": "wreath-brute-search",
+    "params": {"level": 2, "orders": [2, 2], "p": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            {"id": "short", "type": "wreath-torsion-exhaustive",
+             "params": {"level": 2, "orders": [3]}},
+            "check 'short': level 2 needs 2 orders, got 1",
+        ),
+        (
+            {"id": "short", "type": "wreath-brute-search",
+             "params": {"level": 3, "orders": [2, 2], "p": 2}},
+            "check 'short': level 3 needs 3 orders, got 2",
+        ),
+        (
+            {"id": "indivisible", "type": "wreath-zn-witness",
+             "params": {"level": 1, "orders": [3], "p": 2}},
+            "check 'indivisible': p = 2 does not divide n_1 = 3",
+        ),
+        (
+            {"id": "short", "type": "wreath-zn-witness",
+             "params": {"level": 2, "orders": [2], "p": 2}},
+            "check 'short': level 2 needs 2 orders, got 1",
+        ),
+    ],
+)
+def test_meaningless_wreath_params_exit_two_before_any_check_runs(
+    capsys, tmp_path, check, message
+):
+    # the over-budget check comes first: running it would exit 3
+    path = write_scenario(tmp_path, {"checks": [OVER_BUDGET, check]})
+    assert main(["--scenario", path, "--budget", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_unknown_check_type_is_a_scenario_error():
+    with pytest.raises(ScenarioError, match="check 'x' has unknown type 'no-such-type'"):
+        run_checks([{"id": "x", "type": "no-such-type"}], {}, 0)
+
+
 def test_check_type_registry_matches_the_schema():
     items = load_schema()["properties"]["checks"]["items"]
     enum = items["properties"]["type"]["enum"]
@@ -217,7 +265,7 @@ def test_render_text_shape():
 def test_every_named_suite_is_runnable():
     # smoke-run the cheap suites end to end; "all" is covered by the
     # acceptance tests
-    for name in ("mitosis", "gl-z2", "wreath-converse"):
+    for name in ("mitosis", "gl-z2", "wreath-converse", "torsion-obstruction"):
         assert name in SUITES
         report = run_suite(name)
         assert report["totals"]["violations"] == 0

@@ -1,10 +1,11 @@
 """Wreath towers: multiplication oracle, enumeration, witnesses."""
 
 import random
+from math import gcd
 
 import pytest
 
-from displacement.checkers import check_czc, verify_certificate
+from displacement.checkers import check_cznc, check_czc, verify_certificate
 from displacement.core import (
     BudgetExceededError,
     ContextMismatchError,
@@ -13,9 +14,13 @@ from displacement.core import (
 )
 from displacement.matrices import RationalMatrix
 from displacement.perms import Permutation, symmetric_group
+from displacement.serialize import to_jsonable
+from displacement.suites import CHECK_TYPES, DEFAULT_BOUNDS
 from displacement.wreath import (
     TowerSpec,
     WreathElement,
+    base_conjugacy_representatives,
+    base_normalizes,
     brute_search_zp_witness,
     embed_level,
     embed_subgroup,
@@ -23,6 +28,7 @@ from displacement.wreath import (
     enumerate_level,
     level_order,
     realize_permutation,
+    search_candidates,
     sym_zn_witness,
     zn_witness,
 )
@@ -274,3 +280,134 @@ def test_mul_and_inverse_against_pointwise_formula():
             ]:
                 assert (w.shift, w.support) == expected
                 assert_canonical(w)
+
+
+# -- the level-1 searches over base-group conjugacy orbits ----------------
+
+
+def sym_tower(degree, orders):
+    return TowerSpec(symmetric_group(degree), ("prefix", tuple(orders)))
+
+
+def raw_orbit_minima(tower):
+    """The least element, in canonical order, of each orbit of level 1
+    under conjugation by the base group, found by breadth-first search
+    with the generators of the base group: each generator of G at each
+    coordinate."""
+    ctx = tower.context(1)
+    position = {w: i for i, w in enumerate(enumerate_level(tower, 1))}
+    gens = [
+        WreathElement(ctx, 0, [(i, s)])
+        for i in range(ctx.top_order)
+        for s in tower.base.generators
+    ]
+    gens = [(b, b.inverse()) for b in gens]
+    seen = set()
+    minima = []
+    for w in position:
+        if w in seen:
+            continue
+        seen.add(w)
+        orbit = [w]
+        for x in orbit:
+            for b, b_inv in gens:
+                y = b * x * b_inv
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        minima.append(min(orbit, key=position.__getitem__))
+    return sorted(minima, key=position.__getitem__)
+
+
+def class_count(degree):
+    elems = list(enumerate_level(sym_tower(degree, [2]), 0))
+    return len({frozenset(x * g * x.inverse() for x in elems) for g in elems})
+
+
+@pytest.mark.parametrize("degree, n", [(3, 2), (3, 3), (3, 4), (4, 2)])
+def test_orbit_representatives_are_the_minima_of_a_raw_partition(degree, n):
+    tower = sym_tower(degree, [n])
+    assert base_conjugacy_representatives(tower) == raw_orbit_minima(tower)
+
+
+@pytest.mark.parametrize(
+    "degree, n", [(d, n) for d in (2, 3, 4) for n in range(2, 6) if (d, n) != (4, 5)]
+)
+def test_orbit_count_closed_form(degree, n):
+    c = class_count(degree)
+    expected = sum(c ** gcd(k, n) for k in range(n))
+    assert len(base_conjugacy_representatives(sym_tower(degree, [n]))) == expected
+
+
+def test_orbit_representatives_keep_the_budget():
+    with pytest.raises(BudgetExceededError):
+        base_conjugacy_representatives(s3_tower([3]), budget=647)
+    assert len(base_conjugacy_representatives(s3_tower([3]), budget=648)) == 33
+
+
+def first_raw(tower, passes):
+    return next((t for t in enumerate_level(tower, 1) if passes(t)), None)
+
+
+SEARCH_CASES = [(d, n, p) for d in (2, 3) for n in (2, 3, 4) for p in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("degree, n, p", SEARCH_CASES)
+def test_brute_search_agrees_with_the_raw_level(degree, n, p):
+    tower = sym_tower(degree, [n])
+    H = embed_subgroup(tower.base, tower, 1)
+    assert base_normalizes(tower, 1, H)
+    expected = first_raw(tower, lambda t: check_cznc(H, t, p).ok)
+    assert brute_search_zp_witness(tower, 1, H, p) == expected
+
+
+@pytest.mark.parametrize("degree, n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2)])
+def test_torsion_search_agrees_with_the_raw_level(degree, n):
+    tower = sym_tower(degree, [n])
+    H = embed_subgroup(tower.base, tower, 1)
+    expected = first_raw(tower, lambda t: check_czc(H, t, element_order(t)).ok)
+    params = {"degree": degree, "orders": [n], "level": 1}
+    rep = CHECK_TYPES["wreath-torsion-exhaustive"](params, DEFAULT_BOUNDS, None)
+    assert rep.verdict == ("pass" if expected is None else "fail")
+    # the runner builds its own tower, so compare the serialized forms
+    assert to_jsonable(rep.counterexample) == to_jsonable(expected)
+    if expected is None:
+        orbits = len(base_conjugacy_representatives(tower))
+        assert rep.checks == (
+            f"all {level_order(tower, 1)} elements fail the Z-conjugate conditions"
+            f" at p <= ord(t), checked on {orbits} base-group conjugacy orbits",
+        )
+
+
+def test_search_walks_the_whole_level_unless_the_base_normalizes_h():
+    """A point stabilizer Sym(3) in Sym(4) is not normal, so the base
+    group does not normalize it and the search tests every element; it
+    finds no Z/3 witness in Sym(4) wr Z/2."""
+    tower = sym_tower(4, [2])
+    stabilizer = FgSubgroup(
+        "Sym(3) in Sym(4)",
+        [Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 2, 3)])],
+    )
+    H = embed_subgroup(stabilizer, tower, 1)
+    assert not base_normalizes(tower, 1, H)
+    assert sum(1 for _ in search_candidates(tower, 1, H)) == level_order(tower, 1)
+    assert brute_search_zp_witness(tower, 1, H, 3) is None
+
+    full = embed_subgroup(tower.base, tower, 1)
+    assert sum(1 for _ in search_candidates(tower, 1, full)) == 30
+
+
+def test_base_normalizes():
+    tower = s3_tower([3, 2])
+    a3 = FgSubgroup("A3", [Permutation.from_cycles(3, [(1, 2, 3)])])
+    assert base_normalizes(tower, 1, embed_subgroup(a3, tower, 1))
+    transposition = FgSubgroup("C2", [Permutation.from_cycles(3, [(1, 2)])])
+    assert not base_normalizes(tower, 1, embed_subgroup(transposition, tower, 1))
+    s3 = tower.base
+    assert not base_normalizes(tower, 2, embed_subgroup(s3, tower, 2))
+    ctx = tower.context(1)
+    off_zero = FgSubgroup("S3@1", [WreathElement(ctx, 0, [(1, g)]) for g in s3.generators])
+    assert not base_normalizes(tower, 1, off_zero)
+    level2 = s3_tower([2, 2])
+    assert sum(1 for _ in search_candidates(
+        level2, 2, embed_subgroup(level2.base, level2, 2))) == level_order(level2, 2)

@@ -176,6 +176,34 @@ MUTANTS: Tuple[Mutant, ...] = (
         "brute-search-verdicts-swapped", "suites.py",
         "if t is None:", "if t is not None:", ("tests/test_cli.py",),
     ),
+    Mutant(
+        "torsion-verdicts-swapped", "suites.py",
+        "if rep.ok:", "if not rep.ok:", WREATH_TESTS,
+    ),
+    Mutant(
+        "orbit-gcd-dropped", "wreath.py",
+        "d = gcd(k, n)", "d = 1", WREATH_TESTS,
+    ),
+    Mutant(
+        "orbit-class-member-not-minimum", "wreath.py",
+        "minima.append(cls[0])", "minima.append(cls[-1])", WREATH_TESTS,
+    ),
+    Mutant(
+        "orbit-class-at-least-point", "wreath.py",
+        "values = {n - d + c: g for c, g in enumerate(choice)}",
+        "values = {c: g for c, g in enumerate(choice)}",
+        WREATH_TESTS,
+    ),
+    Mutant(
+        "normality-gate-forced-true", "wreath.py",
+        "return all(s * x * s.inverse() in inner for s in G.generators for x in values)",
+        "return True",
+        WREATH_TESTS,
+    ),
+    Mutant(
+        "scenario-level-check-off-by-one", "suites.py",
+        "if level > len(orders):", "if level > len(orders) + 1:", ("tests/test_cli.py",),
+    ),
 )
 
 
