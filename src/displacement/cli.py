@@ -1,7 +1,8 @@
 """Command line runner for verification suites and scenario files.
 
 Exit codes: 0 all expectations met, 1 some check violated its
-expectation, 2 usage or parse error, 3 a budget was exceeded.
+expectation, 2 usage or scenario error, 3 a budget was exceeded, 4 a
+fault of the program itself (its traceback goes to stderr).
 Reports are byte-identical for identical (scenario, seed); timing goes
 to stderr only.
 """
@@ -11,10 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from typing import Optional
 
 from .core import BudgetExceededError
-from .serialize import dump_report, parse_scenario
+from .serialize import ScenarioError, dump_report, parse_scenario
 from .suites import list_suites, run_checks, run_suite
 
 
@@ -102,18 +104,25 @@ def main(argv: Optional[list] = None) -> int:
             merged.update(bounds)
             seed = scenario.get("seed", 0) if args.seed is None else args.seed
             report = run_checks(scenario["checks"], merged, seed)
-    except ValueError as exc:  # a ScenarioError is a ValueError
+    except ScenarioError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except Exception:  # the input was valid, so the fault is the program's
+        traceback.print_exc()
+        return 4
     elapsed = time.monotonic() - started
 
     text = dump_report(report) if args.format == "json" else render_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write report: {exc}\n")
+            return 2
     else:
         sys.stdout.write(text)
     sys.stderr.write(f"completed in {elapsed:.2f}s\n")

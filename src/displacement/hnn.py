@@ -85,7 +85,8 @@ class FiniteHnnPresentation:
     def __init__(self, base: FgSubgroup, letters: Sequence[str], label: str):
         if base.context is None:
             raise ValueError("base group needs a context")
-        elems = sorted(enumerate_subgroup(list(base.generators)), key=lambda p: p.images)
+        elems = enumerate_subgroup([base.context.identity, *base.generators])
+        elems.sort(key=lambda p: p.images)
         n = len(elems)
         index = {g: i for i, g in enumerate(elems)}
         gmul = [[index[a * b] for b in elems] for a in elems]
@@ -597,7 +598,7 @@ def mitosis_data(base: FgSubgroup, budget: int = 10**3):
     """G_- of m(G) together with the stable letters s and d, built from
     one presentation.  The mitosis pair is (s, d*s).  Raises
     BudgetExceededError when G has more than ``budget`` elements."""
-    if len(enumerate_subgroup(list(base.generators))) > budget:
+    if len(enumerate_subgroup([base.context.identity, *base.generators])) > budget:
         raise BudgetExceededError(f"base group larger than budget {budget}")
     pres = mitosis_presentation(base)
     return pres.minus_subgroup(), pres.stable_letter("s"), pres.stable_letter("d")

@@ -1,8 +1,9 @@
 """JSON-friendly serialization of elements, certificates and reports.
 
 All rationals are serialized as "numerator/denominator" strings so that
-round-trips stay exact.  Scenario files are validated against the JSON
-schema shipped with the package.
+round-trips stay exact.  Scenario files are checked against the JSON
+schema shipped with the package by a walker of the few keywords that
+schema uses, so no schema library is needed at run time.
 """
 
 from __future__ import annotations
@@ -93,23 +94,91 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-@lru_cache(maxsize=None)
-def _scenario_validator():
-    """The validator of the shipped scenario schema, built once per
-    process, after the schema itself is checked against its metaschema."""
-    # imported here, not at module level: only --scenario runs need it
-    from jsonschema.validators import validator_for
+# the JSON type each keyword constrains; "type" applies to every subschema
+_KEYWORDS = {
+    "properties": "object",
+    "required": "object",
+    "additionalProperties": "object",
+    "items": "array",
+    "minItems": "array",
+    "minLength": "string",
+    "enum": "string",
+    "minimum": "integer",
+}
+_ANNOTATIONS = ("$schema", "$id", "title")
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
 
-    schema = load_schema()
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+
+def _supported(schema: dict, where: str = "#") -> dict:
+    """``schema`` itself, once every subschema is known to state a type
+    and to use only keywords ``_walk`` implements for that type;
+    raises ValueError otherwise."""
+    kind = schema.get("type")
+    if kind not in _TYPES:
+        raise ValueError(f"schema at {where}: type {kind!r} is not supported")
+    for key, rule in schema.items():
+        if key == "type" or key in _ANNOTATIONS:
+            continue
+        if _KEYWORDS.get(key) != kind:
+            raise ValueError(f"schema at {where}: {key!r} is not supported on {kind}")
+        if key == "additionalProperties" and rule is not False:
+            raise ValueError(f"schema at {where}: additionalProperties must be false")
+    for name, sub in schema.get("properties", {}).items():
+        _supported(sub, f"{where}/properties/{name}")
+    if "items" in schema:
+        _supported(schema["items"], f"{where}/items")
+    return schema
+
+
+@lru_cache(maxsize=None)
+def _scenario_schema() -> dict:
+    """The shipped scenario schema, loaded and checked once per process."""
+    return _supported(load_schema())
+
+
+def _invalid(path: tuple, message: str) -> ScenarioError:
+    where = "/".join(str(p) for p in path) or "<root>"
+    return ScenarioError(f"scenario invalid at {where}: {message}")
+
+
+def _walk(value: Any, schema: dict, path: tuple = ()) -> None:
+    """Raise a ScenarioError, worded as jsonschema words it, at the first
+    place where ``value`` breaks ``schema``.  An integer is an ``int``,
+    never a ``bool`` and never an integral ``float``."""
+    kind = schema["type"]
+    if not isinstance(value, _TYPES[kind]) or isinstance(value, bool):
+        raise _invalid(path, f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise _invalid(path, f"{value!r} is not one of {schema['enum']!r}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise _invalid(path, f"{value!r} is less than the minimum of {schema['minimum']!r}")
+    least = schema.get("minLength", schema.get("minItems"))
+    if least is not None and len(value) < least:
+        short = "should be non-empty" if least == 1 else "is too short"
+        raise _invalid(path, f"{value!r} {short}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise _invalid(path, f"{key!r} is a required property")
+    properties = schema.get("properties", {})
+    if "additionalProperties" in schema:
+        extra = sorted((k for k in value if k not in properties), key=str)
+        if extra:
+            names = ", ".join(repr(k) for k in extra)
+            verb = "was" if len(extra) == 1 else "were"
+            raise _invalid(
+                path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+            )
+    for key, sub in properties.items():
+        if key in value:
+            _walk(value[key], sub, path + (key,))
+    if "items" in schema:
+        for i, item in enumerate(value):
+            _walk(item, schema["items"], path + (i,))
 
 
 def parse_scenario(source) -> dict:
-    """Parse and validate a scenario from a path, file object or dict."""
-    from jsonschema.exceptions import best_match
-
+    """Parse a scenario from a path, file object or dict, and check it
+    against the shipped schema."""
     if isinstance(source, dict):
         data = source
     else:
@@ -125,11 +194,7 @@ def parse_scenario(source) -> dict:
             ) from exc
         except OSError as exc:
             raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    # the error that jsonschema.validate would raise
-    error = best_match(_scenario_validator().iter_errors(data))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ScenarioError(f"scenario invalid at {path}: {error.message}") from error
+    _walk(data, _scenario_schema())
     return data
 
 

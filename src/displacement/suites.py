@@ -97,6 +97,13 @@ def _p_divides_top_order(params) -> Optional[str]:
     return problem
 
 
+def _depth_within_tower(params) -> Optional[str]:
+    depth = params.get("depth", 0)  # absent, it defaults to 3
+    if depth > plmaps.MAX_TOWER_DEPTH:
+        return f"depth {depth} exceeds the deepest tower, {plmaps.MAX_TOWER_DEPTH}"
+    return None
+
+
 # -- check implementations ----------------------------------------------
 
 
@@ -281,7 +288,7 @@ def _random_pl_word(rng, letters, max_len: int):
     return w
 
 
-@check_type("pl-tower", expect="bounded-pass")
+@check_type("pl-tower", expect="bounded-pass", meaning=_depth_within_tower)
 def run_pl_tower(params, bounds, rng) -> PropertyReport:
     depth = params.get("depth", 3)
     samples = params.get("samples", 200)
@@ -719,7 +726,7 @@ def run_checks(checks: List[dict], bounds: dict, seed: int) -> dict:
 
 def run_suite(name: str, bounds: Optional[dict] = None, seed: int = 0) -> dict:
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; try one of: {', '.join(SUITES)}")
+        raise ScenarioError(f"unknown suite {name!r}; try one of: {', '.join(SUITES)}")
     report = run_checks(SUITES[name]["checks"], bounds or {}, seed)
     report["suite"] = name
     return report

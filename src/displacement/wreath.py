@@ -78,7 +78,8 @@ class TowerSpec:
     def base_elements(self, budget: int = SEARCH_BUDGET) -> List[Permutation]:
         """Deterministic full enumeration of the base group."""
         if self._base_elems is None:
-            elems = enumerate_subgroup(list(self.base.generators), budget)
+            G = self.base
+            elems = enumerate_subgroup([G.context.identity, *G.generators], budget)
             self._base_elems = sorted(elems, key=lambda p: p.images)
         return self._base_elems
 

@@ -31,14 +31,24 @@ def write_scenario(tmp_path, payload, name="scen.json"):
     return str(path)
 
 
-def test_importing_the_cli_does_not_load_jsonschema():
-    """Only scenario files need the schema validator, so ``--suite`` runs
-    start without importing it."""
+def test_importing_the_cli_does_not_load_jsonschema(tmp_path):
+    """jsonschema is a test oracle, not a run-time dependency: with it
+    blocked, a scenario file and every suite still run."""
     code = "import sys, displacement.cli; print('jsonschema' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+    path = write_scenario(tmp_path, GOOD_SCENARIO)
+    blocked = (
+        "import sys; sys.modules['jsonschema'] = None\n"
+        "from displacement.cli import main\n"
+        f"codes = main(['--scenario', {path!r}, '--out', {path + '.out'!r}]),"
+        f" main(['--suite', 'all', '--out', {path + '.all'!r}])\n"
+        "print(codes, sys.modules['jsonschema'])"
+    )
+    run = subprocess.run([sys.executable, "-c", blocked], capture_output=True, text=True)
+    assert run.stdout.strip() == "(0, 0) None", run.stderr
 
 
 def test_list_suites(capsys):
@@ -100,6 +110,50 @@ def test_parse_error_exits_two(capsys, tmp_path):
 def test_missing_source_exits_two(capsys):
     assert main([]) == 2
     assert main(["--suite", "no-such-suite"]) == 2
+    assert "error: unknown suite 'no-such-suite'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, where",
+    [
+        ({"checks": [{"id": "x", "type": "pl-tower", "params": {"depth": 3.0}}]},
+         "checks/0/params/depth: 3.0"),
+        ({"checks": [{"id": "x", "type": "gl-block-identity", "params": {"samples": 2.0}}]},
+         "checks/0/params/samples: 2.0"),
+        ({"seed": 2.0, "checks": [{"id": "x", "type": "gl-z2"}]}, "seed: 2.0"),
+        ({"bounds": {"budget": 1e6}, "checks": [{"id": "x", "type": "gl-z2"}]},
+         "bounds/budget: 1000000.0"),
+    ],
+)
+def test_integral_float_for_an_integer_exits_two(capsys, tmp_path, scenario, where):
+    """JSON Schema calls 2.0 an integer, but the program computes on
+    ``int`` and writes no float into a report: the walker refuses it."""
+    path = write_scenario(tmp_path, scenario)
+    assert main(["--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: scenario invalid at {where} is not of type 'integer'\n"
+    assert captured.out == ""
+
+
+def test_unwritable_report_path_exits_two(capsys, tmp_path):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["--suite", "gl-z2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report: ")
+
+
+def test_program_fault_exits_four_with_its_traceback(capsys, monkeypatch):
+    """An exception that no valid input explains is the program's fault:
+    exit 4, not the user-error exit 2."""
+
+    def singular(params, bounds, rng):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setitem(CHECK_TYPES, "gl-z2", singular)
+    assert main(["--suite", "gl-z2"]) == 4
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err
+    assert captured.err.rstrip().endswith("ValueError: matrix is singular")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag", ["--jobs", "--p-max"])
@@ -155,6 +209,30 @@ def test_missing_required_param_exits_two(tmp_path, ctype, missing):
     assert "Traceback" not in run.stderr
 
 
+# verdicts at the trivial base group Sym(1), where H = 1 has every
+# displacement property: a witness exists, and the torsion obstruction
+# has nothing to obstruct
+TRIVIAL_BASE_VERDICTS = {
+    "wreath-brute-search": "some",
+    "wreath-torsion-exhaustive": "fail",
+    "cc-search-b1": "some",
+    "pl-tower": "bounded-pass",
+}
+
+
+@pytest.mark.parametrize("ctype", sorted(CHECK_TYPES))
+def test_every_check_type_runs_on_the_trivial_base_group(capsys, tmp_path, ctype):
+    params = dict(COMPLETE_PARAMS.get(ctype, {}), degree=1)
+    path = write_scenario(
+        tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
+    )
+    verdict = TRIVIAL_BASE_VERDICTS.get(ctype, "pass")
+    assert main(["--scenario", path]) == (0 if verdict == DEFAULT_EXPECT[ctype] else 1)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["checks"][0]["verdict"] == verdict
+
+
 # a check that exceeds a budget of 10 as soon as it runs (exit 3)
 OVER_BUDGET = {
     "id": "deep",
@@ -185,6 +263,10 @@ OVER_BUDGET = {
             {"id": "short", "type": "wreath-zn-witness",
              "params": {"level": 2, "orders": [2], "p": 2}},
             "check 'short': level 2 needs 2 orders, got 1",
+        ),
+        (
+            {"id": "too-deep", "type": "pl-tower", "params": {"depth": 6}},
+            "check 'too-deep': depth 6 exceeds the deepest tower, 5",
         ),
     ],
 )

@@ -54,6 +54,7 @@ ENGINE_TESTS = ("tests/test_hnn.py", "-k", "engine")
 WREATH_TESTS = ("tests/test_wreath.py",)
 COMMUTES_TESTS = ("tests/test_commutes.py",)
 CHECKER_TESTS = ("tests/test_checkers.py", "tests/test_wreath.py")
+SCENARIO_TESTS = ("tests/test_serialize.py", "tests/test_cli.py")
 
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
@@ -203,6 +204,42 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "scenario-level-check-off-by-one", "suites.py",
         "if level > len(orders):", "if level > len(orders) + 1:", ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "tower-depth-check-off-by-one", "suites.py",
+        "if depth > plmaps.MAX_TOWER_DEPTH:", "if depth > plmaps.MAX_TOWER_DEPTH + 1:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "walker-minimum-off-by-one", "serialize.py",
+        'if "minimum" in schema and value < schema["minimum"]:',
+        'if "minimum" in schema and value < schema["minimum"] - 1:',
+        SCENARIO_TESTS,
+    ),
+    Mutant(
+        "walker-accepts-additional-properties", "serialize.py",
+        "if extra:", "if False:", SCENARIO_TESTS, within="def _walk(",
+    ),
+    Mutant(
+        "walker-integer-accepts-bool", "serialize.py",
+        "if not isinstance(value, _TYPES[kind]) or isinstance(value, bool):",
+        "if not isinstance(value, _TYPES[kind]):",
+        SCENARIO_TESTS,
+    ),
+    Mutant(
+        "walker-integer-accepts-integral-float", "serialize.py",
+        "if not isinstance(value, _TYPES[kind]) or isinstance(value, bool):",
+        "if not isinstance(value, _TYPES[kind]) and not (kind == 'integer'"
+        " and isinstance(value, float) and value.is_integer()) or isinstance(value, bool):",
+        SCENARIO_TESTS,
+    ),
+    Mutant(
+        "schema-load-accepts-any-keyword", "serialize.py",
+        "if _KEYWORDS.get(key) != kind:", "if False:", SCENARIO_TESTS,
+    ),
+    Mutant(
+        "program-fault-exits-as-user-error", "cli.py",
+        "except ScenarioError as exc:", "except ValueError as exc:", ("tests/test_cli.py",),
     ),
 )
 
