@@ -9,6 +9,7 @@ schema uses, so no schema library is needed at run time.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -177,10 +178,12 @@ def _walk(value: Any, schema: dict, path: tuple = ()) -> None:
 
 
 def parse_scenario(source) -> dict:
-    """Parse a scenario from a path, file object or dict, and check it
-    against the shipped schema."""
+    """Parse a scenario from a dict, a file object, or a path given as a
+    ``str`` or ``os.PathLike``, and check it against the shipped schema."""
     if isinstance(source, dict):
         data = source
+    elif not (hasattr(source, "read") or isinstance(source, (str, os.PathLike))):
+        raise ScenarioError(f"cannot read a scenario from {type(source).__name__}")
     else:
         try:
             if hasattr(source, "read"):

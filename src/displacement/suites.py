@@ -10,10 +10,11 @@ so expected-fail refutations count as success.
 
 from __future__ import annotations
 
+import inspect
 import random
 import zlib
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from . import checkers, hnn, matrices, plmaps, wreath
 from .core import (
@@ -28,30 +29,28 @@ from .serialize import ScenarioError, to_jsonable
 
 DEFAULT_BOUNDS = {"budget": 10**7, "radius": 3}
 
-# scenario type name -> runner taking (params, bounds, rng); _run_one
-# looks runners up here at call time
+# scenario type name -> runner taking (bounds, rng, **params); its
+# keyword-only arguments declare the params, and one without a default
+# is required.  run_checks looks runners up here at call time.
 CHECK_TYPES: Dict[str, Callable[..., PropertyReport]] = {}
 DEFAULT_EXPECT: Dict[str, str] = {}
-REQUIRED_PARAMS: Dict[str, Tuple[str, ...]] = {}
-# scenario type name -> params -> what makes them meaningless, or None
+# scenario type name -> completed params -> what makes them meaningless, or None
 MEANING: Dict[str, Callable[[dict], Optional[str]]] = {}
 
 
 def check_type(
     name: str,
     expect: str = "pass",
-    required: Tuple[str, ...] = (),
     meaning: Optional[Callable[[dict], Optional[str]]] = None,
 ):
     """Register a runner under its scenario type name, together with the
-    verdict a check of that type is expected to reach by default, the
-    params a scenario must give it and, with ``meaning``, a test of
-    those params that ``run_checks`` applies before any check runs."""
+    verdict a check of that type is expected to reach by default and,
+    with ``meaning``, a test of its params that ``run_checks`` applies
+    before any check runs."""
 
     def register(fn):
         CHECK_TYPES[name] = fn
         DEFAULT_EXPECT[name] = expect
-        REQUIRED_PARAMS[name] = required
         if meaning is not None:
             MEANING[name] = meaning
         return fn
@@ -75,9 +74,8 @@ def _merge(desc: str, reports, note: Optional[str] = None) -> PropertyReport:
     return PropertyReport(desc, verdict, tuple(detail))
 
 
-def _tower(params) -> wreath.TowerSpec:
-    base = symmetric_group(params.get("degree", 3))
-    return wreath.TowerSpec(base, ("prefix", tuple(params["orders"])))
+def _tower(degree: int, orders) -> wreath.TowerSpec:
+    return wreath.TowerSpec(symmetric_group(degree), ("prefix", tuple(orders)))
 
 
 def _level_in_orders(params) -> Optional[str]:
@@ -98,36 +96,35 @@ def _p_divides_top_order(params) -> Optional[str]:
 
 
 def _depth_within_tower(params) -> Optional[str]:
-    depth = params.get("depth", 0)  # absent, it defaults to 3
+    depth = params["depth"]
     if depth > plmaps.MAX_TOWER_DEPTH:
         return f"depth {depth} exceeds the deepest tower, {plmaps.MAX_TOWER_DEPTH}"
+    return None
+
+
+def _letters_within_tree(params) -> Optional[str]:
+    letters, most = params["max_letters"], hnn.MAX_TREE_RADIUS
+    if letters > most:
+        return f"max_letters {letters} exceeds the tree radius budget, {most}"
     return None
 
 
 # -- check implementations ----------------------------------------------
 
 
-@check_type(
-    "wreath-zn-witness", required=("orders", "level", "p"), meaning=_p_divides_top_order
-)
-def run_wreath_zn_witness(params, bounds, rng) -> PropertyReport:
-    tower = _tower(params)
-    _, rep = wreath.zn_witness(tower, tower.base, params["level"], params["p"])
+@check_type("wreath-zn-witness", meaning=_p_divides_top_order)
+def run_wreath_zn_witness(bounds, rng, *, orders, level, p, degree=3) -> PropertyReport:
+    tower = _tower(degree, orders)
+    _, rep = wreath.zn_witness(tower, tower.base, level, p)
     return rep
 
 
-@check_type(
-    "wreath-brute-search",
-    expect="none",
-    required=("orders", "level", "p"),
-    meaning=_level_in_orders,
-)
-def run_wreath_brute_search(params, bounds, rng) -> PropertyReport:
-    tower = _tower(params)
-    level = params["level"]
+@check_type("wreath-brute-search", expect="none", meaning=_level_in_orders)
+def run_wreath_brute_search(bounds, rng, *, orders, level, p, degree=3) -> PropertyReport:
+    tower = _tower(degree, orders)
     H = wreath.embed_subgroup(tower.base, tower, level)
     size = wreath.level_order(tower, level, bounds["budget"])
-    t = wreath.brute_search_zp_witness(tower, level, H, params["p"], bounds["budget"])
+    t = wreath.brute_search_zp_witness(tower, level, H, p, bounds["budget"])
     desc = "wreath-brute-search"
     if t is None:
         through = ""
@@ -139,12 +136,9 @@ def run_wreath_brute_search(params, bounds, rng) -> PropertyReport:
     return PropertyReport(desc, "some", (f"witness found among {size} elements",), t)
 
 
-@check_type(
-    "wreath-torsion-exhaustive", required=("orders", "level"), meaning=_level_in_orders
-)
-def run_wreath_torsion_exhaustive(params, bounds, rng) -> PropertyReport:
-    tower = _tower(params)
-    level = params["level"]
+@check_type("wreath-torsion-exhaustive", meaning=_level_in_orders)
+def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> PropertyReport:
+    tower = _tower(degree, orders)
     H = wreath.embed_subgroup(tower.base, tower, level)
     desc = "wreath-torsion-exhaustive"
     size = wreath.level_order(tower, level, bounds["budget"])
@@ -163,10 +157,10 @@ def run_wreath_torsion_exhaustive(params, bounds, rng) -> PropertyReport:
     return PropertyReport.passing(desc, [line])
 
 
-@check_type("sym-zn-witness", required=("n",))
-def run_sym_zn_witness(params, bounds, rng) -> PropertyReport:
-    H = symmetric_group(params.get("degree", 3))
-    _, rep = wreath.sym_zn_witness(H, params["n"])
+@check_type("sym-zn-witness")
+def run_sym_zn_witness(bounds, rng, *, n, degree=3) -> PropertyReport:
+    H = symmetric_group(degree)
+    _, rep = wreath.sym_zn_witness(H, n)
     return rep
 
 
@@ -198,10 +192,9 @@ def _mul2(a, b):
 
 
 @check_type("gl-block-identity")
-def run_gl_block_identity(params, bounds, rng) -> PropertyReport:
+def run_gl_block_identity(bounds, rng, *, samples=200) -> PropertyReport:
     """Oracle for 2x2-block conjugation inside GL_4: assemble
     [[XAX^-1, XB], [CX^-1, D]] blockwise and compare exactly."""
-    samples = params.get("samples", 200)
     desc = "gl-block-identity"
     for i in range(samples):
         X = _random_invertible(rng, 2)
@@ -228,7 +221,7 @@ def run_gl_block_identity(params, bounds, rng) -> PropertyReport:
 
 
 @check_type("gl-centralizer")
-def run_gl_centralizer(params, bounds, rng) -> PropertyReport:
+def run_gl_centralizer(bounds, rng) -> PropertyReport:
     tests = [
         matrices.RationalMatrix([[-1, 0], [0, 1]]),
         matrices.RationalMatrix([[1, 0], [0, -1]]),
@@ -259,7 +252,7 @@ def run_gl_centralizer(params, bounds, rng) -> PropertyReport:
 
 
 @check_type("gl-z2")
-def run_gl_z2(params, bounds, rng) -> PropertyReport:
+def run_gl_z2(bounds, rng) -> PropertyReport:
     H = matrices.gl2z_generators()
     cert, rep = matrices.gl_block_swap_witness(H)
     if not rep.ok:
@@ -289,11 +282,9 @@ def _random_pl_word(rng, letters, max_len: int):
 
 
 @check_type("pl-tower", expect="bounded-pass", meaning=_depth_within_tower)
-def run_pl_tower(params, bounds, rng) -> PropertyReport:
-    depth = params.get("depth", 3)
-    samples = params.get("samples", 200)
-    disp_p = params.get("displace_p_max", 50)
-    czc_p = params.get("czc_p_max", 10)
+def run_pl_tower(
+    bounds, rng, *, depth=3, samples=200, displace_p_max=50, czc_p_max=10
+) -> PropertyReport:
     desc = "pl-tower"
     gens, dissipators, intervals = plmaps.tower_gamma(depth)
     detail = [f"tower of depth {depth} built with {len(gens)} generators"]
@@ -301,9 +292,9 @@ def run_pl_tower(params, bounds, rng) -> PropertyReport:
     for i in range(1, depth):
         t = dissipators[i - 1]
         I = plmaps.IntervalSet([intervals[i - 1]])
-        reports.append(plmaps.displaces(t, I, disp_p))
+        reports.append(plmaps.displaces(t, I, displace_p_max))
         level = FgSubgroup(f"Gamma_{i}", gens[: i + 1])
-        reports.append(checkers.check_czc(level, t, czc_p))
+        reports.append(checkers.check_czc(level, t, czc_p_max))
     merged = _merge(desc, reports)
     if merged.verdict == "fail":
         return merged
@@ -332,8 +323,7 @@ def run_pl_tower(params, bounds, rng) -> PropertyReport:
 
 
 @check_type("pl-fixed-point")
-def run_pl_fixed_point(params, bounds, rng) -> PropertyReport:
-    samples = params.get("samples", 50)
+def run_pl_fixed_point(bounds, rng, *, samples=50) -> PropertyReport:
     h = plmaps.unique_fixed_point_element()
     half = Fraction(1, 2)
     desc = "pl-fixed-point"
@@ -385,9 +375,8 @@ def _random_britton_word(rng, pres, max_letters: int):
 
 
 @check_type("britton-engine")
-def run_britton_engine(params, bounds, rng) -> PropertyReport:
-    base = symmetric_group(params.get("degree", 3))
-    samples = params.get("samples", 500)
+def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
+    base = symmetric_group(degree)
     desc = "britton-engine"
     detail = []
     b_pres = hnn.binate_presentation(base)
@@ -437,9 +426,9 @@ def run_britton_engine(params, bounds, rng) -> PropertyReport:
 
 
 @check_type("bass-serre")
-def run_bass_serre(params, bounds, rng) -> PropertyReport:
-    base = symmetric_group(params.get("degree", 3))
-    radius = params.get("radius", bounds["radius"])
+def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
+    base = symmetric_group(degree)
+    radius = bounds["radius"]
     desc = "bass-serre"
     pres = hnn.binate_presentation(base)
     e = base.context.identity
@@ -485,15 +474,15 @@ def run_bass_serre(params, bounds, rng) -> PropertyReport:
     return PropertyReport.passing(desc, detail)
 
 
-@check_type("cc-search-b1", expect="none", required=("max_letters",))
-def run_cc_search_b1(params, bounds, rng) -> PropertyReport:
-    base = symmetric_group(params.get("degree", 3))
-    return hnn.cc_witness_search_b1(base, params["max_letters"], bounds["budget"])
+@check_type("cc-search-b1", expect="none", meaning=_letters_within_tree)
+def run_cc_search_b1(bounds, rng, *, max_letters, degree=3) -> PropertyReport:
+    base = symmetric_group(degree)
+    return hnn.cc_witness_search_b1(base, max_letters, bounds["budget"])
 
 
 @check_type("mitosis")
-def run_mitosis(params, bounds, rng) -> PropertyReport:
-    base = symmetric_group(params.get("degree", 3))
+def run_mitosis(bounds, rng, *, degree=3) -> PropertyReport:
+    base = symmetric_group(degree)
     minus, s, d = hnn.mitosis_data(base)
     mit = checkers.check_mitotic(minus, s, d * s)
     # binate data derived from the mitosis pair: f = conj(t1, .) and the
@@ -508,12 +497,9 @@ def run_mitosis(params, bounds, rng) -> PropertyReport:
 
 
 @check_type("hall-sym")
-def run_hall_sym(params, bounds, rng) -> PropertyReport:
-    H = symmetric_group(params.get("degree", 3))
-    reports = []
-    for n in params.get("ns", [2, 3, 4]):
-        reports.append(wreath.sym_zn_witness(H, n)[1])
-    return _merge("hall-sym", reports)
+def run_hall_sym(bounds, rng, *, degree=3, ns=(2, 3, 4)) -> PropertyReport:
+    H = symmetric_group(degree)
+    return _merge("hall-sym", [wreath.sym_zn_witness(H, n)[1] for n in ns])
 
 
 SUITES: Dict[str, dict] = {}
@@ -637,7 +623,7 @@ _register(
 _register(
     "bass-serre",
     "fixed vertices in the tree: unique for (g,1), edge for (g,g)",
-    [{"id": "fixed-vertices", "type": "bass-serre", "params": {"degree": 3, "radius": 3}}],
+    [{"id": "fixed-vertices", "type": "bass-serre", "params": {"degree": 3}}],
 )
 
 _register(
@@ -683,11 +669,11 @@ def list_suites() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_one(check: dict, bounds: dict, seed: int) -> dict:
+def _run_one(check: dict, params: dict, bounds: dict, seed: int) -> dict:
     ctype = check["type"]
     expect = check.get("expect", DEFAULT_EXPECT[ctype])
     rng = random.Random((seed << 32) ^ zlib.crc32(check["id"].encode()))
-    rep = CHECK_TYPES[ctype](check.get("params", {}), bounds, rng)
+    rep = CHECK_TYPES[ctype](bounds, rng, **params)
     return {
         "id": check["id"],
         "type": ctype,
@@ -700,21 +686,31 @@ def _run_one(check: dict, bounds: dict, seed: int) -> dict:
 
 
 def run_checks(checks: List[dict], bounds: dict, seed: int) -> dict:
-    """Run a list of scenario checks in input order."""
+    """Run a list of scenario checks in input order, once the params of
+    every check are known to be complete and meaningful.  A check gets
+    the params its runner declares, as given or else their defaults."""
     merged_bounds = dict(DEFAULT_BOUNDS)
     merged_bounds.update(bounds or {})
+    completed = []
     for check in checks:
-        ctype = check["type"]
+        ctype, given = check["type"], check.get("params", {})
         if ctype not in CHECK_TYPES:
             raise ScenarioError(f"check {check['id']!r} has unknown type {ctype!r}")
-        params = check.get("params", {})
-        missing = [p for p in REQUIRED_PARAMS[ctype] if p not in params]
+        arguments = inspect.signature(CHECK_TYPES[ctype]).parameters.values()
+        declared = [a for a in arguments if a.kind is a.KEYWORD_ONLY]
+        params = {a.name: given.get(a.name, a.default) for a in declared}
+        extra = [k for k in given if k not in params]
+        if extra:
+            names = ", ".join(extra)
+            raise ScenarioError(f"check {check['id']!r}: type {ctype!r} does not take {names}")
+        missing = [k for k, v in params.items() if v is inspect.Parameter.empty]
         if missing:
             raise ScenarioError(f"check {check['id']!r} lacks params: {', '.join(missing)}")
         problem = MEANING[ctype](params) if ctype in MEANING else None
         if problem is not None:
             raise ScenarioError(f"check {check['id']!r}: {problem}")
-    results = [_run_one(c, merged_bounds, seed) for c in checks]
+        completed.append(params)
+    results = [_run_one(c, p, merged_bounds, seed) for c, p in zip(checks, completed)]
     ok = sum(1 for r in results if r["ok"])
     return {
         "seed": seed,

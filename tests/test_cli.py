@@ -1,5 +1,6 @@
 """Command line interface: exit codes, determinism, report formats."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -145,7 +146,7 @@ def test_program_fault_exits_four_with_its_traceback(capsys, monkeypatch):
     """An exception that no valid input explains is the program's fault:
     exit 4, not the user-error exit 2."""
 
-    def singular(params, bounds, rng):
+    def singular(bounds, rng):
         raise ValueError("matrix is singular")
 
     monkeypatch.setitem(CHECK_TYPES, "gl-z2", singular)
@@ -153,6 +154,21 @@ def test_program_fault_exits_four_with_its_traceback(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "Traceback" in captured.err
     assert captured.err.rstrip().endswith("ValueError: matrix is singular")
+    assert captured.out == ""
+
+
+def test_runner_type_error_is_a_program_fault(capsys, monkeypatch):
+    """Params are compared with the runner's signature before any check
+    runs, so a TypeError raised inside a runner is never taken for a
+    scenario error."""
+
+    def broken(bounds, rng):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setitem(CHECK_TYPES, "gl-z2", broken)
+    assert main(["--suite", "gl-z2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.rstrip().endswith("TypeError: unsupported operand type(s)")
     assert captured.out == ""
 
 
@@ -179,6 +195,15 @@ def test_non_integer_budget_exits_two(capsys):
 def test_builtin_bass_serre_check_runs_as_a_scenario(capsys, tmp_path):
     path = write_scenario(tmp_path, {"checks": SUITES["bass-serre"]["checks"]})
     assert main(["--scenario", path]) == 0
+
+
+def declared_params(ctype):
+    """The params a check type takes: its runner's keyword-only arguments."""
+    return {
+        name: p.default
+        for name, p in inspect.signature(CHECK_TYPES[ctype]).parameters.items()
+        if p.kind is p.KEYWORD_ONLY
+    }
 
 
 # check type -> a complete set of params; each one is required
@@ -222,7 +247,9 @@ TRIVIAL_BASE_VERDICTS = {
 
 @pytest.mark.parametrize("ctype", sorted(CHECK_TYPES))
 def test_every_check_type_runs_on_the_trivial_base_group(capsys, tmp_path, ctype):
-    params = dict(COMPLETE_PARAMS.get(ctype, {}), degree=1)
+    params = dict(COMPLETE_PARAMS.get(ctype, {}))
+    if "degree" in declared_params(ctype):
+        params["degree"] = 1
     path = write_scenario(
         tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
     )
@@ -268,6 +295,10 @@ OVER_BUDGET = {
             {"id": "too-deep", "type": "pl-tower", "params": {"depth": 6}},
             "check 'too-deep': depth 6 exceeds the deepest tower, 5",
         ),
+        (
+            {"id": "too-far", "type": "cc-search-b1", "params": {"max_letters": 5}},
+            "check 'too-far': max_letters 5 exceeds the tree radius budget, 4",
+        ),
     ],
 )
 def test_meaningless_wreath_params_exit_two_before_any_check_runs(
@@ -280,6 +311,42 @@ def test_meaningless_wreath_params_exit_two_before_any_check_runs(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            {"id": "extra", "type": "gl-z2", "params": {"degree": 9}},
+            "check 'extra': type 'gl-z2' does not take degree",
+        ),
+        (
+            {"id": "extra", "type": "hall-sym", "params": {"n": 2, "samples": 3}},
+            "check 'extra': type 'hall-sym' does not take n, samples",
+        ),
+        (
+            {"id": "extra", "type": "bass-serre", "params": {"radius": 2}},
+            "scenario invalid at checks/1/params: Additional properties are not"
+            " allowed ('radius' was unexpected)",
+        ),
+    ],
+)
+def test_undeclared_param_exits_two_before_any_check_runs(
+    capsys, tmp_path, check, message
+):
+    """A param the check type does not take is refused, not ignored:
+    ``degree`` on ``gl-z2`` would otherwise pass as if checked.  The tree
+    radius is ``bounds.radius`` only."""
+    path = write_scenario(tmp_path, {"checks": [OVER_BUDGET, check]})
+    assert main(["--scenario", path, "--budget", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_checks_refuses_an_undeclared_param_before_any_check_runs():
+    checks = [OVER_BUDGET, {"id": "r", "type": "bass-serre", "params": {"radius": 2}}]
+    message = "check 'r': type 'bass-serre' does not take radius"
+    with pytest.raises(ScenarioError, match=message):
+        run_checks(checks, {"budget": 10}, 0)
+
+
 def test_unknown_check_type_is_a_scenario_error():
     with pytest.raises(ScenarioError, match="check 'x' has unknown type 'no-such-type'"):
         run_checks([{"id": "x", "type": "no-such-type"}], {}, 0)
@@ -289,6 +356,13 @@ def test_check_type_registry_matches_the_schema():
     items = load_schema()["properties"]["checks"]["items"]
     enum = items["properties"]["type"]["enum"]
     assert set(enum) == set(CHECK_TYPES) == set(DEFAULT_EXPECT)
+
+
+def test_runner_params_match_the_schema():
+    """The schema's params are exactly those some runner takes."""
+    items = load_schema()["properties"]["checks"]["items"]
+    schema_params = items["properties"]["params"]["properties"]
+    assert set().union(*map(declared_params, CHECK_TYPES)) == set(schema_params)
 
 
 def test_budget_exceeded_exits_three(capsys, tmp_path):

@@ -320,6 +320,15 @@ def test_parse_scenario_from_file(tmp_path):
     broken.write_text("{")
     with pytest.raises(ScenarioError, match="line 1"):
         parse_scenario(str(broken))
+    assert parse_scenario(path)["seed"] == 3  # an os.PathLike
+
+
+@pytest.mark.parametrize("source", [True, False, 0, 1, -1, None, 3.5, b"s.json"])
+def test_parse_scenario_refuses_a_source_that_is_no_path(source):
+    """An int or a bool is no path: handed to ``open()`` it would name a
+    file descriptor, so 0 would read stdin and True would close stdout."""
+    with pytest.raises(ScenarioError, match="cannot read a scenario from"):
+        parse_scenario(source)
 
 
 def test_dump_report_is_stable():

@@ -367,7 +367,7 @@ def test_torsion_search_agrees_with_the_raw_level(degree, n):
     H = embed_subgroup(tower.base, tower, 1)
     expected = first_raw(tower, lambda t: check_czc(H, t, element_order(t)).ok)
     params = {"degree": degree, "orders": [n], "level": 1}
-    rep = CHECK_TYPES["wreath-torsion-exhaustive"](params, DEFAULT_BOUNDS, None)
+    rep = CHECK_TYPES["wreath-torsion-exhaustive"](DEFAULT_BOUNDS, None, **params)
     assert rep.verdict == ("pass" if expected is None else "fail")
     # the runner builds its own tower, so compare the serialized forms
     assert to_jsonable(rep.counterexample) == to_jsonable(expected)

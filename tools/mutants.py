@@ -211,6 +211,19 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "max-letters-check-off-by-one", "suites.py",
+        "if letters > most:", "if letters > most + 1:", ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "undeclared-param-accepted", "suites.py",
+        "if extra:", "if False:", ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cc-search-verdict-negated", "hnn.py",
+        "if check_cc(minus, t).ok:", "if not check_cc(minus, t).ok:",
+        ("tests/test_hnn.py", "-k", "cc_search"),
+    ),
+    Mutant(
         "walker-minimum-off-by-one", "serialize.py",
         'if "minimum" in schema and value < schema["minimum"]:',
         'if "minimum" in schema and value < schema["minimum"] - 1:',
