@@ -4,7 +4,10 @@ Each check_* function takes a subgroup together with the quantified
 witness data of one displacement property (a conjugating element, a
 cyclic order, a generator map, a pair of elements, an interval plus a
 translation-like map) and verifies the defining conditions on
-generators, returning a PropertyReport.
+generators, returning a PropertyReport.  ``VERIFIERS`` maps each
+property tag to its checker, and ``verify_certificate`` is the one way
+from a ``WitnessCertificate`` to its report: the witness producers
+(here and in ``wreath`` and ``matrices``) return certificates only.
 
 Conditions quantified over all integer powers are verified up to an
 explicit p_max and reported as "bounded-pass"; these checks never claim
@@ -81,16 +84,13 @@ def _word_value(elems: Sequence, identity, word: Sequence[int]):
 
 def check_cc(H: FgSubgroup, t) -> PropertyReport:
     """Commuting conjugates: [H, t H t^-1] = 1 on generators."""
-    desc = f"commuting conjugates for {H.label}"
     rep = subgroups_commute(H, H.conjugate(t))
     if not rep.ok:
-        return PropertyReport.failing(
-            desc, "conjugate does not commute", counterexample=rep.counterexample
-        )
-    return PropertyReport.passing(desc, rep.checks)
+        return PropertyReport.failing("conjugate does not commute", rep.counterexample)
+    return PropertyReport.passing(rep.checks)
 
 
-def _conjugates_commute(H: FgSubgroup, t, desc: str, stop: int):
+def _conjugates_commute(H: FgSubgroup, t, stop: int):
     """[H, t^p H t^-p] = 1 for 1 <= p < stop: the shared power loop of
     the Z/n- and Z-conjugates conditions.  Returns the failing report
     (or None) and t^stop."""
@@ -98,9 +98,7 @@ def _conjugates_commute(H: FgSubgroup, t, desc: str, stop: int):
     for p in range(1, stop):
         rep = subgroups_commute(H, H.conjugate(tp))
         if not rep.ok:
-            failure = PropertyReport.failing(
-                desc, f"[H, t^{p} H t^-{p}] != 1", counterexample=rep.counterexample
-            )
+            failure = PropertyReport.failing(f"[H, t^{p} H t^-{p}] != 1", rep.counterexample)
             return failure, tp
         tp = tp * t
     return None, tp
@@ -111,18 +109,15 @@ def check_cznc(H: FgSubgroup, t, n: int) -> PropertyReport:
     t^n centralizes H."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    desc = f"commuting Z/{n}-conjugates for {H.label}"
-    failure, tn = _conjugates_commute(H, t, desc, n)
+    failure, tn = _conjugates_commute(H, t, n)
     if failure is not None:
         return failure
     for h in H.generators:
         if not commutes(h, tn):
-            return PropertyReport.failing(
-                desc, f"t^{n} does not centralize H", counterexample=(h, tn)
-            )
+            return PropertyReport.failing(f"t^{n} does not centralize H", (h, tn))
     checks = [f"[H, t^{p} H t^-{p}] = 1" for p in range(1, n)]
     checks.append(f"t^{n} centralizes the generators")
-    return PropertyReport.passing(desc, checks)
+    return PropertyReport.passing(checks)
 
 
 def check_czc(H: FgSubgroup, t, p_max: int) -> PropertyReport:
@@ -130,11 +125,10 @@ def check_czc(H: FgSubgroup, t, p_max: int) -> PropertyReport:
     possible verdict is bounded-pass."""
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    desc = f"commuting Z-conjugates for {H.label} (powers up to {p_max})"
-    failure, _ = _conjugates_commute(H, t, desc, p_max + 1)
+    failure, _ = _conjugates_commute(H, t, p_max + 1)
     if failure is not None:
         return failure
-    return PropertyReport.bounded(desc, [f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])
+    return PropertyReport.bounded([f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])
 
 
 def check_ccc(H: FgSubgroup, t, n, p_max: int = 10) -> PropertyReport:
@@ -162,22 +156,17 @@ def check_binate(
     """
     if f.subject is not H:
         raise ValueError("generator map was built for a different subgroup")
-    desc = f"binate data for {H.label}"
     checks: List[str] = []
     rep = subgroups_commute(H, f.image_subgroup())
     if not rep.ok:
-        return PropertyReport.failing(
-            desc, "[H, f(H)] != 1", counterexample=rep.counterexample
-        )
+        return PropertyReport.failing("[H, f(H)] != 1", rep.counterexample)
     checks.append("[H, f(H)] = 1 on generators")
     if f.pairs:
         _require_same_context(t, H)
     t_inv = t.inverse()
     for h, fh in f.pairs:
         if t * fh * t_inv != h * fh:
-            return PropertyReport.failing(
-                desc, "t f(h) t^-1 != h * f(h)", counterexample=(h, fh)
-            )
+            return PropertyReport.failing("t f(h) t^-1 != h * f(h)", (h, fh))
     checks.append("t f(h) t^-1 = h * f(h) on generators")
     if relators is None:
         checks.append("f assumed to be a homomorphism (no relators supplied)")
@@ -187,30 +176,22 @@ def check_binate(
             if not _word_value(H.generators, identity, word).is_identity():
                 raise ValueError(f"relator {word} is not trivial in H")
             if not _word_value(f.images, identity, word).is_identity():
-                return PropertyReport.failing(
-                    desc, f"f breaks relator {word}", counterexample=tuple(word)
-                )
+                return PropertyReport.failing(f"f breaks relator {word}", tuple(word))
         checks.append(f"f respects all {len(list(relators))} relators")
-    return PropertyReport.passing(desc, checks)
+    return PropertyReport.passing(checks)
 
 
 def check_mitotic(H: FgSubgroup, t1, t2) -> PropertyReport:
     """Mitosis data: [H, t1 H t1^-1] = 1 and t2 h t2^-1 = h * t1 h t1^-1."""
-    desc = f"mitosis data for {H.label}"
     H1 = H.conjugate(t1)
     rep = subgroups_commute(H, H1)
     if not rep.ok:
-        return PropertyReport.failing(
-            desc, "[H, t1 H t1^-1] != 1", counterexample=rep.counterexample
-        )
+        return PropertyReport.failing("[H, t1 H t1^-1] != 1", rep.counterexample)
     for h, h1, h2 in zip(H, H1, H.conjugate(t2)):
         if h2 != h * h1:
-            return PropertyReport.failing(
-                desc, "t2 h t2^-1 != h * t1 h t1^-1", counterexample=(h,)
-            )
+            return PropertyReport.failing("t2 h t2^-1 != h * t1 h t1^-1", (h,))
     return PropertyReport.passing(
-        desc,
-        ["[H, t1 H t1^-1] = 1 on generators", "t2-conjugation splits every generator"],
+        ["[H, t1 H t1^-1] = 1 on generators", "t2-conjugation splits every generator"]
     )
 
 
@@ -222,15 +203,12 @@ def check_dissipator(X, t, sample: FgSubgroup, p_max: int) -> PropertyReport:
     The sample must be supported inside X (checked, error otherwise)."""
     from .plmaps import displaces, pl_support
 
-    desc = f"dissipator on {X!r} (powers up to {p_max})"
     for g in sample.generators:
         if not X.contains_set(pl_support(g)):
             raise ValueError(f"sample generator {g!r} not supported inside X")
     disp = displaces(t, X, p_max)
     if not disp.ok:
-        return PropertyReport.failing(
-            desc, "t fails to displace X", counterexample=disp.counterexample
-        )
+        return PropertyReport.failing("t fails to displace X", disp.counterexample)
     checks = list(disp.checks)
     for g in sample.generators:
         diag = None
@@ -242,12 +220,10 @@ def check_dissipator(X, t, sample: FgSubgroup, p_max: int) -> PropertyReport:
             for h in sample.generators:
                 if not commutes(h, diag):
                     return PropertyReport.failing(
-                        desc,
-                        f"truncated diagonal at depth {q} does not commute",
-                        counterexample=(h, diag),
+                        f"truncated diagonal at depth {q} does not commute", (h, diag)
                     )
     checks.append(f"truncated diagonals commute with the sample up to depth {p_max}")
-    return PropertyReport.bounded(desc, checks)
+    return PropertyReport.bounded(checks)
 
 
 MembershipOracle = Callable[[object], bool]
@@ -271,23 +247,18 @@ def check_M(
     property, at desk scale: [Lam, t^p Lam t^-p] = 1 for p <= p_max, and
     every element of the finite set S lies in s <Lam> s^-1 (equivalently
     s^-1 x s is in <Lam>, decided by the supplied membership oracle)."""
-    desc = f"commuting-Z-conjugate container {Lam.label} (powers up to {p_max})"
-    czc = check_czc(Lam, t, p_max) if not Lam.is_trivial() else PropertyReport.bounded(desc)
+    czc = check_czc(Lam, t, p_max) if not Lam.is_trivial() else PropertyReport.bounded()
     if not czc.ok:
-        return PropertyReport.failing(
-            desc, czc.checks[-1], counterexample=czc.counterexample
-        )
+        return czc
     checks = list(czc.checks)
     if S:
         _require_same_context(s, S[0])
     s_inv = s.inverse()
     for x in S:
         if not membership(s_inv * x * s):
-            return PropertyReport.failing(
-                desc, "element not contained in the conjugate", counterexample=(x, s)
-            )
+            return PropertyReport.failing("element not contained in the conjugate", (x, s))
     checks.append(f"all {len(list(S))} sample elements lie in s <Lam> s^-1")
-    return PropertyReport.bounded(desc, checks)
+    return PropertyReport.bounded(checks)
 
 
 def derive_czc_from_M(
@@ -295,7 +266,7 @@ def derive_czc_from_M(
     H: FgSubgroup,
     s,
     membership: MembershipOracle,
-) -> Tuple[WitnessCertificate, PropertyReport]:
+) -> WitnessCertificate:
     """Transport a container certificate to a bounded commuting
     Z-conjugates certificate for any H inside s <Lam> s^-1: the witness
     is the s-conjugate of the container's t."""
@@ -309,27 +280,23 @@ def derive_czc_from_M(
         if not membership(s_inv * h * s):
             raise ValueError(f"generator {h!r} is not contained in s <Lam> s^-1")
     t = s * t0 * s_inv
-    out = WitnessCertificate("CZC", H, {"t": t, "p_max": p_max}, dict(cert.bounds))
-    return out, check_czc(H, t, p_max)
+    return WitnessCertificate("CZC", H, {"t": t, "p_max": p_max}, dict(cert.bounds))
 
 
-def product_cc_witness(
-    c1: WitnessCertificate, c2: WitnessCertificate
-) -> Tuple[WitnessCertificate, PropertyReport]:
+def product_cc_witness(c1: WitnessCertificate, c2: WitnessCertificate) -> WitnessCertificate:
     """Combine commuting-conjugates certificates of two factors into one
     for the product subgroup in the direct product, witnessed by the
     pair of conjugators."""
     for c in (c1, c2):
         if c.property != "CC":
             raise ValueError("both inputs must be CC certificates")
-        if not check_cc(c.subject, c.payload["t"]).ok:
+        if not verify_certificate(c).ok:
             raise ValueError(f"input certificate for {c.subject.label} fails")
     H = product_subgroup(
         f"{c1.subject.label} x {c2.subject.label}", c1.subject, c2.subject
     )
     t = H.context.pair(c1.payload["t"], c2.payload["t"])
-    cert = WitnessCertificate("CC", H, {"t": t})
-    return cert, check_cc(H, t)
+    return WitnessCertificate("CC", H, {"t": t})
 
 
 # property tag -> verifier of (subject, payload); the keys are the

@@ -61,7 +61,9 @@ def commutes(a, b) -> bool:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Structured pass/fail outcome of a property check.
+    """Structured outcome of a property check, the one result type from
+    checker to report: each field becomes one key of the check's report
+    entry (``verdict``, ``checks`` as ``detail``, ``counterexample``).
 
     ``verdict`` is one of "pass", "fail", "bounded-pass" or
     "not-applicable"; searches report "some" when they found a witness
@@ -71,7 +73,6 @@ class PropertyReport:
     witness found.
     """
 
-    description: str
     verdict: str
     checks: Tuple[str, ...] = ()
     counterexample: Optional[Any] = None
@@ -81,23 +82,18 @@ class PropertyReport:
         return self.verdict in ("pass", "bounded-pass")
 
     @staticmethod
-    def passing(description: str, checks: Sequence[str] = ()) -> "PropertyReport":
-        return PropertyReport(description, "pass", tuple(checks))
+    def passing(checks: Sequence[str] = ()) -> "PropertyReport":
+        return PropertyReport("pass", tuple(checks))
 
     @staticmethod
-    def bounded(description: str, checks: Sequence[str] = ()) -> "PropertyReport":
-        return PropertyReport(description, "bounded-pass", tuple(checks))
+    def bounded(checks: Sequence[str] = ()) -> "PropertyReport":
+        return PropertyReport("bounded-pass", tuple(checks))
 
     @staticmethod
     def failing(
-        description: str,
-        reason: str,
-        counterexample: Optional[Any] = None,
-        checks: Sequence[str] = (),
+        reason: str, counterexample: Optional[Any] = None, checks: Sequence[str] = ()
     ) -> "PropertyReport":
-        return PropertyReport(
-            description, "fail", tuple(checks) + (reason,), counterexample
-        )
+        return PropertyReport("fail", tuple(checks) + (reason,), counterexample)
 
 
 class FgSubgroup:
@@ -160,19 +156,16 @@ def subgroups_commute(H: FgSubgroup, K: FgSubgroup) -> PropertyReport:
     every generator of H centralizes every generator of K then <H> and
     <K> commute elementwise.
     """
-    desc = f"[{H.label}, {K.label}] = 1"
     if H.is_trivial() or K.is_trivial():
-        return PropertyReport.passing(desc, ["trivial factor"])
+        return PropertyReport.passing(["trivial factor"])
     if H.context != K.context:
         raise ContextMismatchError("subgroups live in different groups")
     for h in H.generators:
         for k in K.generators:
             if not commutes(h, k):
-                return PropertyReport.failing(
-                    desc, f"generators do not commute", counterexample=(h, k)
-                )
+                return PropertyReport.failing("generators do not commute", (h, k))
     n = len(H.generators) * len(K.generators)
-    return PropertyReport.passing(desc, [f"{n} generator pairs checked"])
+    return PropertyReport.passing([f"{n} generator pairs checked"])
 
 
 def enumerate_subgroup(generators: Sequence[Any], budget: int = 10**7) -> list:

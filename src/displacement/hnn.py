@@ -75,17 +75,28 @@ def _embed(pattern, g, one) -> tuple:
     return tuple(g if carries else one for carries in pattern)
 
 
+# the largest base group G a presentation is built over: its tables
+# are indexed by the |G|^2 elements of G x G
+MAX_BASE_ORDER = 10**3
+
+
 class FiniteHnnPresentation:
     """HNN/mitosis presentation over a finite permutation group G.
 
     Base letters are integers encoding pairs (a, b) in G x G as
     a*|G| + b, with all products, inverses, subgroup memberships and
-    associated isomorphisms precomputed as tables."""
+    associated isomorphisms precomputed as tables.  Raises
+    BudgetExceededError, after enumerating at most ``MAX_BASE_ORDER``
+    elements and before any table is built, when G is larger."""
 
     def __init__(self, base: FgSubgroup, letters: Sequence[str], label: str):
         if base.context is None:
             raise ValueError("base group needs a context")
-        elems = enumerate_subgroup([base.context.identity, *base.generators])
+        try:
+            elems = enumerate_subgroup([base.context.identity, *base.generators], MAX_BASE_ORDER)
+        except BudgetExceededError:
+            limit = f"base group larger than budget {MAX_BASE_ORDER}"
+            raise BudgetExceededError(limit) from None
         elems.sort(key=lambda p: p.images)
         n = len(elems)
         index = {g: i for i, g in enumerate(elems)}
@@ -572,7 +583,6 @@ def cc_witness_search_b1(
     than ``budget`` vertices."""
     pres = binate_presentation(base)
     minus = pres.minus_subgroup()
-    desc = f"commuting-conjugates search in {pres.label}"
     visited = 0
     for word, dist in _walk_tree(pres, max_letters):
         if visited == budget:
@@ -583,9 +593,8 @@ def cc_witness_search_b1(
         t = BrittonElement._trusted(pres, word)
         if check_cc(minus, t).ok:
             found = f"witness at Bass-Serre vertex {visited}, distance {dist}"
-            return PropertyReport(desc, "some", (found,), t)
+            return PropertyReport("some", (found,), t)
     return PropertyReport(
-        desc,
         "none",
         (
             f"no commuting-conjugates witness among {visited} Bass-Serre vertices"
@@ -594,11 +603,8 @@ def cc_witness_search_b1(
     )
 
 
-def mitosis_data(base: FgSubgroup, budget: int = 10**3):
+def mitosis_data(base: FgSubgroup):
     """G_- of m(G) together with the stable letters s and d, built from
-    one presentation.  The mitosis pair is (s, d*s).  Raises
-    BudgetExceededError when G has more than ``budget`` elements."""
-    if len(enumerate_subgroup([base.context.identity, *base.generators])) > budget:
-        raise BudgetExceededError(f"base group larger than budget {budget}")
+    one presentation.  The mitosis pair is (s, d*s)."""
     pres = mitosis_presentation(base)
     return pres.minus_subgroup(), pres.stable_letter("s"), pres.stable_letter("d")

@@ -387,15 +387,12 @@ def displaces(t: PLHomeo, I: IntervalSet, p_max: int) -> PropertyReport:
     computed exactly by iterating endpoints through t."""
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    desc = f"t^p(I) disjoint from I for 1 <= p <= {p_max}"
     current = I
     for p in range(1, p_max + 1):
         current = current.image(t)
         if not current.is_disjoint_from(I):
-            return PropertyReport.failing(
-                desc, f"t^{p}(I) meets I", counterexample=(t, p)
-            )
-    return PropertyReport.passing(desc, [f"checked powers 1..{p_max}"])
+            return PropertyReport.failing(f"t^{p}(I) meets I", (t, p))
+    return PropertyReport.passing([f"checked powers 1..{p_max}"])
 
 
 def _dissipator(l: Fraction, r: Fraction) -> PLHomeo:

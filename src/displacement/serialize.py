@@ -68,8 +68,7 @@ def to_jsonable(obj: Any) -> Any:
         return {"kind": "subgroup", "label": obj.label,
                 "generators": [to_jsonable(g) for g in obj.generators]}
     if isinstance(obj, PropertyReport):
-        return {"description": obj.description, "verdict": obj.verdict,
-                "checks": list(obj.checks),
+        return {"verdict": obj.verdict, "checks": list(obj.checks),
                 "counterexample": None if obj.counterexample is None
                 else [to_jsonable(x) for x in obj.counterexample]}
     if isinstance(obj, WitnessCertificate):

@@ -29,10 +29,12 @@ from .serialize import ScenarioError, to_jsonable
 
 DEFAULT_BOUNDS = {"budget": 10**7, "radius": 3}
 
-# scenario type name -> runner taking (bounds, rng, **params); its
-# keyword-only arguments declare the params, and one without a default
-# is required.  run_checks looks runners up here at call time.
+# scenario type name -> runner taking (bounds, rng, **params).  run_checks
+# looks runners up here at call time.
 CHECK_TYPES: Dict[str, Callable[..., PropertyReport]] = {}
+# scenario type name -> param -> its default, or inspect.Parameter.empty
+# for a required one: the runner's keyword-only arguments, read once
+PARAMS: Dict[str, Dict[str, object]] = {}
 DEFAULT_EXPECT: Dict[str, str] = {}
 # scenario type name -> completed params -> what makes them meaningless, or None
 MEANING: Dict[str, Callable[[dict], Optional[str]]] = {}
@@ -50,6 +52,8 @@ def check_type(
 
     def register(fn):
         CHECK_TYPES[name] = fn
+        arguments = inspect.signature(fn).parameters.values()
+        PARAMS[name] = {a.name: a.default for a in arguments if a.kind is a.KEYWORD_ONLY}
         DEFAULT_EXPECT[name] = expect
         if meaning is not None:
             MEANING[name] = meaning
@@ -58,7 +62,7 @@ def check_type(
     return register
 
 
-def _merge(desc: str, reports, note: Optional[str] = None) -> PropertyReport:
+def _merge(reports, note: Optional[str] = None) -> PropertyReport:
     """Combine sub-reports: fail dominates, then bounded-pass.  ``note``
     closes the detail of a combined report that does not fail."""
     detail: List[str] = []
@@ -66,12 +70,12 @@ def _merge(desc: str, reports, note: Optional[str] = None) -> PropertyReport:
     for rep in reports:
         detail.extend(rep.checks)
         if rep.verdict == "fail":
-            return PropertyReport(desc, "fail", tuple(detail), rep.counterexample)
+            return PropertyReport("fail", tuple(detail), rep.counterexample)
         if rep.verdict == "bounded-pass":
             verdict = "bounded-pass"
     if note is not None:
         detail.append(note)
-    return PropertyReport(desc, verdict, tuple(detail))
+    return PropertyReport(verdict, tuple(detail))
 
 
 def _tower(degree: int, orders) -> wreath.TowerSpec:
@@ -115,8 +119,7 @@ def _letters_within_tree(params) -> Optional[str]:
 @check_type("wreath-zn-witness", meaning=_p_divides_top_order)
 def run_wreath_zn_witness(bounds, rng, *, orders, level, p, degree=3) -> PropertyReport:
     tower = _tower(degree, orders)
-    _, rep = wreath.zn_witness(tower, tower.base, level, p)
-    return rep
+    return checkers.verify_certificate(wreath.zn_witness(tower, tower.base, level, p))
 
 
 @check_type("wreath-brute-search", expect="none", meaning=_level_in_orders)
@@ -125,22 +128,20 @@ def run_wreath_brute_search(bounds, rng, *, orders, level, p, degree=3) -> Prope
     H = wreath.embed_subgroup(tower.base, tower, level)
     size = wreath.level_order(tower, level, bounds["budget"])
     t = wreath.brute_search_zp_witness(tower, level, H, p, bounds["budget"])
-    desc = "wreath-brute-search"
     if t is None:
         through = ""
         if wreath.base_normalizes(tower, level, H):
             orbits = len(wreath.base_conjugacy_representatives(tower, bounds["budget"]))
             through = f" through {orbits} base-group conjugacy orbits"
         line = f"exhausted all {size} elements{through}, no witness"
-        return PropertyReport(desc, "none", (line,))
-    return PropertyReport(desc, "some", (f"witness found among {size} elements",), t)
+        return PropertyReport("none", (line,))
+    return PropertyReport("some", (f"witness found among {size} elements",), t)
 
 
 @check_type("wreath-torsion-exhaustive", meaning=_level_in_orders)
 def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> PropertyReport:
     tower = _tower(degree, orders)
     H = wreath.embed_subgroup(tower.base, tower, level)
-    desc = "wreath-torsion-exhaustive"
     size = wreath.level_order(tower, level, bounds["budget"])
     count = 0
     for t in wreath.search_candidates(tower, level, H, bounds["budget"]):
@@ -148,20 +149,18 @@ def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> Pr
         rep = checkers.check_czc(H, t, order)
         if rep.ok:
             return PropertyReport.failing(
-                desc, f"t of order {order} passes the Z-conjugate conditions", t
+                f"t of order {order} passes the Z-conjugate conditions", t
             )
         count += 1
     line = f"all {size} elements fail the Z-conjugate conditions at p <= ord(t)"
     if wreath.base_normalizes(tower, level, H):
         line += f", checked on {count} base-group conjugacy orbits"
-    return PropertyReport.passing(desc, [line])
+    return PropertyReport.passing([line])
 
 
 @check_type("sym-zn-witness")
 def run_sym_zn_witness(bounds, rng, *, n, degree=3) -> PropertyReport:
-    H = symmetric_group(degree)
-    _, rep = wreath.sym_zn_witness(H, n)
-    return rep
+    return checkers.verify_certificate(wreath.sym_zn_witness(symmetric_group(degree), n))
 
 
 def _random_unitriangular(rng, n: int, upper: bool) -> List[List[int]]:
@@ -195,7 +194,6 @@ def _mul2(a, b):
 def run_gl_block_identity(bounds, rng, *, samples=200) -> PropertyReport:
     """Oracle for 2x2-block conjugation inside GL_4: assemble
     [[XAX^-1, XB], [CX^-1, D]] blockwise and compare exactly."""
-    desc = "gl-block-identity"
     for i in range(samples):
         X = _random_invertible(rng, 2)
         g = _random_invertible(rng, 4)
@@ -214,10 +212,8 @@ def run_gl_block_identity(bounds, rng, *, samples=200) -> PropertyReport:
             [XAXi[0] + XB[0], XAXi[1] + XB[1], CXi[0] + D[0], CXi[1] + D[1]]
         )
         if got != expected:
-            return PropertyReport.failing(desc, f"mismatch at sample {i}", (X, g))
-    return PropertyReport.passing(
-        desc, [f"{samples} random block conjugations match the oracle"]
-    )
+            return PropertyReport.failing(f"mismatch at sample {i}", (X, g))
+    return PropertyReport.passing([f"{samples} random block conjugations match the oracle"])
 
 
 @check_type("gl-centralizer")
@@ -227,11 +223,10 @@ def run_gl_centralizer(bounds, rng) -> PropertyReport:
         matrices.RationalMatrix([[1, 0], [0, -1]]),
         matrices.RationalMatrix([[1, 0], [1, 1]]),
     ]
-    desc = "gl-centralizer"
     space = matrices.centralizer_space(tests, ambient=4)
     detail = [f"centralizer dimension {space.dim} in M_4"]
     if space.dim != 5:
-        return PropertyReport.failing(desc, "expected dimension 5", checks=detail)
+        return PropertyReport.failing("expected dimension 5", checks=detail)
     for M in matrices.matrices_of(space, 4):
         scalar_block = (
             M[0][0] == M[1][1]
@@ -243,29 +238,26 @@ def run_gl_centralizer(bounds, rng) -> PropertyReport:
         )
         if not (scalar_block and off_blocks_zero):
             return PropertyReport.failing(
-                desc, "basis element not of shape aI_2 (+) D", checks=detail
+                "basis element not of shape aI_2 (+) D", checks=detail
             )
     detail.append("every basis element has the aI_2 (+) D block shape")
     full = matrices.centralizer_space(matrices.gl2z_generators().generators, ambient=2)
     detail.append(f"full generator set centralizer has dimension {full.dim} (scalars)")
-    return PropertyReport(desc, "pass" if full.dim == 1 else "fail", tuple(detail))
+    return PropertyReport("pass" if full.dim == 1 else "fail", tuple(detail))
 
 
 @check_type("gl-z2")
 def run_gl_z2(bounds, rng) -> PropertyReport:
     H = matrices.gl2z_generators()
-    cert, rep = matrices.gl_block_swap_witness(H)
+    cert = matrices.gl_block_swap_witness(H)
+    rep = checkers.verify_certificate(cert)
     if not rep.ok:
         return rep
-    t = cert.payload["t"]
-    czc = checkers.check_czc(H, t, 2)
-    if czc.ok:
-        return PropertyReport.failing(
-            rep.description, "Z-conjugate conditions unexpectedly hold at p = 2"
-        )
+    if checkers.check_czc(H, cert.payload["t"], 2).ok:
+        return PropertyReport.failing("Z-conjugate conditions unexpectedly hold at p = 2")
     detail = list(rep.checks)
     detail.append("Z-conjugate conditions fail at p = 2 (t^2 = 1), as they must")
-    return PropertyReport.passing(rep.description, detail)
+    return PropertyReport.passing(detail)
 
 
 def _pl_letters(gens) -> list:
@@ -285,7 +277,6 @@ def _random_pl_word(rng, letters, max_len: int):
 def run_pl_tower(
     bounds, rng, *, depth=3, samples=200, displace_p_max=50, czc_p_max=10
 ) -> PropertyReport:
-    desc = "pl-tower"
     gens, dissipators, intervals = plmaps.tower_gamma(depth)
     detail = [f"tower of depth {depth} built with {len(gens)} generators"]
     reports = []
@@ -295,7 +286,7 @@ def run_pl_tower(
         reports.append(plmaps.displaces(t, I, displace_p_max))
         level = FgSubgroup(f"Gamma_{i}", gens[: i + 1])
         reports.append(checkers.check_czc(level, t, czc_p_max))
-    merged = _merge(desc, reports)
+    merged = _merge(reports)
     if merged.verdict == "fail":
         return merged
     detail.extend(merged.checks)
@@ -306,12 +297,12 @@ def run_pl_tower(
         sup = plmaps.pl_support(g)
         for (l0, r0), (l1, r1) in zip(sup.intervals, sup.intervals[1:]):
             if r0 > l1:
-                return PropertyReport.failing(desc, f"support not disjoint for sample {k}", g)
+                return PropertyReport.failing(f"support not disjoint for sample {k}", g)
         for I in level_sets[:-1]:
             gi = I.image(g)
             if not (gi.is_disjoint_from(I) or gi == I):
                 return PropertyReport.failing(
-                    desc, f"conjugacy dichotomy fails at sample {k}", (g, I)
+                    f"conjugacy dichotomy fails at sample {k}", (g, I)
                 )
     detail.append(
         f"{samples} sampled words: supports are finite disjoint interval sets"
@@ -319,23 +310,22 @@ def run_pl_tower(
     detail.append(
         f"{samples} sampled words: g(I_i) is disjoint from I_i or equal to it"
     )
-    return PropertyReport(desc, merged.verdict, tuple(detail))
+    return PropertyReport(merged.verdict, tuple(detail))
 
 
 @check_type("pl-fixed-point")
 def run_pl_fixed_point(bounds, rng, *, samples=50) -> PropertyReport:
     h = plmaps.unique_fixed_point_element()
     half = Fraction(1, 2)
-    desc = "pl-fixed-point"
     detail = []
     if h(half) != half:
-        return PropertyReport.failing(desc, "h does not fix 1/2")
+        return PropertyReport.failing("h does not fix 1/2")
     sup = plmaps.pl_support(h)
     if sup != plmaps.IntervalSet([(0, half), (half, 1)]):
-        return PropertyReport.failing(desc, f"support is {sup!r}, not (0,1/2) u (1/2,1)")
+        return PropertyReport.failing(f"support is {sup!r}, not (0,1/2) u (1/2,1)")
     detail.append("h fixes 1/2 and moves every other point of (0, 1)")
     if not plmaps.in_standard_f_copy(h):
-        return PropertyReport.failing(desc, "h is not in the standard copy on (0, 1)")
+        return PropertyReport.failing("h is not in the standard copy on (0, 1)")
     detail.append("h lies in the standard copy on (0, 1)")
     top = samples // 3 + 1
     for u in (h, h.inverse()):
@@ -344,7 +334,7 @@ def run_pl_fixed_point(bounds, rng, *, samples=50) -> PropertyReport:
             if k:
                 power = power * u
             if power(half) != half:
-                return PropertyReport.failing(desc, "a power of h moves 1/2", power)
+                return PropertyReport.failing("a power of h moves 1/2", power)
     detail.append(
         f"{2 * top} centralizing elements (h^k and h^-k, k = 1..{top}) fix 1/2 exactly"
     )
@@ -356,12 +346,12 @@ def run_pl_fixed_point(bounds, rng, *, samples=50) -> PropertyReport:
             moved += 1
             if commutes(u, h):
                 return PropertyReport.failing(
-                    desc, f"element moving 1/2 centralizes h (sample {k})", u
+                    f"element moving 1/2 centralizes h (sample {k})", u
                 )
     detail.append(
         f"{moved} sampled elements moving 1/2 all fail to centralize h"
     )
-    return PropertyReport.passing(desc, detail)
+    return PropertyReport.passing(detail)
 
 
 def _random_britton_word(rng, pres, max_letters: int):
@@ -377,7 +367,6 @@ def _random_britton_word(rng, pres, max_letters: int):
 @check_type("britton-engine")
 def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
     base = symmetric_group(degree)
-    desc = "britton-engine"
     detail = []
     b_pres = hnn.binate_presentation(base)
     m_pres = hnn.mitosis_presentation(base)
@@ -387,11 +376,11 @@ def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
     for g in b_pres.group_elems:
         diagonal = b_pres.base_element(g, g)
         if conj(d, b_pres.base_element(e, g)) != diagonal:
-            return PropertyReport.failing(desc, "d (1,g) d^-1 != (g,g)", g)
+            return PropertyReport.failing("d (1,g) d^-1 != (g,g)", g)
         if d.inverse() * diagonal * d != b_pres.base_element(e, g):
-            return PropertyReport.failing(desc, "d^-1 (g,g) d != (1,g)", g)
+            return PropertyReport.failing("d^-1 (g,g) d != (1,g)", g)
         if conj(s, m_pres.base_element(g, e)) != m_pres.base_element(e, g):
-            return PropertyReport.failing(desc, "s (g,1) s^-1 != (1,g)", g)
+            return PropertyReport.failing("s (g,1) s^-1 != (1,g)", g)
     detail.append(
         f"defining rewrites verified for all {len(b_pres.group_elems)} base elements"
     )
@@ -402,7 +391,7 @@ def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
             if hnn.stable_letter_count(word) != 1:
                 continue
             if hnn.is_identity(pres, word):
-                return PropertyReport.failing(desc, "reduced 1-letter word is trivial", word)
+                return PropertyReport.failing("reduced 1-letter word is trivial", word)
             count += 1
     detail.append(f"all {count} reduced one-stable-letter words are nontrivial")
     # confluence under randomized pinch orders (both results are reduced)
@@ -412,24 +401,21 @@ def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
             first = hnn.britton_reduce(pres, w)
             second = hnn.britton_reduce(pres, w, rng=rng)
             if hnn.reduced_normal_form(pres, first) != hnn.reduced_normal_form(pres, second):
-                return PropertyReport.failing(desc, f"confluence breaks at sample {k}", w)
+                return PropertyReport.failing(f"confluence breaks at sample {k}", w)
             quot = hnn.word_mul(pres, first, hnn.word_inv(pres, second))
             if not hnn.is_identity(pres, quot):
-                return PropertyReport.failing(
-                    desc, f"reductions differ in the group ({k})", w
-                )
+                return PropertyReport.failing(f"reductions differ in the group ({k})", w)
     detail.append(
         f"{samples} randomized-order reductions per presentation agree with the"
         " deterministic order"
     )
-    return PropertyReport.passing(desc, detail)
+    return PropertyReport.passing(detail)
 
 
 @check_type("bass-serre")
 def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
     base = symmetric_group(degree)
     radius = bounds["radius"]
-    desc = "bass-serre"
     pres = hnn.binate_presentation(base)
     e = base.context.identity
     nontrivial = [g for g in pres.group_elems if not g.is_identity()]
@@ -439,16 +425,14 @@ def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
         fixed = hnn.fixed_vertices(pres, pres.encode(g, e), radius)
         if len(fixed) != 1 or fixed[0].distance != 0:
             return PropertyReport.failing(
-                desc, f"(g,1) fixes {len(fixed)} vertices within radius {radius}", g
+                f"(g,1) fixes {len(fixed)} vertices within radius {radius}", g
             )
     detail.append(
         f"all {len(nontrivial)} nontrivial (g,1) fix exactly the base vertex"
     )
     for g in nontrivial:
         if len(hnn.fixed_vertices(pres, pres.encode(g, g), 1)) < 2:
-            return PropertyReport.failing(
-                desc, "diagonal element fixes fewer than 2 vertices", g
-            )
+            return PropertyReport.failing("diagonal element fixes fewer than 2 vertices", g)
     detail.append("every nontrivial (g,g) fixes at least 2 vertices at radius 1")
     # stabilizer structure at radius 1, exhaustively over the base group:
     # the descent and the word-algebra test must both agree with the
@@ -465,13 +449,13 @@ def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
             by_word_algebra = hnn.fixes_vertex(pres, (code, ()), v)
             if not expected == by_descent == by_word_algebra:
                 return PropertyReport.failing(
-                    desc, "stabilizer mismatch at a radius-1 vertex", (v.word, code)
+                    "stabilizer mismatch at a radius-1 vertex", (v.word, code)
                 )
     detail.append(
         "radius-1 stabilizers are exactly the expected conjugates of the"
         " associated subgroups"
     )
-    return PropertyReport.passing(desc, detail)
+    return PropertyReport.passing(detail)
 
 
 @check_type("cc-search-b1", expect="none", meaning=_letters_within_tree)
@@ -490,16 +474,14 @@ def run_mitosis(bounds, rng, *, degree=3) -> PropertyReport:
     f = checkers.GeneratorMap(minus, minus.conjugate(s).generators)
     binate = checkers.check_binate(minus, f, d)
     return _merge(
-        mit.description,
-        [mit, binate],
-        "generic mitotic and binate checkers accept the instantiated data",
+        [mit, binate], "generic mitotic and binate checkers accept the instantiated data"
     )
 
 
 @check_type("hall-sym")
 def run_hall_sym(bounds, rng, *, degree=3, ns=(2, 3, 4)) -> PropertyReport:
     H = symmetric_group(degree)
-    return _merge("hall-sym", [wreath.sym_zn_witness(H, n)[1] for n in ns])
+    return _merge([checkers.verify_certificate(wreath.sym_zn_witness(H, n)) for n in ns])
 
 
 SUITES: Dict[str, dict] = {}
@@ -696,9 +678,7 @@ def run_checks(checks: List[dict], bounds: dict, seed: int) -> dict:
         ctype, given = check["type"], check.get("params", {})
         if ctype not in CHECK_TYPES:
             raise ScenarioError(f"check {check['id']!r} has unknown type {ctype!r}")
-        arguments = inspect.signature(CHECK_TYPES[ctype]).parameters.values()
-        declared = [a for a in arguments if a.kind is a.KEYWORD_ONLY]
-        params = {a.name: given.get(a.name, a.default) for a in declared}
+        params = {k: given.get(k, v) for k, v in PARAMS[ctype].items()}
         extra = [k for k in given if k not in params]
         if extra:
             names = ", ".join(extra)

@@ -356,7 +356,7 @@ def realize_permutation(w: WreathElement) -> Permutation:
     return Permutation(SymmetricGroupContext(degree), images)
 
 
-def zn_witness(tower: TowerSpec, H: FgSubgroup, i: int, p: int):
+def zn_witness(tower: TowerSpec, H: FgSubgroup, i: int, p: int) -> WitnessCertificate:
     """The constructive Z/p witness at level i: with n_i = k*p, the k-th
     power of the level-i shift generator displaces everything below it
     q times for 1 <= q < p, and its p-th power is trivial."""
@@ -367,11 +367,7 @@ def zn_witness(tower: TowerSpec, H: FgSubgroup, i: int, p: int):
     ctx = tower.context(i)
     t = WreathElement(ctx, k, ())
     H_up = embed_subgroup(H, tower, i)
-    report = check_cznc(H_up, t, p)
-    cert = WitnessCertificate(
-        property="CZNC", subject=H_up, payload={"t": t, "n": p}, bounds={"level": i}
-    )
-    return cert, report
+    return WitnessCertificate("CZNC", H_up, {"t": t, "n": p}, {"level": i})
 
 
 def brute_search_zp_witness(
@@ -397,7 +393,7 @@ def brute_search_zp_witness(
     return None
 
 
-def sym_zn_witness(H: FgSubgroup, n: int):
+def sym_zn_witness(H: FgSubgroup, n: int) -> WitnessCertificate:
     """Z/n witness inside Sym(k*n) for H <= Sym(k): t is the product of
     the n-cycles (j, j+k, ..., j+(n-1)k)."""
     if n < 2:
@@ -415,8 +411,4 @@ def sym_zn_witness(H: FgSubgroup, n: int):
         [g.extend(degree) for g in H.generators],
         context=big,
     )
-    report = check_cznc(H_big, t, n)
-    cert = WitnessCertificate(
-        property="CZNC", subject=H_big, payload={"t": t, "n": n}, bounds={}
-    )
-    return cert, report
+    return WitnessCertificate("CZNC", H_big, {"t": t, "n": n})

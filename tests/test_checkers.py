@@ -205,8 +205,8 @@ def test_derive_czc_from_M():
     # H sits inside the standard copy, s is a conjugator into it
     x0, x1 = thompson_generators()
     H = FgSubgroup("H", [gens[0]])
-    out, rep = derive_czc_from_M(cert, H, x0, in_standard_f_copy)
-    assert rep.ok
+    out = derive_czc_from_M(cert, H, x0, in_standard_f_copy)
+    assert verify_certificate(out).ok
     assert out.property == "CZC"
     assert out.payload["t"] == conj(x0, t)
     with pytest.raises(ValueError):
@@ -219,8 +219,7 @@ def test_derive_czc_from_M():
 def test_product_cc_witness():
     H1, t1 = s3_level1()
     c1 = WitnessCertificate("CC", H1, {"t": t1})
-    cert, rep = product_cc_witness(c1, c1)
-    assert rep.ok
+    cert = product_cc_witness(c1, c1)
     assert cert.property == "CC"
     assert verify_certificate(cert).ok
     bad = WitnessCertificate("CC", H1, {"t": H1.generators[0]})
@@ -337,9 +336,9 @@ def test_each_conjugator_is_inverted_once_per_call(monkeypatch):
     assert check_M(Lam, cert.payload["t"], S, x0, 3, in_standard_f_copy).ok
     assert len(calls) == 1
     calls.clear()
-    out, rep = derive_czc_from_M(cert, Lam, x0, in_standard_f_copy)
+    out = derive_czc_from_M(cert, Lam, x0, in_standard_f_copy)
     assert len(calls) == 1
-    assert rep.ok and out.payload["t"] == conj(x0, cert.payload["t"])
+    assert verify_certificate(out).ok and out.payload["t"] == conj(x0, cert.payload["t"])
 
 
 def test_conjugators_from_another_group_are_rejected():

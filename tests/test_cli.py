@@ -1,5 +1,6 @@
 """Command line interface: exit codes, determinism, report formats."""
 
+import dataclasses
 import inspect
 import json
 import subprocess
@@ -7,7 +8,9 @@ import sys
 
 import pytest
 
+from displacement import hnn
 from displacement.cli import main, render_text
+from displacement.core import PropertyReport
 from displacement.serialize import ScenarioError, load_schema
 from displacement.suites import CHECK_TYPES, DEFAULT_EXPECT, SUITES, run_checks, run_suite
 
@@ -378,6 +381,42 @@ def test_budget_exceeded_exits_three(capsys, tmp_path):
     path = write_scenario(tmp_path, scenario)
     code = main(["--scenario", path, "--budget", "10"])
     assert code == 3
+
+
+# the check types that build an HNN presentation, with complete params
+HNN_CHECKS = {
+    "bass-serre": {},
+    "britton-engine": {},
+    "cc-search-b1": {"max_letters": 1},
+    "mitosis": {},
+}
+
+
+@pytest.mark.parametrize("ctype", sorted(HNN_CHECKS))
+def test_base_group_too_large_for_a_presentation_exits_three(
+    capsys, monkeypatch, tmp_path, ctype
+):
+    """Every HNN presentation refuses a base group above one limit: here
+    Sym(3), of order 6, against a limit lowered to 5."""
+    monkeypatch.setattr(hnn, "MAX_BASE_ORDER", 5)
+    params = dict(HNN_CHECKS[ctype], degree=3)
+    path = write_scenario(
+        tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
+    )
+    assert main(["--scenario", path]) == 3
+    assert capsys.readouterr().err == "error: base group larger than budget 5\n"
+
+
+def test_every_report_field_reaches_the_check_entry(monkeypatch):
+    """A check result holds only what its report entry prints."""
+    entry_key = {"verdict": "verdict", "checks": "detail", "counterexample": "counterexample"}
+    assert [f.name for f in dataclasses.fields(PropertyReport)] == list(entry_key)
+    rep = PropertyReport("fail", ("first", "second"), (1, "a"))
+    monkeypatch.setitem(CHECK_TYPES, "gl-z2", lambda bounds, rng: rep)
+    (entry,) = run_checks([{"id": "x", "type": "gl-z2"}], {}, 0)["checks"]
+    assert {field: entry[key] for field, key in entry_key.items()} == {
+        "verdict": "fail", "checks": ["first", "second"], "counterexample": [1, "a"]
+    }
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):

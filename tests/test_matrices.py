@@ -247,10 +247,10 @@ def test_block_swap_is_involution():
 
 def test_gl_block_swap_witness():
     H = gl2z_generators()
-    cert, rep = gl_block_swap_witness(H)
-    assert rep.ok
+    cert = gl_block_swap_witness(H)
     assert verify_certificate(cert).ok
     t = cert.payload["t"]
+    assert t == block_swap(2)
     assert subgroups_commute(H, H.conjugate(t)).ok
     # t^2 = 1, so the Z-conditions collapse to [H, H] != 1 at p = 2
     assert not check_czc(H, t, 2).ok
@@ -279,5 +279,6 @@ def test_generalized_block_swap_shapes():
 
 def test_trivial_subgroup_witness():
     T = FgSubgroup("T", [], context=None)
-    cert, rep = gl_block_swap_witness(T)
-    assert rep.ok
+    cert = gl_block_swap_witness(T)
+    assert verify_certificate(cert).ok
+    assert cert.payload["t"] == block_swap(1)

@@ -52,7 +52,7 @@ def test_to_jsonable_is_json_safe():
             Permutation.from_cycles(3, [(1, 2)]), symmetric_group(3).context.identity
         ),
         symmetric_group(3),
-        PropertyReport("demo", "pass", ("a", "b")),
+        PropertyReport("pass", ("a", "b")),
         WitnessCertificate("CC", symmetric_group(3), {"t": x0, "oracle": len}),
     ]
     for obj in objs:

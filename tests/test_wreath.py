@@ -128,16 +128,15 @@ def test_embed_rejects_wrong_context():
 def test_zn_witness_levels():
     tower = s3_tower([2, 2, 2, 2])
     for level in range(1, 5):
-        cert, rep = zn_witness(tower, tower.base, level, 2)
-        assert rep.ok
+        cert = zn_witness(tower, tower.base, level, 2)
         assert verify_certificate(cert).ok
         assert cert.payload["t"].shift == 1
 
 
 def test_zn_witness_with_composite_top():
     tower = s3_tower([4])
-    cert, rep = zn_witness(tower, tower.base, 1, 2)
-    assert rep.ok
+    cert = zn_witness(tower, tower.base, 1, 2)
+    assert verify_certificate(cert).ok
     assert cert.payload["t"].shift == 2  # k = n/p = 2
     with pytest.raises(ValueError):
         zn_witness(tower, tower.base, 1, 3)  # 3 does not divide 4
@@ -184,10 +183,8 @@ def test_torsion_obstruction():
 def test_sym_zn_witness():
     H = symmetric_group(3)
     for n in (2, 3, 4):
-        cert, rep = sym_zn_witness(H, n)
-        assert rep.ok
-        assert verify_certificate(cert).ok
-    cert, rep = sym_zn_witness(H, 3)
+        assert verify_certificate(sym_zn_witness(H, n)).ok
+    cert = sym_zn_witness(H, 3)
     t = cert.payload["t"]
     assert t.cycles() == ((1, 4, 7), (2, 5, 8), (3, 6, 9))
     assert element_order(t) == 3

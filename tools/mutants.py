@@ -157,20 +157,20 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "cznc-power-loop-one-short", "checkers.py",
-        "failure, tn = _conjugates_commute(H, t, desc, n)",
-        "failure, tn = _conjugates_commute(H, t, desc, n - 1)",
+        "failure, tn = _conjugates_commute(H, t, n)",
+        "failure, tn = _conjugates_commute(H, t, n - 1)",
         CHECKER_TESTS,
     ),
     Mutant(
         "czc-power-loop-one-short", "checkers.py",
-        "failure, _ = _conjugates_commute(H, t, desc, p_max + 1)",
-        "failure, _ = _conjugates_commute(H, t, desc, p_max)",
+        "failure, _ = _conjugates_commute(H, t, p_max + 1)",
+        "failure, _ = _conjugates_commute(H, t, p_max)",
         CHECKER_TESTS,
     ),
     Mutant(
         "czc-claims-an-unbounded-pass", "checkers.py",
-        'return PropertyReport.bounded(desc, [f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])',
-        'return PropertyReport.passing(desc, [f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])',
+        'return PropertyReport.bounded([f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])',
+        'return PropertyReport.passing([f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])',
         CHECKER_TESTS,
     ),
     Mutant(
@@ -217,6 +217,12 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "undeclared-param-accepted", "suites.py",
         "if extra:", "if False:", ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "presentation-limit-off", "hnn.py",
+        "elems = enumerate_subgroup([base.context.identity, *base.generators], MAX_BASE_ORDER)",
+        "elems = enumerate_subgroup([base.context.identity, *base.generators])",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "cc-search-verdict-negated", "hnn.py",
