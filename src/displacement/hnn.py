@@ -12,8 +12,8 @@ two embeddings of G into G x G that one table defines per letter, and
 the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  Words are
 alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
 reduces its word once, and its products and inverses come reduced.
-The finite base G x G is enumerated once and encoded as integers, which
-makes reduction fast enough for exhaustive searches.
+G is enumerated once, its product table composed from image tuples, and
+G x G is encoded as integers, so every base operation is a lookup.
 
 Britton reduction is one left-to-right pass that pushes the stable
 letters onto a stack, each tested against the top: a pinch pops the
@@ -24,10 +24,10 @@ rescanning after every pinch would return, and its cost is linear in
 the word's length.  ``word_mul`` pushes v's letters onto u's, so the
 product of reduced words pinches only at the seam.  Normal forms of
 reduced words come from tables: the sweep that picks each coset's
-representative r records, for each b = r c, the base letter that c
-becomes on the far side of the stable letter.  A Bass-Serre
-vertex is its normal-form word, ending in the identity base letter,
-with one stable letter per step of distance.
+representative r records, for each b = r c (read off the product rows
+of b's coordinates), the base letter that c becomes on the far side of
+the stable letter.  A Bass-Serre vertex is its normal-form word, ending
+in the identity base letter, with one stable letter per step of distance.
 
 Bass-Serre vertex queries: ``tree_ball`` lists the vertices within a
 radius, and ``fixed_vertices`` the ones a base element g fixes.  The
@@ -64,17 +64,6 @@ _EMBEDDINGS = {
 }
 
 
-def _embeddings(x: str):
-    """The embeddings (A, B) of stable letter x."""
-    if x not in _EMBEDDINGS:
-        raise ValueError(f"unknown stable letter {x!r}")
-    return _EMBEDDINGS[x]
-
-
-def _embed(pattern, g, one) -> tuple:
-    return tuple(g if carries else one for carries in pattern)
-
-
 # the largest base group G a presentation is built over: its tables
 # are indexed by the |G|^2 elements of G x G
 MAX_BASE_ORDER = 10**3
@@ -100,7 +89,11 @@ class FiniteHnnPresentation:
         elems.sort(key=lambda p: p.images)
         n = len(elems)
         index = {g: i for i, g in enumerate(elems)}
-        gmul = [[index[a * b] for b in elems] for a in elems]
+        # a * b has images a.images[b.images[i]] (``Permutation.__mul__``'s
+        # formula), composed here on image tuples and indexed by images
+        images = [g.images for g in elems]
+        at = {p: i for i, p in enumerate(images)}
+        gmul = [[at[tuple([p[i] for i in q])] for q in images] for p in images]
         ginv = [index[a.inverse()] for a in elems]
         e = index[base.context.identity]
 
@@ -120,12 +113,13 @@ class FiniteHnnPresentation:
         self._phi: Dict[str, List[int]] = {}
         self._phi_inv: Dict[str, List[int]] = {}
         for x in letters:
-            A, B = _embeddings(x)
+            if x not in _EMBEDDINGS:
+                raise ValueError(f"unknown stable letter {x!r}")
             phi = [-1] * N
             phi_inv = [-1] * N
             for g in range(n):
-                (a1, a2), (b1, b2) = _embed(A, g, e), _embed(B, g, e)
-                a_code, b_code = a1 * n + a2, b1 * n + b2
+                # the codes of A(g) and B(g): g where the flag is set, else 1
+                a_code, b_code = [(g if p else e) * n + (g if q else e) for p, q in _EMBEDDINGS[x]]
                 phi[a_code] = b_code
                 phi_inv[b_code] = a_code
             # A_x and B_x are the domains of phi_x and of its inverse
@@ -141,6 +135,7 @@ class FiniteHnnPresentation:
         # The same sweep fills the push tables: b*c, with c in the
         # subgroup, gets push[b*c] = phi_x^-1(c) for B_x and phi_x(c) for
         # A_x, the base letter that c becomes on the far side of x^+-1.
+        # b*c is read off the product rows of b's two coordinates.
         self._index = index
         self._coset_rep: Dict[Tuple[str, str], List[int]] = {}
         self._push: Dict[Tuple[str, str], List[int]] = {}
@@ -150,17 +145,18 @@ class FiniteHnnPresentation:
                 ("A", self._in_A[x], self._phi[x]),
                 ("B", self._in_B[x], self._phi_inv[x]),
             ):
-                sub = [c for c in range(N) if member[c]]
+                sub = [(c // n, c % n, across[c]) for c in range(N) if member[c]]
                 rep = [-1] * N
                 push = [-1] * N
                 reps = []
                 for b in range(N):
                     if rep[b] == -1:
                         reps.append(b)
-                        for c in sub:
-                            bc = self.mul(b, c)
+                        row1, row2 = gmul[b // n], gmul[b % n]
+                        for c1, c2, pushed in sub:
+                            bc = row1[c1] * n + row2[c2]
                             rep[bc] = b
-                            push[bc] = across[c]
+                            push[bc] = pushed
                 self._coset_rep[(side, x)] = rep
                 self._push[(side, x)] = push
                 self._transversal[(side, x)] = reps
@@ -180,21 +176,6 @@ class FiniteHnnPresentation:
     def inv(self, a: int) -> int:
         n = self.n
         return self._ginv[a // n] * n + self._ginv[a % n]
-
-    def is_base_identity(self, a: int) -> bool:
-        return a == self.identity_code
-
-    def in_A(self, x: str, b: int) -> bool:
-        return self._in_A[x][b]
-
-    def in_B(self, x: str, b: int) -> bool:
-        return self._in_B[x][b]
-
-    def phi(self, x: str, b: int) -> int:
-        return self._phi[x][b]
-
-    def phi_inv(self, x: str, b: int) -> int:
-        return self._phi_inv[x][b]
 
     # -- element interface ---------------------------------------------
 
@@ -232,11 +213,7 @@ def _pinch_sites(pres, letters) -> List[int]:
     for i in range(len(letters) - 1):
         x1, e1, b1 = letters[i]
         x2, e2, _ = letters[i + 1]
-        if x1 != x2 or e1 != -e2:
-            continue
-        if e1 == 1 and pres.in_A(x1, b1):
-            sites.append(i)
-        elif e1 == -1 and pres.in_B(x1, b1):
+        if x1 == x2 and e1 == -e2 and (pres._in_A if e1 == 1 else pres._in_B)[x1][b1]:
             sites.append(i)
     return sites
 
@@ -283,14 +260,11 @@ def britton_reduce(pres, word: Word, rng=None) -> Word:
         b0 = _push_letters(pres, b0, stack, letters)
         return (b0, tuple(stack))
     letters = list(letters)
-    while True:
-        sites = _pinch_sites(pres, letters)
-        if not sites:
-            break
+    while sites := _pinch_sites(pres, letters):
         i = sites[rng.randrange(len(sites))]
         x1, e1, b1 = letters[i]
         _, _, b2 = letters[i + 1]
-        mid = pres.phi(x1, b1) if e1 == 1 else pres.phi_inv(x1, b1)
+        mid = (pres._phi if e1 == 1 else pres._phi_inv)[x1][b1]
         merged = pres.mul(mid, b2)
         if i == 0:
             b0 = pres.mul(b0, merged)
@@ -337,7 +311,7 @@ def is_identity(pres, word: Word) -> bool:
     """Britton's lemma: w = 1 iff its reduced form has no stable letters
     and a trivial base letter."""
     b0, letters = britton_reduce(pres, word)
-    return not letters and pres.is_base_identity(b0)
+    return not letters and b0 == pres.identity_code
 
 
 def stable_letter_count(word: Word) -> int:
@@ -412,7 +386,7 @@ class BrittonElement:
     def is_identity(self) -> bool:
         # Britton's lemma on the stored reduced word
         b0, letters = self.word
-        return not letters and self.context.is_base_identity(b0)
+        return not letters and b0 == self.context.identity_code
 
     def __eq__(self, other):
         if not isinstance(other, BrittonElement):
@@ -474,19 +448,21 @@ def _children(pres: FiniteHnnPresentation, word: Word):
     last letter x^-sign: it leads back to w's parent."""
     e = pres.identity_code
     b0, letters = word
+    if letters:
+        head, (y, ey, _) = letters[:-1], letters[-1]
     for x in pres.letters:
         for sign in (1, -1):
             side = "B" if sign == 1 else "A"
-            pinch = letters and letters[-1][:2] == (x, -sign)
+            step = (x, sign, e)
+            pinch = letters and (y, ey) == (x, -sign)
             back = pres._coset_rep[(side, x)][e] if pinch else None
             for r in pres._transversal[(side, x)]:
                 if r == back:
                     continue
                 if letters:
-                    y, ey, _ = letters[-1]
-                    child = (b0, letters[:-1] + ((y, ey, r), (x, sign, e)))
+                    child = (b0, head + ((y, ey, r), step))
                 else:
-                    child = (r, ((x, sign, e),))
+                    child = (r, (step,))
                 yield x, sign, r, child
 
 
@@ -565,7 +541,7 @@ def iter_reduced_words(pres: FiniteHnnPresentation, max_letters: int):
                     (shape[i][0], shape[i][1], bases[i + 1]) for i in range(m)
                 )
                 word = (bases[0], letters)
-                if is_reduced(pres, word):
+                if m < 2 or is_reduced(pres, word):  # a pinch needs two letters
                     yield word
 
 

@@ -239,8 +239,26 @@ def embed_subgroup(H: FgSubgroup, tower: TowerSpec, level: int) -> FgSubgroup:
     return FgSubgroup(f"{H.label}@{level}", gens, context=tower.context(level))
 
 
+def _iroot(x: int, k: int) -> int:
+    """The largest r with r**k <= x: integer Newton steps from above."""
+    r = 1 << -(-x.bit_length() // k)
+    s = r + 1
+    while 0 < r < s:
+        r, s = ((k - 1) * r + x // r ** (k - 1)) // k, r
+    return min(r, s)
+
+
 def level_order(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET) -> int:
-    size = len(tower.base_elements(budget))
+    """The order of a tower level, checked against ``budget`` before the
+    base group is enumerated past the most the level affords: level i-1
+    may have the n_i-th root of (what level i may have) // n_i elements."""
+    cap = budget
+    for i in range(level, 0, -1):
+        cap = _iroot(cap // tower.n(i), tower.n(i))
+    try:
+        size = len(tower.base_elements(cap))
+    except BudgetExceededError:
+        raise BudgetExceededError(f"level {level} order exceeds budget {budget}") from None
     for i in range(1, level + 1):
         n = tower.n(i)
         size = size**n * n

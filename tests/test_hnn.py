@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from displacement import hnn, suites
 from displacement.checkers import check_cc, check_mitotic
 from displacement.core import BudgetExceededError, commutator, conj
 from displacement.hnn import (
@@ -166,7 +167,7 @@ def reduced_word_pairs(draw):
     assoc = [
         c
         for c in range(pres.size)
-        if any(pres.in_A(x, c) or pres.in_B(x, c) for x in pres.letters)
+        if any(pres._in_A[x][c] or pres._in_B[x][c] for x in pres.letters)
     ]
     base = st.one_of(st.integers(0, pres.size - 1), st.sampled_from(assoc))
     letter = st.tuples(st.sampled_from(pres.letters), st.sampled_from((1, -1)), base)
@@ -205,7 +206,7 @@ def reference_pinch_sites(pres, letters):
         x2, e2, _ = letters[i + 1]
         if x1 != x2 or e1 != -e2:
             continue
-        if (e1 == 1 and pres.in_A(x1, b1)) or (e1 == -1 and pres.in_B(x1, b1)):
+        if (pres._in_A if e1 == 1 else pres._in_B)[x1][b1]:
             sites.append(i)
     return sites
 
@@ -223,7 +224,7 @@ def reference_reduce(pres, word, rng=None):
         i = sites[0] if rng is None else sites[rng.randrange(len(sites))]
         x1, e1, b1 = letters[i]
         _, _, b2 = letters[i + 1]
-        mid = pres.phi(x1, b1) if e1 == 1 else pres.phi_inv(x1, b1)
+        mid = (pres._phi if e1 == 1 else pres._phi_inv)[x1][b1]
         merged = pres.mul(mid, b2)
         if i == 0:
             b0 = pres.mul(b0, merged)
@@ -245,7 +246,7 @@ def reference_normal_form(pres, word):
         r = pres._coset_rep[(side, x)][bases[i]]
         c = pres.mul(pres.inv(r), bases[i])
         bases[i] = r
-        pushed = pres.phi_inv(x, c) if e == 1 else pres.phi(x, c)
+        pushed = (pres._phi_inv if e == 1 else pres._phi)[x][c]
         bases[i + 1] = pres.mul(pushed, bases[i + 1])
     return (bases[0], tuple((x, e, bases[i + 1]) for i, (x, e, _) in enumerate(letters)))
 
@@ -267,7 +268,7 @@ def engine_words(draw, max_letters=8):
     assoc = [
         c
         for c in range(pres.size)
-        if any(pres.in_A(x, c) or pres.in_B(x, c) for x in pres.letters)
+        if any(pres._in_A[x][c] or pres._in_B[x][c] for x in pres.letters)
     ]
     base = st.one_of(
         st.integers(0, pres.size - 1),
@@ -339,6 +340,60 @@ def test_engine_normal_form_tables_match_decomposition(make):
     assert checked == len(shapes) * N * N + len(shapes) ** 2 * N**3 - pinched
     word = (b0, ((x, e, b1), (y, f, b2)))
     assert normal_form(pres, word) == reference_normal_form(pres, word)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_engine_product_table_is_the_permutation_product(degree):
+    """The product table, built on image tuples, holds the index of
+    ``Permutation.__mul__``'s product for every pair."""
+    pres = binate_presentation(symmetric_group(degree))
+    for i, a in enumerate(pres.group_elems):
+        for j, b in enumerate(pres.group_elems):
+            assert pres._gmul[i][j] == pres._index[a * b]
+
+
+@pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
+def test_engine_sampler_splits_one_draw_into_each_signed_letter_once(make):
+    """A sampled letter comes from one draw q in range(2 |letters| size),
+    and q -> (x, sign, q % size) is a bijection onto the signed letters."""
+    pres = make(S3)
+    total = 2 * len(pres.letters) * pres.size
+
+    class Draws:
+        def randint(self, lo, hi):
+            return 1
+
+        def randrange(self, stop):
+            self.stops.append(stop)
+            return self.q if stop == total else 0
+
+    rng = Draws()
+    signed = [(x, sign) for x in pres.letters for sign in (1, -1)]
+    drawn = []
+    for q in range(total):
+        rng.q, rng.stops = q, []
+        b0, (letter,) = suites._random_britton_word(rng, pres, signed, 6)
+        assert rng.stops == [total, pres.size] and b0 == 0
+        drawn.append(letter)
+    expected = itertools.product(pres.letters, (1, -1), range(pres.size))
+    assert sorted(drawn) == sorted(expected)
+
+
+def test_engine_check_reports_a_confluence_break(monkeypatch):
+    """A randomized reduction with a different normal form fails the
+    confluence comparison before the identity test."""
+    reduce = hnn.britton_reduce
+
+    def skewed(pres, word, rng=None):
+        b0, letters = reduce(pres, word, rng)
+        if rng is not None:
+            b0 = pres.mul(b0, pres.encode(G, E3))
+        return (b0, letters)
+
+    monkeypatch.setattr(hnn, "britton_reduce", skewed)
+    rep = suites.run_britton_engine({}, random.Random(1), degree=3, samples=5)
+    assert rep.verdict == "fail"
+    assert rep.checks[-1] == "confluence breaks at sample 0"
 
 
 def test_element_interface(bp):

@@ -19,6 +19,7 @@ from displacement.suites import CHECK_TYPES, DEFAULT_BOUNDS
 from displacement.wreath import (
     TowerSpec,
     WreathElement,
+    _iroot,
     base_conjugacy_representatives,
     base_normalizes,
     brute_search_zp_witness,
@@ -162,6 +163,23 @@ def test_budget_enforced():
     tower = s3_tower([2, 2, 2])
     with pytest.raises(BudgetExceededError):
         level_order(tower, 3, budget=10**6)
+
+
+def test_budget_is_checked_before_the_base_is_enumerated():
+    """Sym(6) wr Z/2 has 2 * 720^2 elements, so under budget 1000 the
+    base group may hold at most isqrt(1000 // 2) = 22 elements, and its
+    enumeration stops there."""
+    tower = TowerSpec(symmetric_group(6), ("prefix", (2,)))
+    with pytest.raises(BudgetExceededError, match="level 1 order exceeds budget 1000"):
+        level_order(tower, 1, budget=1000)
+    assert tower._base_elems is None
+
+
+def test_integer_root():
+    for k in range(2, 6):
+        for x in range(3000):
+            r = _iroot(x, k)
+            assert r**k <= x < (r + 1) ** k
 
 
 def test_torsion_obstruction():

@@ -132,6 +132,25 @@ MUTANTS: Tuple[Mutant, ...] = (
         ENGINE_TESTS,
     ),
     Mutant(
+        "coset-sweep-rows-swapped", "hnn.py",
+        "row1, row2 = gmul[b // n], gmul[b % n]",
+        "row1, row2 = gmul[b % n], gmul[b // n]",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "confluence-comparison-never-runs", "suites.py",
+        "if first != second and (", "if False and (", ENGINE_TESTS,
+    ),
+    Mutant(
+        "sampler-draws-sign-plus-only", "suites.py",
+        "x, sign = signed[q // size]", "x, sign = signed[q // size][0], 1", ENGINE_TESTS,
+    ),
+    Mutant(
+        "level-order-enumerates-under-full-budget", "wreath.py",
+        "size = len(tower.base_elements(cap))", "size = len(tower.base_elements(budget))",
+        WREATH_TESTS,
+    ),
+    Mutant(
         "wreath-merge-factors-swapped", "wreath.py",
         "values[m] = v if u is None else u * v",
         "values[m] = v if u is None else v * u",
