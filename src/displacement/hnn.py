@@ -440,6 +440,15 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
     return [Vertex(word, dist) for word, dist in _walk_tree(pres, radius)]
 
 
+def tree_ball_size(pres: FiniteHnnPresentation, radius: int) -> int:
+    """``len(tree_ball(pres, radius))`` from the tree's degree k, the sum
+    of the transversal sizes: 1 + k((k-1)^r - 1)/(k-2), or 2r + 1 if k = 2."""
+    if radius > MAX_TREE_RADIUS:
+        raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
+    k = sum(len(reps) for reps in pres._transversal.values())
+    return 1 + k * sum((k - 1) ** i for i in range(radius))
+
+
 def _children(pres: FiniteHnnPresentation, word: Word):
     """The children of the vertex w (base) with word ``word``, in walk
     order, each as (x, sign, r, child word): the vertices w r x^sign

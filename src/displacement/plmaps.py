@@ -8,20 +8,20 @@ positive slopes.  The group operation is composition.
 The breakpoints are held as integer points ``pts`` over one positive
 common denominator ``den``, divided by the gcd of ``den`` and all
 coordinates, so that ``(pts, den)`` is canonical and ``==`` and
-``hash`` compare it.  ``pl_compose``, evaluation and ``pl_support``
-compute on these integers: rationals are compared by cross-multiplying
-and interpolated with one division at the end.  ``Fraction`` appears
-only at the boundary: the public constructors and ``PLHomeo.__call__``
-accept it, and ``breakpoints``, ``slopes``, values, the endpoints of an
-``IntervalSet`` and ``repr`` are Fractions.
+``hash`` compare it; an ``IntervalSet`` holds its endpoints ``ends`` in
+the same way.  Products, evaluation, supports and interval sets compute
+on these integers: rationals are compared by cross-multiplying and
+interpolated with one division at the end.  ``Fraction`` appears only
+at the boundary: the public constructors and ``__call__`` accept it, and
+``__call__``, ``breakpoints``, ``slopes``, ``IntervalSet.intervals`` and
+``repr`` return it.
 
-The public constructor ``PLHomeo(...)`` validates its breakpoints,
-brings them to a common denominator and canonicalises them with
-``_merge``, the one canonicaliser.  Products and inverses of valid maps
-are valid by construction, so they take a trusted path that skips the
-validation: ``pl_compose`` is one merge walk over the two breakpoint
-lists followed by ``_merge``, and ``PLHomeo.inverse`` reflects the list
-in the diagonal.
+The public constructors validate their input, and ``PLHomeo(...)``
+canonicalises it with ``_merge``, the one canonicaliser.  Closed
+operations on valid values skip that: ``PLHomeo.inverse`` reflects the
+list in the diagonal, and ``pl_compose`` returns one map when the other
+is the identity, puts the lists side by side when their hulls are
+disjoint, and else is one merge walk followed by ``_merge``.
 
 This module also builds the standard generators of Thompson's group F
 on (0, 1) and the restricted tower obtained by repeatedly adjoining a
@@ -32,7 +32,6 @@ support interval.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -151,17 +150,20 @@ class PLHomeo:
 
     def __call__(self, x) -> Fraction:
         x = _frac(x)
-        q = x.denominator
+        return Fraction(*self._at(x.numerator, x.denominator))
+
+    def _at(self, n: int, q: int) -> IntPoint:
+        """The value at n / q, for q > 0, as an unreduced (num, den > 0)."""
         pts = self.pts
         # in the units of pts, x is t / q
-        t = x.numerator * self.den
+        t = n * self.den
         if not pts or t <= pts[0][0] * q or t >= pts[-1][0] * q:
-            return x
+            return n, q
         # the last breakpoint with x_i <= t / q, that is x_i <= floor(t / q)
         i = bisect_right(pts, t // q, key=itemgetter(0)) - 1
         (x0, y0), (x1, y1) = pts[i], pts[i + 1]
         w = x1 - x0
-        return Fraction(y0 * w * q + (y1 - y0) * (t - x0 * q), self.den * q * w)
+        return y0 * w * q + (y1 - y0) * (t - x0 * q), self.den * q * w
 
     def inverse(self) -> "PLHomeo":
         # reflecting in the diagonal keeps the list canonical
@@ -192,20 +194,30 @@ class PLHomeo:
 
 
 def pl_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
-    """Exact composition f . g (apply g first).
+    """Exact composition f . g (apply g first); F and G are the
+    denominators of f and g.  If one is the identity, the product is the
+    other.  Maps with disjoint breakpoint hulls commute, and their
+    product is the two canonical lists side by side over L = lcm(F, G):
+    the join lies on the diagonal, so it makes no collinear triple, and
+    gcd(L / G, L / F) = 1.
 
-    One merge walk over the images y_i of g's breakpoints (x_i, y_i) and
-    the breakpoints (u_j, v_j) of f, in increasing order of that middle
-    coordinate.  Each y_i yields (x_i, f(y_i)) and each u_j yields
-    (g^-1(u_j), v_j), the other map being interpolated inside the segment
-    the walk is in, or the identity outside its breakpoints.
-
-    With G and F the denominators of g and f, y_i / G and u_j / F are
-    compared as y_i F and u_j G.  Each point is built as an integer
-    triple (X, Y, Q) standing for (X / Q, Y / Q); the triples are brought
-    to the lcm of their Q at the end, and ``_merge`` reduces that."""
+    Else it is one merge walk over the images y_i of g's breakpoints
+    (x_i, y_i) and the breakpoints (u_j, v_j) of f, in increasing order
+    of that middle coordinate, compared as y_i F and u_j G.  Each y_i
+    yields (x_i, f(y_i)) and each u_j yields (g^-1(u_j), v_j), the other
+    map interpolated inside the segment the walk is in, or the identity
+    outside its breakpoints.  Each point is an integer triple (X, Y, Q)
+    standing for (X / Q, Y / Q); the triples are brought to the lcm of
+    their Q at the end, and ``_merge`` reduces that."""
     gb, fb = g.pts, f.pts
+    if not gb or not fb:
+        return f if not gb else g
     G, F = g.den, f.den
+    if gb[-1][0] * F < fb[0][0] * G or fb[-1][0] * G < gb[0][0] * F:
+        L = lcm(F, G)
+        a, b = L // G, L // F
+        both = [(x * a, y * a) for x, y in gb] + [(u * b, v * b) for u, v in fb]
+        return PLHomeo._trusted(tuple(sorted(both)), L)
     FG = F * G
     m, k = len(gb), len(fb)
     i = j = 0
@@ -247,11 +259,12 @@ def pl_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     )
 
 
-@dataclass(frozen=True)
 class IntervalSet:
-    """A finite union of disjoint open intervals with rational endpoints."""
+    """A finite union of disjoint open intervals with rational endpoints,
+    held as sorted integer endpoint pairs ``ends`` over one positive
+    denominator ``den``, divided by their gcd."""
 
-    intervals: Tuple[Tuple[Fraction, Fraction], ...]
+    __slots__ = ("ends", "den")
 
     def __init__(self, intervals: Iterable[Sequence]):
         ivs = sorted((_frac(l), _frac(r)) for l, r in intervals)
@@ -261,36 +274,69 @@ class IntervalSet:
         for (_, r0), (l1, _) in zip(ivs, ivs[1:]):
             if l1 < r0:
                 raise ValueError("intervals overlap")
-        object.__setattr__(self, "intervals", tuple(ivs))
+        s = IntervalSet._trusted(
+            [((l.numerator, l.denominator), (r.numerator, r.denominator)) for l, r in ivs]
+        )
+        self.ends, self.den = s.ends, s.den
+
+    @classmethod
+    def _trusted(cls, ends: Sequence[Tuple[IntPoint, IntPoint]]) -> "IntervalSet":
+        """The union of the intervals (a / p, b / q), p, q > 0, for
+        ((a, p), (b, q)) in ends, which must be sorted, disjoint and
+        nonempty: supports, images and intersections."""
+        den = lcm(*[q for iv in ends for _, q in iv])
+        flat = [n * (den // q) for iv in ends for n, q in iv]
+        g = gcd(den, *flat)
+        s = object.__new__(cls)
+        it = iter([n // g for n in flat])
+        s.ends, s.den = tuple(zip(it, it)), den // g
+        return s
+
+    @property
+    def intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        den = self.den
+        return tuple([(Fraction(l, den), Fraction(r, den)) for l, r in self.ends])
 
     def __bool__(self):
-        return bool(self.intervals)
+        return bool(self.ends)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        return self.den == other.den and self.ends == other.ends
+
+    def __hash__(self):
+        return hash((self.ends, self.den))
 
     def __repr__(self):
         return "{" + ", ".join(f"({l}, {r})" for l, r in self.intervals) + "}"
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for l0, r0 in self.intervals:
-            for l1, r1 in other.intervals:
-                l, r = max(l0, l1), min(r0, r1)
-                if l < r:
-                    out.append((l, r))
-        return IntervalSet(out)
+        D, E = self.den, other.den
+        meets = [(max(l0 * E, l1 * D), min(r0 * E, r1 * D))
+                 for l0, r0 in self.ends for l1, r1 in other.ends]
+        return IntervalSet._trusted([((l, D * E), (r, D * E)) for l, r in meets if l < r])
 
     def is_disjoint_from(self, other: "IntervalSet") -> bool:
-        return not self.intersection(other)
+        D, E = self.den, other.den
+        return not any(
+            l0 * E < r1 * D and l1 * D < r0 * E
+            for l0, r0 in self.ends
+            for l1, r1 in other.ends
+        )
 
     def contains_set(self, other: "IntervalSet") -> bool:
         """Open containment: every interval of other inside one of self."""
+        D, E = self.den, other.den
         return all(
-            any(L <= l and r <= R for L, R in self.intervals)
-            for l, r in other.intervals
+            any(L * E <= l * D and r * D <= R * E for L, R in self.ends)
+            for l, r in other.ends
         )
 
     def image(self, f: PLHomeo) -> "IntervalSet":
         """Image under an increasing homeomorphism: endpoints map over."""
-        return IntervalSet([(f(l), f(r)) for l, r in self.intervals])
+        D = self.den
+        return IntervalSet._trusted([(f._at(l, D), f._at(r, D)) for l, r in self.ends])
 
 
 def pl_support(g: PLHomeo) -> IntervalSet:
@@ -300,39 +346,24 @@ def pl_support(g: PLHomeo) -> IntervalSet:
     of it, and the flanking intervals stay separate."""
     pts, den = g.pts, g.den
     if not pts:
-        return IntervalSet([])
+        return IntervalSet._trusted(())
     # refine with interior diagonal crossings, as (X, Q, d): the point
     # x = X / Q and d, whose sign is that of g(x) - x
     refined: List[Tuple[int, int, int]] = []
-    for i, (x0, y0) in enumerate(pts):
-        d0 = y0 - x0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        d0, d1 = y0 - x0, y1 - x1
         refined.append((x0, den, d0))
-        if i + 1 < len(pts):
-            x1, y1 = pts[i + 1]
-            d1 = y1 - x1
-            if (d0 > 0 and d1 < 0) or (d0 < 0 and d1 > 0):
-                # linear in between; exact crossing x0 + (x1 - x0) d0 / (d0 - d1)
-                s = d0 - d1
-                refined.append((x0 * s + (x1 - x0) * d0, den * s, 0))
-    out = []
-    start = None
-    for i in range(len(refined) - 1):
-        (x0, q0, d0), (x1, q1, d1) = refined[i], refined[i + 1]
-        nonzero = not (d0 == 0 and d1 == 0)
-        if nonzero:
-            if start is None:
-                start = (x0, q0)
-            # close the interval if the right endpoint is a fixed point
-            if d1 == 0:
-                out.append((start, (x1, q1)))
-                start = None
-        else:
-            if start is not None:
-                out.append((start, (x0, q0)))
-                start = None
-    if start is not None:
-        out.append((start, refined[-1][:2]))
-    return IntervalSet([(Fraction(*l), Fraction(*r)) for l, r in out])
+        if d0 * d1 < 0:
+            # linear in between; exact crossing x0 + (x1 - x0) d0 / (d0 - d1)
+            s = d0 - d1
+            refined.append((x0 * s + (x1 - x0) * d0, den * s, 0))
+    refined.append((pts[-1][0], den, 0))
+    # between consecutive refined points g(x) - x is 0 throughout or never,
+    # so the support is the gaps between fixed points with a point inside
+    fixed = [i for i, (_, _, d) in enumerate(refined) if d == 0]
+    out = [(refined[i][:2], refined[j][:2])
+           for i, j in zip(fixed, fixed[1:]) if j > i + 1]
+    return IntervalSet._trusted(out)
 
 
 def thompson_generators() -> Tuple[PLHomeo, PLHomeo]:

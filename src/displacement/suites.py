@@ -295,7 +295,7 @@ def run_pl_tower(
     for k in range(samples):
         g = _random_pl_word(rng, letters, 8)
         sup = plmaps.pl_support(g)
-        for (l0, r0), (l1, r1) in zip(sup.intervals, sup.intervals[1:]):
+        for (l0, r0), (l1, r1) in zip(sup.ends, sup.ends[1:]):
             if r0 > l1:
                 return PropertyReport.failing(f"support not disjoint for sample {k}", g)
         for I in level_sets[:-1]:
@@ -425,7 +425,7 @@ def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
     pres = hnn.binate_presentation(base)
     e = base.context.identity
     nontrivial = [g for g in pres.group_elems if not g.is_identity()]
-    size = sum(1 for _ in hnn._walk_tree(pres, radius))
+    size = hnn.tree_ball_size(pres, radius)
     detail = [f"tree ball of radius {radius} has {size} vertices"]
     for g in nontrivial:
         fixed = hnn.fixed_vertices(pres, pres.encode(g, e), radius)

@@ -415,6 +415,24 @@ def test_tree_ball_counts(bp):
         tree_ball(bp, 5)
 
 
+@pytest.mark.parametrize(
+    "build, degree, radii",
+    [
+        (binate_presentation, 1, range(5)),  # tree degree 2: a line
+        (binate_presentation, 2, range(5)),
+        (binate_presentation, 3, range(5)),
+        (binate_presentation, 4, [2]),
+        (mitosis_presentation, 2, range(4)),
+    ],
+)
+def test_tree_ball_size_is_the_walk_count(build, degree, radii):
+    pres = build(symmetric_group(degree))
+    for radius in radii:
+        assert hnn.tree_ball_size(pres, radius) == len(tree_ball(pres, radius))
+    with pytest.raises(BudgetExceededError):
+        hnn.tree_ball_size(pres, hnn.MAX_TREE_RADIUS + 1)
+
+
 def canonical_vertex(pres, word):
     """The representative word of the coset w * (base group): the normal
     form of w with its last base letter set to the identity.  Two words

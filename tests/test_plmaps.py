@@ -1,12 +1,13 @@
 """Exact PL homeomorphisms: composition oracle, supports, the tower.
 
 The integer kernels of ``plmaps`` are tested against the Fraction
-kernels below, which compute composition, evaluation and supports
-directly on the breakpoints as rationals."""
+kernels below, which compute composition, evaluation, supports and
+interval sets directly on the breakpoints and endpoints as rationals."""
 
 import functools
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -102,10 +103,54 @@ def ref_compose(fb, gb):
     return ref_merge(pts)
 
 
+@dataclass(frozen=True)
+class RefIntervalSet:
+    """A finite union of disjoint open intervals with Fraction endpoints."""
+
+    intervals: tuple
+
+    def __init__(self, intervals):
+        ivs = sorted((F(l), F(r)) for l, r in intervals)
+        for l, r in ivs:
+            if l >= r:
+                raise ValueError(f"empty or inverted interval ({l}, {r})")
+        for (_, r0), (l1, _) in zip(ivs, ivs[1:]):
+            if l1 < r0:
+                raise ValueError("intervals overlap")
+        object.__setattr__(self, "intervals", tuple(ivs))
+
+    def __bool__(self):
+        return bool(self.intervals)
+
+    def intersection(self, other):
+        out = []
+        for l0, r0 in self.intervals:
+            for l1, r1 in other.intervals:
+                l, r = max(l0, l1), min(r0, r1)
+                if l < r:
+                    out.append((l, r))
+        return RefIntervalSet(out)
+
+    def is_disjoint_from(self, other):
+        return not self.intersection(other)
+
+    def contains_set(self, other):
+        return all(
+            any(L <= l and r <= R for L, R in self.intervals)
+            for l, r in other.intervals
+        )
+
+    def image(self, f):
+        bps = f.breakpoints
+        return RefIntervalSet(
+            [(ref_eval(bps, l), ref_eval(bps, r)) for l, r in self.intervals]
+        )
+
+
 def ref_support(bps):
     """The open support of the map with Fraction breakpoints bps."""
     if not bps:
-        return IntervalSet([])
+        return RefIntervalSet([])
     refined = []  # (x, g(x) - x)
     for i, (x0, y0) in enumerate(bps):
         refined.append((x0, y0 - x0))
@@ -128,7 +173,7 @@ def ref_support(bps):
             start = None
     if start is not None:
         out.append((start, refined[-1][0]))
-    return IntervalSet(out)
+    return RefIntervalSet(out)
 
 
 def random_word(rng, gens, max_len):
@@ -191,13 +236,16 @@ def pl_map_on(draw, lo, hi):
 
 @st.composite
 def pl_pairs(draw):
-    """(f, g) whose supports are disjoint, nested, partly overlapping,
-    equal, or empty for one of them."""
+    """(f, g) whose supports are disjoint, touching at one point, nested,
+    partly overlapping, equal, or empty for one of them."""
     ends = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
     p0, p1, p2, p3 = sorted(draw(st.lists(ends, min_size=4, max_size=4, unique=True)))
-    relation = draw(st.sampled_from(["disjoint", "nested", "overlap", "equal", "empty"]))
+    relation = draw(
+        st.sampled_from(["disjoint", "touching", "nested", "overlap", "equal", "empty"])
+    )
     first, second = {
         "disjoint": ((p0, p1), (p2, p3)),
+        "touching": ((p0, p1), (p1, p2)),
         "nested": ((p0, p3), (p1, p2)),
         "overlap": ((p0, p2), (p1, p3)),
         "equal": ((p0, p3), (p0, p3)),
@@ -235,6 +283,15 @@ def assert_canonical(h):
     assert hash(again) == hash(h)
 
 
+def assert_trusted_set(s):
+    """A set built on the trusted path equals, and hashes as, the one the
+    public constructor builds from its Fraction intervals."""
+    assert s.den > 0
+    again = IntervalSet(s.intervals)
+    assert (again.ends, again.den) == (s.ends, s.den)
+    assert again == s and hash(again) == hash(s)
+
+
 def sample_points(*maps):
     """Every breakpoint abscissa of the maps, two outside points, and the
     midpoints between consecutive ones."""
@@ -247,7 +304,9 @@ def assert_matches_reference(h):
     bps = h.breakpoints
     for x in sample_points(h):
         assert h(x) == ref_eval(bps, x)
-    assert pl_support(h) == ref_support(bps)
+    support = pl_support(h)
+    assert support.intervals == ref_support(bps).intervals
+    assert_trusted_set(support)
     inv = h.inverse()
     assert inv.breakpoints == tuple((y, x) for x, y in bps)
     assert ref_compose(bps, inv.breakpoints) == ()
@@ -267,6 +326,64 @@ def test_kernels_match_fraction_reference(pair):
         assert h(x) == ref_eval(f.breakpoints, ref_eval(g.breakpoints, x))
     for k in (f, g, h):
         assert_matches_reference(k)
+
+
+@st.composite
+def interval_lists(draw):
+    """Disjoint open intervals between sorted grid points, some of them
+    touching at a shared endpoint."""
+    ends = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6]))
+    qs = sorted(draw(st.lists(ends, max_size=7, unique=True)))
+    gaps = list(zip(qs, qs[1:]))
+    keep = draw(st.lists(st.booleans(), min_size=len(gaps), max_size=len(gaps)))
+    return [iv for iv, k in zip(gaps, keep) if k]
+
+
+@st.composite
+def interval_list_pairs(draw):
+    """(a, b) where b is drawn on its own, is a itself, or shrinks some
+    intervals of a, so that equality and containment both occur."""
+    a = draw(interval_lists())
+    relation = draw(st.sampled_from(["independent", "same", "inside"]))
+    if relation == "independent":
+        return a, draw(interval_lists())
+    if relation == "same":
+        return a, list(reversed(a))
+    keep = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    return a, [(l, (l + r) / 2) for (l, r), k in zip(a, keep) if k]
+
+
+@settings(max_examples=300)
+@given(interval_list_pairs(), pl_map_on(F(-6), F(6)))
+def test_interval_sets_match_fraction_reference(pair, f):
+    """Intersection, disjointness, containment, images, == and hash of
+    integer interval sets agree with the Fraction reference, and every
+    trusted result is the canonical set of its intervals."""
+    a, b = pair
+    s, t = IntervalSet(a), IntervalSet(b)
+    rs, rt = RefIntervalSet(a), RefIntervalSet(b)
+    assert s.intervals == rs.intervals and t.intervals == rt.intervals
+    assert (s == t) == (rs == rt)
+    if s == t:
+        assert hash(s) == hash(t)
+    assert s.is_disjoint_from(t) == rs.is_disjoint_from(rt)
+    assert s.contains_set(t) == rs.contains_set(rt)
+    assert t.contains_set(s) == rt.contains_set(rs)
+    for got, want in (
+        (s.intersection(t), rs.intersection(rt)),
+        (s.image(f), rs.image(f)),
+        (t.image(f.inverse()), rt.image(f.inverse())),
+    ):
+        assert got.intervals == want.intervals
+        assert_trusted_set(got)
+
+
+def test_touching_open_intervals_are_disjoint():
+    a, b = IntervalSet([(0, 1)]), IntervalSet([(1, 2)])
+    assert a.is_disjoint_from(b) and b.is_disjoint_from(a)
+    assert not a.intersection(b)
+    assert not IntervalSet([(0, 1), (2, 3)]).is_disjoint_from(IntervalSet([(F(1, 2), 2)]))
+    assert IntervalSet([(0, 1), (1, 2)]).intervals == ((0, 1), (1, 2))
 
 
 @functools.cache
@@ -370,6 +487,12 @@ def test_displaces():
     assert displaces(t2, I1, 50).ok
     assert not displaces(PLContext().identity, I1, 1).ok
     assert not displaces(X0, I1, 1).ok  # x0 preserves (0, 1)
+    # a shift by 2 on [0, 5] moves (0, 1) onto (4, 5) only at the second power
+    t = PLHomeo([(-1, -1), (0, 2), (5, 7), (8, 8)])
+    two = IntervalSet([(0, 1), (4, 5)])
+    assert displaces(t, two, 1).ok
+    report = displaces(t, two, 2)
+    assert not report.ok and report.counterexample == (t, 2)
 
 
 def test_interval_set_invariants():

@@ -94,6 +94,27 @@ MUTANTS: Tuple[Mutant, ...] = (
         PL_TESTS,
     ),
     Mutant(
+        "compose-disjoint-hulls-touching", "plmaps.py",
+        "if gb[-1][0] * F < fb[0][0] * G or fb[-1][0] * G < gb[0][0] * F:",
+        "if gb[-1][0] * F <= fb[0][0] * G or fb[-1][0] * G <= gb[0][0] * F:",
+        PL_TESTS,
+    ),
+    Mutant(
+        "interval-disjoint-closed", "plmaps.py",
+        "l0 * E < r1 * D and l1 * D < r0 * E",
+        "l0 * E <= r1 * D and l1 * D <= r0 * E",
+        PL_TESTS,
+    ),
+    Mutant(
+        "interval-gcd-dropped", "plmaps.py",
+        "g = gcd(den, *flat)", "g = 1", PL_TESTS,
+    ),
+    Mutant(
+        "displaces-power-loop-one-short", "plmaps.py",
+        "for p in range(1, p_max + 1):", "for p in range(1, p_max):", PL_TESTS,
+        within="def displaces(",
+    ),
+    Mutant(
         "descent-stops-at-distance-1", "hnn.py",
         "for dist in range(1, radius + 1):",
         "for dist in range(1, min(radius, 1) + 1):",
