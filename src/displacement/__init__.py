@@ -14,8 +14,6 @@ from .checkers import (
     check_dissipator,
     check_M,
     check_mitotic,
-    derive_czc_from_M,
-    product_cc_witness,
     verify_certificate,
 )
 from .core import (
@@ -52,10 +50,8 @@ __all__ = [
     "commutator",
     "commutes",
     "conj",
-    "derive_czc_from_M",
     "element_order",
     "enumerate_subgroup",
-    "product_cc_witness",
     "subgroups_commute",
     "symmetric_group",
     "verify_certificate",

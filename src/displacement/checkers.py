@@ -17,7 +17,7 @@ an unbounded universal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 # commutator is unused here but stays a module attribute: the benchmark
 # tracer (bench/tracer.py) patches it by name
@@ -28,8 +28,6 @@ from .core import (
     commutator,
     commutes,
     conj,
-    enumerate_subgroup,
-    product_subgroup,
     subgroups_commute,
 )
 
@@ -71,15 +69,6 @@ class GeneratorMap:
         return FgSubgroup(
             f"f({self.subject.label})", list(self.images), context=self.subject.context
         )
-
-
-def _word_value(elems: Sequence, identity, word: Sequence[int]):
-    """Evaluate a word given as 1-based signed generator indices."""
-    out = identity
-    for i in word:
-        g = elems[abs(i) - 1]
-        out = out * (g if i > 0 else g.inverse())
-    return out
 
 
 def check_cc(H: FgSubgroup, t) -> PropertyReport:
@@ -139,46 +128,32 @@ def check_ccc(H: FgSubgroup, t, n, p_max: int = 10) -> PropertyReport:
     return check_cznc(H, t, n)
 
 
-def check_binate(
-    H: FgSubgroup,
-    f: GeneratorMap,
-    t,
-    relators: Optional[Sequence[Sequence[int]]] = None,
-) -> PropertyReport:
+def check_binate(H: FgSubgroup, f: GeneratorMap, t) -> PropertyReport:
     """Binate data: [H, f(H)] = 1 and t f(h) t^-1 = h * f(h).
 
     Both conditions are generator-level; this suffices because, given
     the first condition and f a homomorphism, h -> h * f(h) and
-    h -> t f(h) t^-1 are homomorphisms agreeing on generators.  When
-    ``relators`` (words in 1-based signed generator indices) are given,
-    homomorphy of f is verified on them; otherwise it is assumed and the
-    report says so.
+    h -> t f(h) t^-1 are homomorphisms agreeing on generators.  That f
+    is a homomorphism is assumed, and the report says so.
     """
     if f.subject is not H:
         raise ValueError("generator map was built for a different subgroup")
-    checks: List[str] = []
     rep = subgroups_commute(H, f.image_subgroup())
     if not rep.ok:
         return PropertyReport.failing("[H, f(H)] != 1", rep.counterexample)
-    checks.append("[H, f(H)] = 1 on generators")
     if f.pairs:
         _require_same_context(t, H)
     t_inv = t.inverse()
     for h, fh in f.pairs:
         if t * fh * t_inv != h * fh:
             return PropertyReport.failing("t f(h) t^-1 != h * f(h)", (h, fh))
-    checks.append("t f(h) t^-1 = h * f(h) on generators")
-    if relators is None:
-        checks.append("f assumed to be a homomorphism (no relators supplied)")
-    else:
-        identity = H.context.identity
-        for word in relators:
-            if not _word_value(H.generators, identity, word).is_identity():
-                raise ValueError(f"relator {word} is not trivial in H")
-            if not _word_value(f.images, identity, word).is_identity():
-                return PropertyReport.failing(f"f breaks relator {word}", tuple(word))
-        checks.append(f"f respects all {len(list(relators))} relators")
-    return PropertyReport.passing(checks)
+    return PropertyReport.passing(
+        [
+            "[H, f(H)] = 1 on generators",
+            "t f(h) t^-1 = h * f(h) on generators",
+            "f assumed to be a homomorphism (no relators supplied)",
+        ]
+    )
 
 
 def check_mitotic(H: FgSubgroup, t1, t2) -> PropertyReport:
@@ -229,12 +204,6 @@ def check_dissipator(X, t, sample: FgSubgroup, p_max: int) -> PropertyReport:
 MembershipOracle = Callable[[object], bool]
 
 
-def finite_membership(Lam: FgSubgroup, budget: int = 10**7) -> MembershipOracle:
-    """Membership oracle by full enumeration of a finite subgroup."""
-    elems = set(enumerate_subgroup(list(Lam.generators), budget=budget))
-    return lambda x: x in elems
-
-
 def check_M(
     Lam: FgSubgroup,
     t,
@@ -261,44 +230,6 @@ def check_M(
     return PropertyReport.bounded(checks)
 
 
-def derive_czc_from_M(
-    cert: WitnessCertificate,
-    H: FgSubgroup,
-    s,
-    membership: MembershipOracle,
-) -> WitnessCertificate:
-    """Transport a container certificate to a bounded commuting
-    Z-conjugates certificate for any H inside s <Lam> s^-1: the witness
-    is the s-conjugate of the container's t."""
-    if cert.property != "M":
-        raise ValueError("expected an M certificate")
-    t0 = cert.payload["t"]
-    p_max = cert.payload["p_max"]
-    _require_same_context(s, t0)
-    s_inv = s.inverse()
-    for h in H.generators:
-        if not membership(s_inv * h * s):
-            raise ValueError(f"generator {h!r} is not contained in s <Lam> s^-1")
-    t = s * t0 * s_inv
-    return WitnessCertificate("CZC", H, {"t": t, "p_max": p_max}, dict(cert.bounds))
-
-
-def product_cc_witness(c1: WitnessCertificate, c2: WitnessCertificate) -> WitnessCertificate:
-    """Combine commuting-conjugates certificates of two factors into one
-    for the product subgroup in the direct product, witnessed by the
-    pair of conjugators."""
-    for c in (c1, c2):
-        if c.property != "CC":
-            raise ValueError("both inputs must be CC certificates")
-        if not verify_certificate(c).ok:
-            raise ValueError(f"input certificate for {c.subject.label} fails")
-    H = product_subgroup(
-        f"{c1.subject.label} x {c2.subject.label}", c1.subject, c2.subject
-    )
-    t = H.context.pair(c1.payload["t"], c2.payload["t"])
-    return WitnessCertificate("CC", H, {"t": t})
-
-
 # property tag -> verifier of (subject, payload); the keys are the
 # valid tags of a WitnessCertificate
 VERIFIERS: Dict[str, Callable[[FgSubgroup, dict], PropertyReport]] = {
@@ -307,7 +238,7 @@ VERIFIERS: Dict[str, Callable[[FgSubgroup, dict], PropertyReport]] = {
     "CZC": lambda H, p: check_czc(H, p["t"], p["p_max"]),
     "CZNC": lambda H, p: check_cznc(H, p["t"], p["n"]),
     "M": lambda H, p: check_M(H, p["t"], p["S"], p["s"], p["p_max"], p["membership"]),
-    "BINATE": lambda H, p: check_binate(H, p["f"], p["t"], p.get("relators")),
+    "BINATE": lambda H, p: check_binate(H, p["f"], p["t"]),
     "MITOTIC": lambda H, p: check_mitotic(H, p["t1"], p["t2"]),
     "DISSIPATOR": lambda H, p: check_dissipator(p["X"], p["t"], H, p["p_max"]),
 }

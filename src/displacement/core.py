@@ -54,8 +54,7 @@ def commutes(a, b) -> bool:
     is exact because equality is canonical in every realization: image
     tuples (permutations), sorted supports with reduced shifts (wreath),
     reduced and trimmed (num, den) pairs (matrices), merged and reduced
-    (pts, den) pairs (PL maps), normal forms (Britton words), and
-    componentwise (products)."""
+    (pts, den) pairs (PL maps) and normal forms (Britton words)."""
     return a * b == b * a
 
 
@@ -209,75 +208,3 @@ def element_order(g, budget: int = 10**6) -> int:
         if n > budget:
             raise BudgetExceededError(f"element order exceeds budget {budget}")
     return n
-
-
-class ProductContext:
-    """Direct product of two ambient groups."""
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProductContext)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash(("product", self.left, self.right))
-
-    def __repr__(self):
-        return f"ProductContext({self.left!r}, {self.right!r})"
-
-    @property
-    def identity(self) -> "ProductElement":
-        return ProductElement(self, self.left.identity, self.right.identity)
-
-    def pair(self, a, b) -> "ProductElement":
-        if a.context != self.left or b.context != self.right:
-            raise ContextMismatchError("components live in the wrong factors")
-        return ProductElement(self, a, b)
-
-
-class ProductElement:
-    """Element (a, b) of a direct product, componentwise operations."""
-
-    __slots__ = ("context", "a", "b")
-
-    def __init__(self, context: ProductContext, a, b):
-        self.context = context
-        self.a = a
-        self.b = b
-
-    def __mul__(self, other: "ProductElement") -> "ProductElement":
-        _require_same_context(self, other)
-        return ProductElement(self.context, self.a * other.a, self.b * other.b)
-
-    def inverse(self) -> "ProductElement":
-        return ProductElement(self.context, self.a.inverse(), self.b.inverse())
-
-    def is_identity(self) -> bool:
-        return self.a.is_identity() and self.b.is_identity()
-
-    def __eq__(self, other):
-        if not isinstance(other, ProductElement):
-            return NotImplemented
-        return self.context == other.context and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"({self.a!r}, {self.b!r})"
-
-
-def product_subgroup(label: str, H: FgSubgroup, K: FgSubgroup) -> FgSubgroup:
-    """H x K inside the direct product of the ambient groups."""
-    if H.context is None or K.context is None:
-        raise ValueError("both factors need a context")
-    ctx = ProductContext(H.context, K.context)
-    gens = [ctx.pair(h, K.context.identity) for h in H.generators]
-    gens += [ctx.pair(H.context.identity, k) for k in K.generators]
-    return FgSubgroup(label, gens, context=ctx)

@@ -283,7 +283,7 @@ class IntervalSet:
     def _trusted(cls, ends: Sequence[Tuple[IntPoint, IntPoint]]) -> "IntervalSet":
         """The union of the intervals (a / p, b / q), p, q > 0, for
         ((a, p), (b, q)) in ends, which must be sorted, disjoint and
-        nonempty: supports, images and intersections."""
+        nonempty: supports and images."""
         den = lcm(*[q for iv in ends for _, q in iv])
         flat = [n * (den // q) for iv in ends for n, q in iv]
         g = gcd(den, *flat)
@@ -310,12 +310,6 @@ class IntervalSet:
 
     def __repr__(self):
         return "{" + ", ".join(f"({l}, {r})" for l, r in self.intervals) + "}"
-
-    def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        D, E = self.den, other.den
-        meets = [(max(l0 * E, l1 * D), min(r0 * E, r1 * D))
-                 for l0, r0 in self.ends for l1, r1 in other.ends]
-        return IntervalSet._trusted([((l, D * E), (r, D * E)) for l, r in meets if l < r])
 
     def is_disjoint_from(self, other: "IntervalSet") -> bool:
         D, E = self.den, other.den

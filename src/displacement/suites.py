@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import checkers, hnn, matrices, plmaps, wreath
 from .core import (
+    BudgetExceededError,
     FgSubgroup,
     PropertyReport,
     commutes,
@@ -78,8 +79,21 @@ def _merge(reports, note: Optional[str] = None) -> PropertyReport:
     return PropertyReport(verdict, tuple(detail))
 
 
-def _tower(degree: int, orders) -> wreath.TowerSpec:
-    return wreath.TowerSpec(symmetric_group(degree), ("prefix", tuple(orders)))
+def _symmetric_base(degree: int, limit: int, over: str) -> FgSubgroup:
+    """Sym(degree) for a base group that may have at most ``limit``
+    elements.  A larger one raises BudgetExceededError(f"{over} budget
+    {limit}") before any permutation is built: the product 2 * 3 * ...
+    stops as soon as it passes the limit."""
+    order = 1
+    for k in range(2, degree + 1):
+        order *= k
+        if order > limit:
+            raise BudgetExceededError(f"{over} budget {limit}")
+    return symmetric_group(degree)
+
+
+def _tower(base: FgSubgroup, orders) -> wreath.TowerSpec:
+    return wreath.TowerSpec(base, ("prefix", tuple(orders)))
 
 
 def _level_in_orders(params) -> Optional[str]:
@@ -118,13 +132,15 @@ def _letters_within_tree(params) -> Optional[str]:
 
 @check_type("wreath-zn-witness", meaning=_p_divides_top_order)
 def run_wreath_zn_witness(bounds, rng, *, orders, level, p, degree=3) -> PropertyReport:
-    tower = _tower(degree, orders)
+    tower = _tower(symmetric_group(degree), orders)
     return checkers.verify_certificate(wreath.zn_witness(tower, tower.base, level, p))
 
 
 @check_type("wreath-brute-search", expect="none", meaning=_level_in_orders)
 def run_wreath_brute_search(bounds, rng, *, orders, level, p, degree=3) -> PropertyReport:
-    tower = _tower(degree, orders)
+    # a level holds at least as many elements as its base group
+    base = _symmetric_base(degree, bounds["budget"], f"level {level} order exceeds")
+    tower = _tower(base, orders)
     H = wreath.embed_subgroup(tower.base, tower, level)
     size = wreath.level_order(tower, level, bounds["budget"])
     t = wreath.brute_search_zp_witness(tower, level, H, p, bounds["budget"])
@@ -140,7 +156,9 @@ def run_wreath_brute_search(bounds, rng, *, orders, level, p, degree=3) -> Prope
 
 @check_type("wreath-torsion-exhaustive", meaning=_level_in_orders)
 def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> PropertyReport:
-    tower = _tower(degree, orders)
+    # a level holds at least as many elements as its base group
+    base = _symmetric_base(degree, bounds["budget"], f"level {level} order exceeds")
+    tower = _tower(base, orders)
     H = wreath.embed_subgroup(tower.base, tower, level)
     size = wreath.level_order(tower, level, bounds["budget"])
     count = 0
@@ -369,7 +387,7 @@ def _random_britton_word(rng, pres, signed, max_letters: int):
 
 @check_type("britton-engine")
 def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
-    base = symmetric_group(degree)
+    base = _symmetric_base(degree, hnn.MAX_BASE_ORDER, "base group larger than")
     detail = []
     b_pres = hnn.binate_presentation(base)
     m_pres = hnn.mitosis_presentation(base)
@@ -420,7 +438,7 @@ def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
 
 @check_type("bass-serre")
 def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
-    base = symmetric_group(degree)
+    base = _symmetric_base(degree, hnn.MAX_BASE_ORDER, "base group larger than")
     radius = bounds["radius"]
     pres = hnn.binate_presentation(base)
     e = base.context.identity
@@ -466,13 +484,13 @@ def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
 
 @check_type("cc-search-b1", expect="none", meaning=_letters_within_tree)
 def run_cc_search_b1(bounds, rng, *, max_letters, degree=3) -> PropertyReport:
-    base = symmetric_group(degree)
+    base = _symmetric_base(degree, hnn.MAX_BASE_ORDER, "base group larger than")
     return hnn.cc_witness_search_b1(base, max_letters, bounds["budget"])
 
 
 @check_type("mitosis")
 def run_mitosis(bounds, rng, *, degree=3) -> PropertyReport:
-    base = symmetric_group(degree)
+    base = _symmetric_base(degree, hnn.MAX_BASE_ORDER, "base group larger than")
     minus, s, d = hnn.mitosis_data(base)
     mit = checkers.check_mitotic(minus, s, d * s)
     # binate data derived from the mitosis pair: f = conj(t1, .) and the

@@ -43,12 +43,12 @@ class TowerSpec:
     every level the prefix covers.
     """
 
-    def __init__(self, base: FgSubgroup, rule: tuple, label: str = ""):
+    def __init__(self, base: FgSubgroup, rule: tuple):
         if base.context is None:
             raise ValueError("tower base needs a context")
         self.base = base
         self.rule = rule
-        self.label = label or f"{base.label} tower {rule!r}"
+        self.label = f"{base.label} tower {rule!r}"
         self._contexts: Dict[int, "WreathContext"] = {}
         self._base_elems: Optional[List[Permutation]] = None
         self._orbit_reps: Optional[List["WreathElement"]] = None

@@ -3,12 +3,14 @@
 import dataclasses
 import inspect
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
-from displacement import hnn
+from displacement import hnn, suites
 from displacement.cli import main, render_text
 from displacement.core import PropertyReport
 from displacement.serialize import ScenarioError, load_schema
@@ -396,8 +398,9 @@ HNN_CHECKS = {
 def test_base_group_too_large_for_a_presentation_exits_three(
     capsys, monkeypatch, tmp_path, ctype
 ):
-    """Every HNN presentation refuses a base group above one limit: here
-    Sym(3), of order 6, against a limit lowered to 5."""
+    """Every check type that builds an HNN presentation refuses a base
+    group above one limit, read at call time: here Sym(3), of order 6,
+    against a limit lowered to 5."""
     monkeypatch.setattr(hnn, "MAX_BASE_ORDER", 5)
     params = dict(HNN_CHECKS[ctype], degree=3)
     path = write_scenario(
@@ -405,6 +408,59 @@ def test_base_group_too_large_for_a_presentation_exits_three(
     )
     assert main(["--scenario", path]) == 3
     assert capsys.readouterr().err == "error: base group larger than budget 5\n"
+
+
+# the check types whose base group is Sym(degree), with complete params,
+# and the message of the budget that a huge degree exceeds
+SYM_BASE_CHECKS = {
+    **{c: (p, "base group larger than budget 1000") for c, p in HNN_CHECKS.items()},
+    "wreath-brute-search": (
+        {"orders": [2], "level": 1, "p": 2}, "level 1 order exceeds budget 10000000"
+    ),
+    "wreath-torsion-exhaustive": (
+        {"orders": [2], "level": 1}, "level 1 order exceeds budget 10000000"
+    ),
+}
+HUGE_DEGREE = 10**9
+
+
+@pytest.mark.parametrize("ctype", sorted(SYM_BASE_CHECKS))
+def test_huge_degree_is_refused_before_sym_is_built(capsys, monkeypatch, tmp_path, ctype):
+    """Sym(10^9) exceeds the budget of every check type built on it, and
+    the check says so before it builds one permutation of that degree."""
+    monkeypatch.setattr(suites, "symmetric_group", lambda degree: pytest.fail("built"))
+    params, message = SYM_BASE_CHECKS[ctype]
+    params = dict(params, degree=HUGE_DEGREE)
+    path = write_scenario(
+        tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
+    )
+    assert main(["--scenario", path]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+MEMORY_CAP = 800 * 2**20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+@pytest.mark.parametrize("ctype", ["cc-search-b1", "mitosis", "wreath-brute-search"])
+def test_huge_degree_exits_three_under_a_memory_cap(tmp_path, ctype):
+    """One generator of Sym(10^9) alone would not fit in 800 MB; the CLI,
+    run in a child process under that address-space cap, exits 3 at once."""
+    params = dict(SYM_BASE_CHECKS[ctype][0], degree=HUGE_DEGREE)
+    path = write_scenario(
+        tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
+    )
+    start = time.monotonic()
+    run = subprocess.run(
+        [sys.executable, "-m", "displacement", "--scenario", path],
+        capture_output=True, text=True, timeout=20, preexec_fn=_cap_address_space,
+    )
+    elapsed = time.monotonic() - start
+    assert run.returncode == 3, run.stderr
+    assert elapsed < 1
 
 
 def test_every_report_field_reaches_the_check_entry(monkeypatch):

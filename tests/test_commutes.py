@@ -4,9 +4,9 @@ realization: ``commutes`` against the commutator oracle, and
 
 import pytest
 
-from displacement.core import FgSubgroup, ProductContext, commutator, commutes, conj
+from displacement.core import FgSubgroup, commutator, commutes, conj
 from displacement.hnn import binate_presentation, mitosis_presentation
-from displacement.matrices import GLContext, RationalMatrix
+from displacement.matrices import RationalMatrix
 from displacement.perms import Permutation, symmetric_group
 from displacement.plmaps import thompson_generators
 from displacement.wreath import TowerSpec, embed_level
@@ -30,14 +30,6 @@ def _britton(make, letter):
     return pres.base_element(CYCLE, E3), pres.stable_letter(letter)
 
 
-def _product():
-    ctx = ProductContext(S3.context, GLContext())
-    return (
-        ctx.pair(SWAP, RationalMatrix([[1, 1], [0, 1]])),
-        ctx.pair(OTHER_SWAP, RationalMatrix([[2, 0], [0, 1]])),
-    )
-
-
 # realization -> a pair (a, b) of elements that do not commute
 NON_COMMUTING = {
     "permutation": lambda: (SWAP, OTHER_SWAP),
@@ -49,7 +41,6 @@ NON_COMMUTING = {
     "pl-homeo": thompson_generators,
     "britton-b(Sym3)": lambda: _britton(binate_presentation, "d"),
     "britton-m(Sym3)": lambda: _britton(mitosis_presentation, "s"),
-    "product": _product,
 }
 
 

@@ -9,12 +9,10 @@ from hypothesis import given, strategies as st
 from displacement.core import (
     ContextMismatchError,
     FgSubgroup,
-    ProductContext,
     commutator,
     conj,
     element_order,
     enumerate_subgroup,
-    product_subgroup,
     subgroups_commute,
 )
 from displacement.perms import Permutation, SymmetricGroupContext, symmetric_group
@@ -134,18 +132,3 @@ def test_element_order():
     assert element_order(Permutation.from_cycles(6, [(1, 2, 3), (4, 5)])) == 6
     e = SymmetricGroupContext(3).identity
     assert element_order(e) == 1
-
-
-def test_product_realization():
-    H = FgSubgroup("H", [Permutation.from_cycles(3, [(1, 2)])])
-    K = FgSubgroup("K", [Permutation.from_cycles(4, [(1, 2, 3, 4)])])
-    P = product_subgroup("HxK", H, K)
-    assert len(P.generators) == 2
-    x, y = P.generators
-    assert (x * y) == (y * x)
-    ctx = P.context
-    assert isinstance(ctx, ProductContext)
-    assert ctx.identity.is_identity()
-    assert (x * x).a.is_identity()
-    assert not (y * y).is_identity()
-

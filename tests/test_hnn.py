@@ -433,6 +433,18 @@ def test_tree_ball_size_is_the_walk_count(build, degree, radii):
         hnn.tree_ball_size(pres, hnn.MAX_TREE_RADIUS + 1)
 
 
+@pytest.mark.parametrize("build", [binate_presentation, mitosis_presentation])
+def test_presentation_refuses_a_base_group_over_its_limit(monkeypatch, build):
+    """A presentation stops enumerating its base group past
+    ``MAX_BASE_ORDER`` elements: Sym(3), of order 6, is refused under a
+    limit of 5 and accepted under 6."""
+    monkeypatch.setattr(hnn, "MAX_BASE_ORDER", 5)
+    with pytest.raises(BudgetExceededError, match="^base group larger than budget 5$"):
+        build(S3)
+    monkeypatch.setattr(hnn, "MAX_BASE_ORDER", 6)
+    assert len(build(S3).group_elems) == 6
+
+
 def canonical_vertex(pres, word):
     """The representative word of the coset w * (base group): the normal
     form of w with its last base letter set to the identity.  Two words

@@ -262,7 +262,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         "presentation-limit-off", "hnn.py",
         "elems = enumerate_subgroup([base.context.identity, *base.generators], MAX_BASE_ORDER)",
         "elems = enumerate_subgroup([base.context.identity, *base.generators])",
-        ("tests/test_cli.py",),
+        ("tests/test_hnn.py", "-k", "base_group_over_its_limit"),
+    ),
+    Mutant(
+        "sym-base-gate-skipped", "suites.py",
+        "for k in range(2, degree + 1):", "for k in range(0):",
+        ("tests/test_cli.py", "-k", "huge_degree"),
     ),
     Mutant(
         "cc-search-verdict-negated", "hnn.py",
