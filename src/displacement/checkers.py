@@ -79,30 +79,35 @@ def check_cc(H: FgSubgroup, t) -> PropertyReport:
     return PropertyReport.passing(rep.checks)
 
 
-def _conjugates_commute(H: FgSubgroup, t, stop: int):
+def _conjugates_commute(H: FgSubgroup, t, t_inv, stop: int):
     """[H, t^p H t^-p] = 1 for 1 <= p < stop: the shared power loop of
-    the Z/n- and Z-conjugates conditions.  Returns the failing report
-    (or None) and t^stop."""
-    tp = t
+    the Z/n- and Z-conjugates conditions.  Each conjugate is the last
+    one conjugated by t, K_p = t K_(p-1) t^-1, so no power of t is
+    built.  Returns the failing report (or None) and the last conjugate
+    checked (H when stop is 1)."""
+    K = H
     for p in range(1, stop):
-        rep = subgroups_commute(H, H.conjugate(tp))
+        K = K.conjugate(t, t_inv)
+        rep = subgroups_commute(H, K)
         if not rep.ok:
-            failure = PropertyReport.failing(f"[H, t^{p} H t^-{p}] != 1", rep.counterexample)
-            return failure, tp
-        tp = tp * t
-    return None, tp
+            return PropertyReport.failing(f"[H, t^{p} H t^-{p}] != 1", rep.counterexample), K
+    return None, K
 
 
 def check_cznc(H: FgSubgroup, t, n: int) -> PropertyReport:
     """Commuting Z/n-conjugates: [H, t^p H t^-p] = 1 for 1 <= p < n and
-    t^n centralizes H."""
+    t^n centralizes H, that is t^n H t^-n = H generator by generator."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    failure, tn = _conjugates_commute(H, t, n)
+    t_inv = t.inverse()
+    failure, K = _conjugates_commute(H, t, t_inv, n)
     if failure is not None:
         return failure
-    for h in H.generators:
-        if not commutes(h, tn):
+    for h, k in zip(H.generators, K.conjugate(t, t_inv).generators):
+        if k != h:
+            tn = t
+            for _ in range(n - 1):
+                tn = tn * t
             return PropertyReport.failing(f"t^{n} does not centralize H", (h, tn))
     checks = [f"[H, t^{p} H t^-{p}] = 1" for p in range(1, n)]
     checks.append(f"t^{n} centralizes the generators")
@@ -114,7 +119,7 @@ def check_czc(H: FgSubgroup, t, p_max: int) -> PropertyReport:
     possible verdict is bounded-pass."""
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    failure, _ = _conjugates_commute(H, t, p_max + 1)
+    failure, _ = _conjugates_commute(H, t, t.inverse(), p_max + 1)
     if failure is not None:
         return failure
     return PropertyReport.bounded([f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])

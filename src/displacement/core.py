@@ -133,14 +133,16 @@ class FgSubgroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def conjugate(self, t) -> "FgSubgroup":
+    def conjugate(self, t, t_inv=None) -> "FgSubgroup":
         """The subgroup t H t^-1, generator by generator: generator i of
-        the result is t h_i t^-1.  Conjugation by t is an injective
-        homomorphism, so the list stays free of identities and
-        duplicates and skips the constructor's normalization."""
+        the result is t h_i t^-1, with ``t_inv`` as t^-1 when the caller
+        already has it.  Conjugation by t is an injective homomorphism,
+        so the list stays free of identities and duplicates and skips
+        the constructor's normalization."""
         if self.generators:
             _require_same_context(t, self)
-        t_inv = t.inverse()
+        if t_inv is None:
+            t_inv = t.inverse()
         K = object.__new__(FgSubgroup)
         K.label = f"^({self.label})"
         K.generators = tuple(t * g * t_inv for g in self.generators)

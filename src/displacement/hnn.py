@@ -34,14 +34,15 @@ radius, and ``fixed_vertices`` the ones a base element g fixes.  The
 latter descends from the base vertex through fixed vertices only, each
 carrying w^-1 g w as a base code, so a child costs a few table lookups.
 ``fixes_vertex`` tests one vertex by word arithmetic, as an independent
-oracle.
+oracle.  ``cc_witness_search_b1`` walks one vertex per (G x G)-orbit of
+the ball instead, each carrying its stabilizer by the same rule.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .checkers import check_cc
 from .core import (
@@ -112,21 +113,28 @@ class FiniteHnnPresentation:
         self._in_B: Dict[str, List[bool]] = {}
         self._phi: Dict[str, List[int]] = {}
         self._phi_inv: Dict[str, List[int]] = {}
+        # the codes of A_x and B_x, listed by g
+        self._members: Dict[Tuple[str, str], List[int]] = {}
         for x in letters:
             if x not in _EMBEDDINGS:
                 raise ValueError(f"unknown stable letter {x!r}")
             phi = [-1] * N
             phi_inv = [-1] * N
+            members_A, members_B = [], []
             for g in range(n):
                 # the codes of A(g) and B(g): g where the flag is set, else 1
                 a_code, b_code = [(g if p else e) * n + (g if q else e) for p, q in _EMBEDDINGS[x]]
                 phi[a_code] = b_code
                 phi_inv[b_code] = a_code
+                members_A.append(a_code)
+                members_B.append(b_code)
             # A_x and B_x are the domains of phi_x and of its inverse
             self._in_A[x] = [c != -1 for c in phi]
             self._in_B[x] = [c != -1 for c in phi_inv]
             self._phi[x] = phi
             self._phi_inv[x] = phi_inv
+            self._members[("A", x)] = members_A
+            self._members[("B", x)] = members_B
 
         # left coset transversals (minimal-index representatives) for
         # every associated subgroup, used by normal forms and the tree.
@@ -141,11 +149,8 @@ class FiniteHnnPresentation:
         self._push: Dict[Tuple[str, str], List[int]] = {}
         self._transversal: Dict[Tuple[str, str], List[int]] = {}
         for x in letters:
-            for side, member, across in (
-                ("A", self._in_A[x], self._phi[x]),
-                ("B", self._in_B[x], self._phi_inv[x]),
-            ):
-                sub = [(c // n, c % n, across[c]) for c in range(N) if member[c]]
+            for side, across in (("A", self._phi[x]), ("B", self._phi_inv[x])):
+                sub = [(c // n, c % n, across[c]) for c in self._members[(side, x)]]
                 rep = [-1] * N
                 push = [-1] * N
                 reps = []
@@ -493,6 +498,55 @@ def _walk_tree(pres: FiniteHnnPresentation, radius: int) -> Iterator[Tuple[Word,
         frontier = nxt
 
 
+def _orbit_walk(
+    pres: FiniteHnnPresentation, radius: int
+) -> Iterator[Tuple[Word, int, Optional[List[int]]]]:
+    """One vertex of each (G x G)-orbit within ``radius``: the least of
+    its orbit in ``tree_ball`` order, yielded in that order as (word,
+    distance, C) with C = w^-1 Stab(w) w, the codes that w's stabilizer
+    in G x G conjugates to (None at the base, standing for G x G).
+
+    G x G fixes the base vertex, so an orbit at distance k + 1 is an
+    orbit of the children of one representative w under Stab(w), whose
+    element w c w^-1 sends the child w r x^sign (base) to w c r x^sign
+    (base) and fixes w's parent.  A child leads its orbit when no
+    earlier child lies in it, and carries phi_x^-+1(r^-1 c r) for each c
+    in C that fixes it, the rule of ``fixed_vertices``: that is the push
+    table at c r.  At the base, G x G is transitive on the children
+    x^sign (base), so the first of them leads and carries the whole
+    associated subgroup on the far side of x^sign; below the base, C
+    has at most |G| codes."""
+    if radius > MAX_TREE_RADIUS:
+        raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
+    base = (pres.identity_code, ())
+    yield base, 0, None
+    mul = pres.mul
+    frontier = [(base, None)]
+    for dist in range(1, radius + 1):
+        nxt = []
+        for word, C in frontier:
+            seen = set()
+            for x, sign, r, child in _children(pres, word):
+                side = "B" if sign == 1 else "A"
+                if (side, x, r) in seen:
+                    continue
+                if C is None:
+                    seen.update((side, x, s) for s in pres._transversal[(side, x)])
+                    carried = pres._members[("A" if sign == 1 else "B", x)]
+                else:
+                    rep, push = pres._coset_rep[(side, x)], pres._push[(side, x)]
+                    carried = []
+                    for c in C:
+                        cr = mul(c, r)
+                        if rep[cr] == r:
+                            carried.append(push[cr])
+                        else:
+                            seen.add((side, x, rep[cr]))
+                yield child, dist, carried
+                nxt.append((child, carried))
+        frontier = nxt
+
+
 def fixed_vertices(
     pres: FiniteHnnPresentation, code: int, radius: int
 ) -> List[Vertex]:
@@ -559,31 +613,36 @@ def cc_witness_search_b1(
 ) -> PropertyReport:
     """Bounded refutation of commuting conjugates at tower level one.
 
-    [G_-, t G_- t^-1] = 1 depends only on the coset t (G x G), because
-    G_- is normal in G x G, and a reduced word with m stable letters
-    lands on a Bass-Serre vertex at distance m.  So every vertex within
-    distance max_letters is checked with ``check_cc``, in ``tree_ball``
-    order.  Reports "some" with the first witness, or "none" naming the
-    vertices searched; raises BudgetExceededError rather than visit more
-    than ``budget`` vertices."""
+    A reduced word with m stable letters lands on a Bass-Serre vertex at
+    distance m, and [G_-, t G_- t^-1] = 1 depends only on t's vertex
+    t (G x G).  G_- is normal in G x G, so for g in G x G the condition
+    at g t equals the one at t conjugated by g: it depends only on the
+    (G x G)-orbit of the vertex.  So ``check_cc`` runs on one vertex of
+    each orbit within distance max_letters, the least of its orbit in
+    ``tree_ball`` order (``_orbit_walk``), and the first witness is the
+    first one the ball would give.  Reports "some" with that witness and
+    the number of its orbit in walk order, or "none" naming the vertices
+    covered and the orbits checked.  Raises BudgetExceededError, before
+    any check, when the ball holds more than ``budget`` vertices."""
     pres = binate_presentation(base)
+    covered = tree_ball_size(pres, max_letters)
+    if covered > budget:
+        raise BudgetExceededError(
+            f"more than {budget} Bass-Serre vertices within distance {max_letters}"
+        )
     minus = pres.minus_subgroup()
-    visited = 0
-    for word, dist in _walk_tree(pres, max_letters):
-        if visited == budget:
-            raise BudgetExceededError(
-                f"more than {budget} Bass-Serre vertices within distance {max_letters}"
-            )
-        visited += 1
+    orbits = 0
+    for word, dist, _ in _orbit_walk(pres, max_letters):
+        orbits += 1
         t = BrittonElement._trusted(pres, word)
         if check_cc(minus, t).ok:
-            found = f"witness at Bass-Serre vertex {visited}, distance {dist}"
+            found = f"witness on (G x G)-orbit {orbits} of Bass-Serre vertices, distance {dist}"
             return PropertyReport("some", (found,), t)
     return PropertyReport(
         "none",
         (
-            f"no commuting-conjugates witness among {visited} Bass-Serre vertices"
-            f" within distance {max_letters}",
+            f"no commuting-conjugates witness among {covered} Bass-Serre vertices"
+            f" within distance {max_letters}, checked on {orbits} (G x G)-orbits",
         ),
     )
 

@@ -217,8 +217,11 @@ def run_gl_block_identity(bounds, rng, *, samples=200) -> PropertyReport:
         g = _random_invertible(rng, 4)
         got = matrices.block_conjugate(X, g)
         gp = g.padded(4)
-        Xe = [list(r) for r in X.padded(2)]
-        Xi = [list(r) for r in X.inverse().padded(2)]
+        Xe = X.padded(2)
+        # X^-1 from the adjugate, independent of the kernel's inverse
+        (a, b), (c, d) = Xe
+        det = a * d - b * c
+        Xi = [[d / det, -b / det], [-c / det, a / det]]
         A = [[gp[i][j] for j in range(2)] for i in range(2)]
         B = [[gp[i][j + 2] for j in range(2)] for i in range(2)]
         C = [[gp[i + 2][j] for j in range(2)] for i in range(2)]

@@ -59,6 +59,18 @@ def test_check_cznc():
         check_cznc(H, t, 1)
 
 
+def test_cznc_centralizer_failure_names_h_and_t_to_the_n():
+    """The conjugates come from one another, but the counterexample of a
+    failed centralizer condition is still (h, t^n)."""
+    tower = TowerSpec(S3, ("prefix", (4,)))
+    H = embed_subgroup(S3, tower, 1)
+    t = tower.context(1).shift_generator()
+    for n, power in ((2, t * t), (3, t * t * t)):
+        rep = check_cznc(H, t, n)
+        assert rep.checks[-1] == f"t^{n} does not centralize H"
+        assert rep.counterexample == (H.generators[0], power)
+
+
 def test_cznc_detects_bad_order():
     """Over top group Z/4 the embedded copy at coordinate 0 gives a
     genuine Z/4 witness, but n = 2 fails the centralizing condition, and

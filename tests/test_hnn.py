@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from displacement import hnn, suites
 from displacement.checkers import check_cc, check_mitotic
-from displacement.core import BudgetExceededError, commutator, conj
+from displacement.core import BudgetExceededError, PropertyReport, commutator, conj
 from displacement.hnn import (
     BrittonElement,
     FiniteHnnPresentation,
@@ -622,11 +622,149 @@ def test_cc_search_small_cases():
     rep = cc_witness_search_b1(S3, 1)
     assert rep.verdict == "none"
     assert rep.checks == (
-        "no commuting-conjugates witness among 13 Bass-Serre vertices within distance 1",
+        "no commuting-conjugates witness among 13 Bass-Serre vertices within distance 1,"
+        " checked on 3 (G x G)-orbits",
     )
     # the radius-3 ball over Sym(3) has 1,597 vertices
     with pytest.raises(BudgetExceededError):
         cc_witness_search_b1(S3, 3, budget=1000)
+
+
+def counting_check_cc(monkeypatch):
+    """Patch the search's ``check_cc`` to count its calls."""
+    calls = []
+
+    def counted(H, t):
+        calls.append(t)
+        return check_cc(H, t)
+
+    monkeypatch.setattr(hnn, "check_cc", counted)
+    return calls
+
+
+def orbit_of(pres, word):
+    """The (G x G)-orbit of the vertex with this word, by word arithmetic:
+    the vertex words of g w for every base code g."""
+    return {canonical_vertex(pres, word_mul(pres, (g, ()), word)) for g in range(pres.size)}
+
+
+ORBIT_CASES = [(2, 4), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("degree, radius", ORBIT_CASES)
+def test_orbit_walk_partitions_the_ball(degree, radius):
+    """Every ball vertex lies in the orbit of exactly one representative,
+    each representative is the least vertex of its orbit in ``tree_ball``
+    order, and the orbit sizes at each distance add up to that sphere."""
+    pres = binate_presentation(symmetric_group(degree))
+    ball = tree_ball(pres, radius)
+    position = {v.word: i for i, v in enumerate(ball)}
+    covered = set()
+    sphere = [0] * (radius + 1)
+    for word, dist, _ in hnn._orbit_walk(pres, radius):
+        orbit = orbit_of(pres, word)
+        assert not orbit & covered
+        covered |= orbit
+        assert min(position[u] for u in orbit) == position[word]
+        assert ball[position[word]].distance == dist
+        sphere[dist] += len(orbit)
+    assert covered == set(position)
+    assert sphere == [sum(1 for v in ball if v.distance == d) for d in range(radius + 1)]
+
+
+@pytest.mark.parametrize("degree, radius", ORBIT_CASES)
+def test_orbit_walk_carries_the_conjugated_stabilizer(degree, radius):
+    """A representative w carries the codes w^-1 g w for the base codes g
+    that fix it (``fixes_vertex``), and G x G at the base."""
+    pres = binate_presentation(symmetric_group(degree))
+    for word, dist, C in hnn._orbit_walk(pres, radius):
+        v = hnn.Vertex(word, dist)
+        wi = word_inv(pres, word)
+        expected = {
+            word_mul(pres, word_mul(pres, wi, (g, ())), word)[0]
+            for g in range(pres.size)
+            if fixes_vertex(pres, (g, ()), v)
+        }
+        assert set(range(pres.size) if C is None else C) == expected
+        if C is not None:
+            assert len(C) == len(expected) <= pres.n
+
+
+@pytest.mark.parametrize(
+    "degree, radius, counts",
+    [
+        (2, 4, [1, 2, 4, 10, 28]),
+        (3, 4, [1, 2, 9, 52, 482]),
+        (4, 2, [1, 2, 29]),
+        (4, 3, [1, 2, 29, 324]),
+    ],
+)
+def test_orbit_walk_counts_per_distance(degree, radius, counts):
+    pres = binate_presentation(symmetric_group(degree))
+    found = [0] * (radius + 1)
+    for _, dist, _ in hnn._orbit_walk(pres, radius):
+        found[dist] += 1
+    assert found == counts
+
+
+def ball_search(pres, max_letters, ok):
+    """The first vertex of ``tree_ball`` order that passes ``ok``, or
+    None: the vertex walk that the orbit walk replaced, as its oracle."""
+    minus = pres.minus_subgroup()
+    for v in tree_ball(pres, max_letters):
+        if ok(minus, BrittonElement._trusted(pres, v.word)):
+            return v.word
+    return None
+
+
+@pytest.mark.parametrize("degree, max_letters", [(1, 2), (2, 0), (2, 3), (3, 2)])
+def test_orbit_search_finds_the_ball_walks_first_witness(degree, max_letters):
+    pres = binate_presentation(symmetric_group(degree))
+    first = ball_search(pres, max_letters, lambda H, t: check_cc(H, t).ok)
+    rep = cc_witness_search_b1(symmetric_group(degree), max_letters)
+    if first is None:
+        assert rep.verdict == "none"
+    else:
+        assert rep.verdict == "some" and rep.counterexample.word == first
+    if degree == 2:
+        assert first == (pres.identity_code, ()) and rep.counterexample.is_identity()
+
+
+@pytest.mark.parametrize("target", [5, 40, 100, 144])
+def test_orbit_search_first_witness_for_an_orbit_invariant_condition(monkeypatch, target):
+    """With a condition that holds on exactly one orbit of the radius-2
+    ball over Sym(3), the search returns the ball walk's first witness,
+    with the same word."""
+    pres = binate_presentation(S3)
+    orbit = orbit_of(pres, tree_ball(pres, 2)[target].word)
+
+    def on_orbit(H, t):
+        return canonical_vertex(pres, t.word) in orbit
+
+    first = ball_search(pres, 2, on_orbit)
+    monkeypatch.setattr(
+        hnn, "check_cc", lambda H, t: PropertyReport("pass" if on_orbit(H, t) else "fail")
+    )
+    rep = cc_witness_search_b1(S3, 2)
+    assert rep.verdict == "some" and rep.counterexample.word == first
+
+
+@pytest.mark.parametrize("degree, max_letters, orbits", [(3, 3, 64), (4, 2, 32)])
+def test_orbit_search_checks_each_orbit_once(monkeypatch, degree, max_letters, orbits):
+    calls = counting_check_cc(monkeypatch)
+    rep = cc_witness_search_b1(symmetric_group(degree), max_letters)
+    assert rep.verdict == "none" and len(calls) == orbits
+    assert rep.checks[0].endswith(f", checked on {orbits} (G x G)-orbits")
+
+
+def test_orbit_search_budget_is_checked_before_any_check(monkeypatch):
+    """The radius-3 ball over Sym(3) has 1,597 vertices: a budget of 1000
+    refuses it before the first check, and a budget of 1597 admits it."""
+    calls = counting_check_cc(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="^more than 1000 Bass-Serre vertices"):
+        cc_witness_search_b1(S3, 3, budget=1000)
+    assert calls == []
+    assert cc_witness_search_b1(S3, 3, budget=1597).verdict == "none"
 
 
 def _landing(pres, max_letters):

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from displacement import suites
 from displacement.checkers import check_cznc, check_czc, verify_certificate
 from displacement.core import FgSubgroup, conj, subgroups_commute
 from displacement.matrices import (
@@ -181,6 +182,15 @@ def test_block_conjugate_block_structure():
     for i in range(2):
         for j in range(2, 4):
             assert got[i][j] == sum(X.padded(2)[i][k] * gp[k][j] for k in range(2))
+
+
+def test_gl_block_identity_oracle_catches_a_wrong_inverse(monkeypatch):
+    """The suite's oracle takes X^-1 from the 2x2 adjugate, not from the
+    kernel: with ``inverse`` returning X * X, the check must fail."""
+    assert suites.run_gl_block_identity({}, random.Random(0), samples=50).ok
+    monkeypatch.setattr(RationalMatrix, "inverse", lambda self: self * self)
+    rep = suites.run_gl_block_identity({}, random.Random(0), samples=50)
+    assert rep.verdict == "fail"
 
 
 def test_block_conjugate_identity_cases():

@@ -51,6 +51,7 @@ MATRIX_TESTS = ("tests/test_matrices.py", "tests/test_matrices_sympy.py")
 PL_TESTS = ("tests/test_plmaps.py",)
 DESCENT_TESTS = ("tests/test_hnn.py", "-k", "descent")
 ENGINE_TESTS = ("tests/test_hnn.py", "-k", "engine")
+ORBIT_TESTS = ("tests/test_hnn.py", "-k", "orbit")
 WREATH_TESTS = ("tests/test_wreath.py",)
 COMMUTES_TESTS = ("tests/test_commutes.py",)
 CHECKER_TESTS = ("tests/test_checkers.py", "tests/test_wreath.py")
@@ -123,6 +124,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "descent-carries-parent-code", "hnn.py",
         "nxt.append((child, carried))", "nxt.append((child, c))", DESCENT_TESTS,
+        within="def fixed_vertices(",
     ),
     Mutant(
         "descent-swaps-phi", "hnn.py",
@@ -148,8 +150,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "push-table-from-phi", "hnn.py",
-        '("B", self._in_B[x], self._phi_inv[x]),',
-        '("B", self._in_B[x], self._phi[x]),',
+        'for side, across in (("A", self._phi[x]), ("B", self._phi_inv[x])):',
+        'for side, across in (("A", self._phi[x]), ("B", self._phi[x])):',
         ENGINE_TESTS,
     ),
     Mutant(
@@ -197,14 +199,14 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "cznc-power-loop-one-short", "checkers.py",
-        "failure, tn = _conjugates_commute(H, t, n)",
-        "failure, tn = _conjugates_commute(H, t, n - 1)",
+        "failure, K = _conjugates_commute(H, t, t_inv, n)",
+        "failure, K = _conjugates_commute(H, t, t_inv, n - 1)",
         CHECKER_TESTS,
     ),
     Mutant(
         "czc-power-loop-one-short", "checkers.py",
-        "failure, _ = _conjugates_commute(H, t, p_max + 1)",
-        "failure, _ = _conjugates_commute(H, t, p_max)",
+        "failure, _ = _conjugates_commute(H, t, t.inverse(), p_max + 1)",
+        "failure, _ = _conjugates_commute(H, t, t.inverse(), p_max)",
         CHECKER_TESTS,
     ),
     Mutant(
@@ -273,6 +275,20 @@ MUTANTS: Tuple[Mutant, ...] = (
         "cc-search-verdict-negated", "hnn.py",
         "if check_cc(minus, t).ok:", "if not check_cc(minus, t).ok:",
         ("tests/test_hnn.py", "-k", "cc_search"),
+    ),
+    Mutant(
+        "orbit-walk-carries-the-parent-set", "hnn.py",
+        "nxt.append((child, carried))", "nxt.append((child, C))",
+        ORBIT_TESTS, within="def _orbit_walk(",
+    ),
+    Mutant(
+        "orbit-walk-child-orbits-under-all-of-GxG", "hnn.py",
+        "for c in C:", "for c in range(pres.size):",
+        ORBIT_TESTS, within="def _orbit_walk(",
+    ),
+    Mutant(
+        "cc-search-budget-admits-one-less", "hnn.py",
+        "if covered > budget:", "if covered >= budget:", ORBIT_TESTS,
     ),
     Mutant(
         "walker-minimum-off-by-one", "serialize.py",
