@@ -22,6 +22,10 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 
+# the default cap on exhaustive searches and enumerations
+DEFAULT_BUDGET = 10**7
+
+
 class ContextMismatchError(ValueError):
     """An operation mixed elements of different ambient groups."""
 
@@ -169,7 +173,7 @@ def subgroups_commute(H: FgSubgroup, K: FgSubgroup) -> PropertyReport:
     return PropertyReport.passing([f"{n} generator pairs checked"])
 
 
-def enumerate_subgroup(generators: Sequence[Any], budget: int = 10**7) -> list:
+def enumerate_subgroup(generators: Sequence[Any], budget: int = DEFAULT_BUDGET) -> list:
     """Full enumeration of <generators> by breadth-first closure.
 
     Deterministic: elements appear in BFS order seeded by the identity

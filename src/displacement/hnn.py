@@ -9,7 +9,11 @@ Two presentations are materialized over a finite base group G:
 
 Each stable letter x carries associated subgroups A_x, B_x, images of
 two embeddings of G into G x G that one table defines per letter, and
-the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  Words are
+the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  Every
+table is read at [x][sign] by the signed letter x^sign that the caller
+holds, for the subgroup S that x^sign moves across: S = B_x for sign +1
+and A_x for sign -1, with c in S becoming x^-sign c x^sign on the far
+side (``_across``: phi_x^-1 or phi_x).  Words are
 alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
 reduces its word once, and its products and inverses come reduced.
 G is enumerated once, its product table composed from image tuples, and
@@ -23,11 +27,12 @@ the leftmost pinch first, the word it returns is the one that
 rescanning after every pinch would return, and its cost is linear in
 the word's length.  ``word_mul`` pushes v's letters onto u's, so the
 product of reduced words pinches only at the seam.  Normal forms of
-reduced words come from tables: the sweep that picks each coset's
-representative r records, for each b = r c (read off the product rows
-of b's coordinates), the base letter that c becomes on the far side of
-the stable letter.  A Bass-Serre vertex is its normal-form word, ending
-in the identity base letter, with one stable letter per step of distance.
+reduced words come from tables: the sweep that picks the
+representative r of each coset b S records, for each b = r c (read off
+the product rows of b's coordinates), the base letter x^-sign c x^sign
+that c becomes on the far side of x^sign.  A Bass-Serre vertex is its
+normal-form word, ending in the identity base letter, with one stable
+letter per step of distance.
 
 Bass-Serre vertex queries: ``tree_ball`` lists the vertices within a
 radius, and ``fixed_vertices`` the ones a base element g fixes.  The
@@ -46,6 +51,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .checkers import check_cc
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     ContextMismatchError,
     FgSubgroup,
@@ -109,48 +115,41 @@ class FiniteHnnPresentation:
         self._ginv = ginv
 
         N = self.size
-        self._in_A: Dict[str, List[bool]] = {}
-        self._in_B: Dict[str, List[bool]] = {}
-        self._phi: Dict[str, List[int]] = {}
-        self._phi_inv: Dict[str, List[int]] = {}
-        # the codes of A_x and B_x, listed by g
-        self._members: Dict[Tuple[str, str], List[int]] = {}
+        # with S = B_x for sign +1 and A_x for sign -1, _members[x][sign]
+        # lists the codes of S by g, and _across[x][sign] maps each c in S
+        # to x^-sign c x^sign and every other code to -1
+        self._members: Dict[str, Dict[int, List[int]]] = {}
+        self._across: Dict[str, Dict[int, List[int]]] = {}
         for x in letters:
             if x not in _EMBEDDINGS:
                 raise ValueError(f"unknown stable letter {x!r}")
-            phi = [-1] * N
-            phi_inv = [-1] * N
-            members_A, members_B = [], []
+            members: Dict[int, List[int]] = {1: [], -1: []}
+            across = {1: [-1] * N, -1: [-1] * N}
             for g in range(n):
                 # the codes of A(g) and B(g): g where the flag is set, else 1
                 a_code, b_code = [(g if p else e) * n + (g if q else e) for p, q in _EMBEDDINGS[x]]
-                phi[a_code] = b_code
-                phi_inv[b_code] = a_code
-                members_A.append(a_code)
-                members_B.append(b_code)
-            # A_x and B_x are the domains of phi_x and of its inverse
-            self._in_A[x] = [c != -1 for c in phi]
-            self._in_B[x] = [c != -1 for c in phi_inv]
-            self._phi[x] = phi
-            self._phi_inv[x] = phi_inv
-            self._members[("A", x)] = members_A
-            self._members[("B", x)] = members_B
+                members[-1].append(a_code)
+                members[1].append(b_code)
+                across[-1][a_code] = b_code
+                across[1][b_code] = a_code
+            self._members[x] = members
+            self._across[x] = across
 
-        # left coset transversals (minimal-index representatives) for
-        # every associated subgroup, used by normal forms and the tree.
-        # In an ascending sweep the first code of each coset b*S is its
-        # minimum, so it becomes the representative of the whole coset.
-        # The same sweep fills the push tables: b*c, with c in the
-        # subgroup, gets push[b*c] = phi_x^-1(c) for B_x and phi_x(c) for
-        # A_x, the base letter that c becomes on the far side of x^+-1.
-        # b*c is read off the product rows of b's two coordinates.
+        # left coset transversals (minimal-index representatives) of S,
+        # used by normal forms and the tree.  In an ascending sweep the
+        # first code of each coset b*S is its minimum, so it becomes the
+        # representative of the whole coset.  The same sweep fills the push
+        # tables: b*c, with c in S, gets push[b*c] = _across[x][sign][c],
+        # the base letter that c becomes on the far side of x^sign.  b*c is
+        # read off the product rows of b's two coordinates.
         self._index = index
-        self._coset_rep: Dict[Tuple[str, str], List[int]] = {}
-        self._push: Dict[Tuple[str, str], List[int]] = {}
-        self._transversal: Dict[Tuple[str, str], List[int]] = {}
+        self._coset_rep: Dict[str, Dict[int, List[int]]] = {x: {} for x in letters}
+        self._push: Dict[str, Dict[int, List[int]]] = {x: {} for x in letters}
+        self._transversal: Dict[str, Dict[int, List[int]]] = {x: {} for x in letters}
         for x in letters:
-            for side, across in (("A", self._phi[x]), ("B", self._phi_inv[x])):
-                sub = [(c // n, c % n, across[c]) for c in self._members[(side, x)]]
+            for sign, codes in self._members[x].items():
+                across = self._across[x][sign]
+                sub = [(c // n, c % n, across[c]) for c in codes]
                 rep = [-1] * N
                 push = [-1] * N
                 reps = []
@@ -162,9 +161,9 @@ class FiniteHnnPresentation:
                             bc = row1[c1] * n + row2[c2]
                             rep[bc] = b
                             push[bc] = pushed
-                self._coset_rep[(side, x)] = rep
-                self._push[(side, x)] = push
-                self._transversal[(side, x)] = reps
+                self._coset_rep[x][sign] = rep
+                self._push[x][sign] = push
+                self._transversal[x][sign] = reps
 
     # -- base group arithmetic on codes --------------------------------
 
@@ -218,7 +217,7 @@ def _pinch_sites(pres, letters) -> List[int]:
     for i in range(len(letters) - 1):
         x1, e1, b1 = letters[i]
         x2, e2, _ = letters[i + 1]
-        if x1 == x2 and e1 == -e2 and (pres._in_A if e1 == 1 else pres._in_B)[x1][b1]:
+        if x1 == x2 and e1 == -e2 and pres._across[x1][-e1][b1] != -1:
             sites.append(i)
     return sites
 
@@ -237,7 +236,7 @@ def _push_letters(pres, b0: int, stack: List, letters) -> int:
     for letter in letters:
         if top is not None and top[0] == letter[0] and top[1] == -letter[1]:
             x, f, c = top
-            mid = (pres._phi if f == 1 else pres._phi_inv)[x][c]
+            mid = pres._across[x][-f][c]
             if mid != -1:
                 stack.pop()
                 merged = mul(mid, letter[2])
@@ -269,7 +268,7 @@ def britton_reduce(pres, word: Word, rng=None) -> Word:
         i = sites[rng.randrange(len(sites))]
         x1, e1, b1 = letters[i]
         _, _, b2 = letters[i + 1]
-        mid = (pres._phi if e1 == 1 else pres._phi_inv)[x1][b1]
+        mid = pres._across[x1][-e1][b1]
         merged = pres.mul(mid, b2)
         if i == 0:
             b0 = pres.mul(b0, merged)
@@ -341,9 +340,8 @@ def reduced_normal_form(pres, word: Word) -> Word:
     reps, pushes, mul = pres._coset_rep, pres._push, pres.mul
     bases = []
     for x, e, nxt in letters:
-        key = ("B", x) if e == 1 else ("A", x)
-        bases.append(reps[key][b])
-        b = mul(pushes[key][b], nxt)
+        bases.append(reps[x][e][b])
+        b = mul(pushes[x][e][b], nxt)
     return (
         bases[0],
         tuple([(x, e, r) for (x, e, _), r in zip(letters, bases[1:] + [b])]),
@@ -442,7 +440,15 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
     """All vertices within the given distance of the base vertex, in
     breadth-first order with deterministic child ordering (stable
     letter, sign, transversal index)."""
-    return [Vertex(word, dist) for word, dist in _walk_tree(pres, radius)]
+    if radius > MAX_TREE_RADIUS:
+        raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
+    ball = frontier = [Vertex((pres.identity_code, ()), 0)]
+    for dist in range(1, radius + 1):
+        frontier = [
+            Vertex(child, dist) for v in frontier for *_, child in _children(pres, v.word)
+        ]
+        ball = ball + frontier
+    return ball
 
 
 def tree_ball_size(pres: FiniteHnnPresentation, radius: int) -> int:
@@ -450,7 +456,7 @@ def tree_ball_size(pres: FiniteHnnPresentation, radius: int) -> int:
     of the transversal sizes: 1 + k((k-1)^r - 1)/(k-2), or 2r + 1 if k = 2."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
-    k = sum(len(reps) for reps in pres._transversal.values())
+    k = sum(len(reps) for by_sign in pres._transversal.values() for reps in by_sign.values())
     return 1 + k * sum((k - 1) ** i for i in range(radius))
 
 
@@ -466,11 +472,10 @@ def _children(pres: FiniteHnnPresentation, word: Word):
         head, (y, ey, _) = letters[:-1], letters[-1]
     for x in pres.letters:
         for sign in (1, -1):
-            side = "B" if sign == 1 else "A"
             step = (x, sign, e)
             pinch = letters and (y, ey) == (x, -sign)
-            back = pres._coset_rep[(side, x)][e] if pinch else None
-            for r in pres._transversal[(side, x)]:
+            back = pres._coset_rep[x][sign][e] if pinch else None
+            for r in pres._transversal[x][sign]:
                 if r == back:
                     continue
                 if letters:
@@ -478,24 +483,6 @@ def _children(pres: FiniteHnnPresentation, word: Word):
                 else:
                     child = (r, (step,))
                 yield x, sign, r, child
-
-
-def _walk_tree(pres: FiniteHnnPresentation, radius: int) -> Iterator[Tuple[Word, int]]:
-    """The (word, distance) pairs of ``tree_ball(pres, radius)``, yielded
-    in its order as the walk reaches them, without building ``Vertex``
-    objects."""
-    if radius > MAX_TREE_RADIUS:
-        raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
-    base = (pres.identity_code, ())
-    yield base, 0
-    frontier = [base]
-    for dist in range(1, radius + 1):
-        nxt = []
-        for word in frontier:
-            for _, _, _, child in _children(pres, word):
-                yield child, dist
-                nxt.append(child)
-        frontier = nxt
 
 
 def _orbit_walk(
@@ -510,9 +497,9 @@ def _orbit_walk(
     orbit of the children of one representative w under Stab(w), whose
     element w c w^-1 sends the child w r x^sign (base) to w c r x^sign
     (base) and fixes w's parent.  A child leads its orbit when no
-    earlier child lies in it, and carries phi_x^-+1(r^-1 c r) for each c
-    in C that fixes it, the rule of ``fixed_vertices``: that is the push
-    table at c r.  At the base, G x G is transitive on the children
+    earlier child lies in it, and carries x^-sign (r^-1 c r) x^sign for
+    each c in C that fixes it, the rule of ``fixed_vertices``: that is
+    the push table at c r.  At the base, G x G is transitive on the children
     x^sign (base), so the first of them leads and carries the whole
     associated subgroup on the far side of x^sign; below the base, C
     has at most |G| codes."""
@@ -527,21 +514,20 @@ def _orbit_walk(
         for word, C in frontier:
             seen = set()
             for x, sign, r, child in _children(pres, word):
-                side = "B" if sign == 1 else "A"
-                if (side, x, r) in seen:
+                if (x, sign, r) in seen:
                     continue
                 if C is None:
-                    seen.update((side, x, s) for s in pres._transversal[(side, x)])
-                    carried = pres._members[("A" if sign == 1 else "B", x)]
+                    seen.update((x, sign, s) for s in pres._transversal[x][sign])
+                    carried = pres._members[x][-sign]
                 else:
-                    rep, push = pres._coset_rep[(side, x)], pres._push[(side, x)]
+                    rep, push = pres._coset_rep[x][sign], pres._push[x][sign]
                     carried = []
                     for c in C:
                         cr = mul(c, r)
                         if rep[cr] == r:
                             carried.append(push[cr])
                         else:
-                            seen.add((side, x, rep[cr]))
+                            seen.add((x, sign, rep[cr]))
                 yield child, dist, carried
                 nxt.append((child, carried))
         frontier = nxt
@@ -558,8 +544,8 @@ def fixed_vertices(
     fixed vertices.  A fixed vertex w carries c = w^-1 g w in the base
     group.  Its child u = w r x^sign is fixed iff u^-1 g u =
     x^-sign a x^sign, with a = r^-1 c r, lies in the base group, that is
-    (Britton's lemma) iff a lies in B_x for sign +1 or in A_x for
-    sign -1; then u carries phi_x^-1(a) or phi_x(a)."""
+    (Britton's lemma) iff a lies in the subgroup S of x^sign; then u
+    carries x^-sign a x^sign, which ``_across`` holds."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
     fixed = [Vertex((pres.identity_code, ()), 0)]
@@ -569,7 +555,7 @@ def fixed_vertices(
         for word, c in frontier:
             for x, sign, r, child in _children(pres, word):
                 a = pres.mul(pres.mul(pres.inv(r), c), r)
-                carried = pres._phi_inv[x][a] if sign == 1 else pres._phi[x][a]
+                carried = pres._across[x][sign][a]
                 if carried != -1:
                     fixed.append(Vertex(child, dist))
                     nxt.append((child, carried))
@@ -609,7 +595,7 @@ def iter_reduced_words(pres: FiniteHnnPresentation, max_letters: int):
 
 
 def cc_witness_search_b1(
-    base: FgSubgroup, max_letters: int, budget: int = 10**7
+    base: FgSubgroup, max_letters: int, budget: int = DEFAULT_BUDGET
 ) -> PropertyReport:
     """Bounded refutation of commuting conjugates at tower level one.
 

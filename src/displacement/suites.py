@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import checkers, hnn, matrices, plmaps, wreath
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     FgSubgroup,
     PropertyReport,
@@ -28,7 +29,7 @@ from .core import (
 from .perms import symmetric_group
 from .serialize import ScenarioError, to_jsonable
 
-DEFAULT_BOUNDS = {"budget": 10**7, "radius": 3}
+DEFAULT_BOUNDS = {"budget": DEFAULT_BUDGET, "radius": 3}
 
 # scenario type name -> runner taking (bounds, rng, **params).  run_checks
 # looks runners up here at call time.
@@ -92,6 +93,12 @@ def _symmetric_base(degree: int, limit: int, over: str) -> FgSubgroup:
     return symmetric_group(degree)
 
 
+def _degree_within(degree: int, budget: int) -> None:
+    """Refuse permutations of more than ``budget`` points before any is built."""
+    if degree > budget:
+        raise BudgetExceededError(f"permutation degree {degree} exceeds budget {budget}")
+
+
 def _tower(base: FgSubgroup, orders) -> wreath.TowerSpec:
     return wreath.TowerSpec(base, ("prefix", tuple(orders)))
 
@@ -132,6 +139,7 @@ def _letters_within_tree(params) -> Optional[str]:
 
 @check_type("wreath-zn-witness", meaning=_p_divides_top_order)
 def run_wreath_zn_witness(bounds, rng, *, orders, level, p, degree=3) -> PropertyReport:
+    _degree_within(degree, bounds["budget"])
     tower = _tower(symmetric_group(degree), orders)
     return checkers.verify_certificate(wreath.zn_witness(tower, tower.base, level, p))
 
@@ -178,6 +186,7 @@ def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> Pr
 
 @check_type("sym-zn-witness")
 def run_sym_zn_witness(bounds, rng, *, n, degree=3) -> PropertyReport:
+    _degree_within(degree * n, bounds["budget"])  # t acts on degree * n points
     return checkers.verify_certificate(wreath.sym_zn_witness(symmetric_group(degree), n))
 
 
@@ -470,8 +479,7 @@ def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
         for v in sphere1:
             r = v.word[0]
             sign = v.word[1][0][1]
-            member = pres._in_B["d"] if sign == 1 else pres._in_A["d"]
-            expected = member[pres.mul(pres.mul(pres.inv(r), code), r)]
+            expected = pres._across["d"][sign][pres.mul(pres.mul(pres.inv(r), code), r)] != -1
             by_descent = v.word in fixed
             by_word_algebra = hnn.fixes_vertex(pres, (code, ()), v)
             if not expected == by_descent == by_word_algebra:
@@ -507,6 +515,7 @@ def run_mitosis(bounds, rng, *, degree=3) -> PropertyReport:
 
 @check_type("hall-sym")
 def run_hall_sym(bounds, rng, *, degree=3, ns=(2, 3, 4)) -> PropertyReport:
+    _degree_within(degree * max(ns), bounds["budget"])
     H = symmetric_group(degree)
     return _merge([checkers.verify_certificate(wreath.sym_zn_witness(H, n)) for n in ns])
 

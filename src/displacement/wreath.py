@@ -24,6 +24,7 @@ from .checkers import WitnessCertificate, check_cznc
 # commutator and subgroups_commute are unused here but stay module
 # attributes: the benchmark tracer (bench/tracer.py) patches them by name
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     ContextMismatchError,
     FgSubgroup,
@@ -32,8 +33,6 @@ from .core import (
     subgroups_commute,
 )
 from .perms import Permutation, SymmetricGroupContext
-
-SEARCH_BUDGET = 10**7
 
 
 class TowerSpec:
@@ -75,7 +74,7 @@ class TowerSpec:
             self._contexts[level] = WreathContext(self, level)
         return self._contexts[level]
 
-    def base_elements(self, budget: int = SEARCH_BUDGET) -> List[Permutation]:
+    def base_elements(self, budget: int = DEFAULT_BUDGET) -> List[Permutation]:
         """Deterministic full enumeration of the base group."""
         if self._base_elems is None:
             G = self.base
@@ -83,7 +82,7 @@ class TowerSpec:
             self._base_elems = sorted(elems, key=lambda p: p.images)
         return self._base_elems
 
-    def class_minima(self, budget: int = SEARCH_BUDGET) -> List[Permutation]:
+    def class_minima(self, budget: int = DEFAULT_BUDGET) -> List[Permutation]:
         """The least element of each conjugacy class of the base group,
         in the order of ``base_elements``.  Elements are visited in that
         order, so the first element of each class is its minimum."""
@@ -248,7 +247,7 @@ def _iroot(x: int, k: int) -> int:
     return min(r, s)
 
 
-def level_order(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET) -> int:
+def level_order(tower: TowerSpec, level: int, budget: int = DEFAULT_BUDGET) -> int:
     """The order of a tower level, checked against ``budget`` before the
     base group is enumerated past the most the level affords: level i-1
     may have the n_i-th root of (what level i may have) // n_i elements."""
@@ -267,7 +266,7 @@ def level_order(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET) -> in
     return size
 
 
-def enumerate_level(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET):
+def enumerate_level(tower: TowerSpec, level: int, budget: int = DEFAULT_BUDGET):
     """Yield every element of a finite wreath level in canonical order:
     lexicographic in the values at coordinates 0, 1, ..., n-1 (each
     ordered as the level below enumerates it), then by shift.
@@ -289,7 +288,7 @@ def enumerate_level(tower: TowerSpec, level: int, budget: int = SEARCH_BUDGET):
 
 
 def base_conjugacy_representatives(
-    tower: TowerSpec, budget: int = SEARCH_BUDGET
+    tower: TowerSpec, budget: int = DEFAULT_BUDGET
 ) -> List[WreathElement]:
     """One element of level 1 per orbit of the base group B = G^n acting
     by conjugation, each the least of its orbit in canonical order, and
@@ -338,7 +337,7 @@ def base_normalizes(tower: TowerSpec, level: int, H: FgSubgroup) -> bool:
 
 
 def search_candidates(
-    tower: TowerSpec, level: int, H: FgSubgroup, budget: int = SEARCH_BUDGET
+    tower: TowerSpec, level: int, H: FgSubgroup, budget: int = DEFAULT_BUDGET
 ):
     """The conjugators a search for H must test, in canonical order: the
     least element of each base-group orbit when the base group
@@ -393,7 +392,7 @@ def brute_search_zp_witness(
     level: int,
     H: FgSubgroup,
     p: int,
-    budget: int = SEARCH_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Optional[WreathElement]:
     """Exhaustive search of a finite wreath level for a Z/p witness for H.
 

@@ -410,8 +410,11 @@ def test_base_group_too_large_for_a_presentation_exits_three(
     assert capsys.readouterr().err == "error: base group larger than budget 5\n"
 
 
-# the check types whose base group is Sym(degree), with complete params,
-# and the message of the budget that a huge degree exceeds
+HUGE_DEGREE = 10**9
+
+# the check types built on Sym(degree), with complete params (a degree
+# given here replaces the huge one), and the message of the budget that
+# a huge degree, or for sym-zn-witness a huge n, exceeds
 SYM_BASE_CHECKS = {
     **{c: (p, "base group larger than budget 1000") for c, p in HNN_CHECKS.items()},
     "wreath-brute-search": (
@@ -420,17 +423,27 @@ SYM_BASE_CHECKS = {
     "wreath-torsion-exhaustive": (
         {"orders": [2], "level": 1}, "level 1 order exceeds budget 10000000"
     ),
+    # the permutations of these three act on degree, degree * max(ns) and
+    # degree * n points
+    "wreath-zn-witness": (
+        {"orders": [2], "level": 1, "p": 2},
+        "permutation degree 1000000000 exceeds budget 10000000",
+    ),
+    "hall-sym": ({}, "permutation degree 4000000000 exceeds budget 10000000"),
+    "sym-zn-witness": (
+        {"degree": 3, "n": HUGE_DEGREE}, "permutation degree 3000000000 exceeds budget 10000000"
+    ),
 }
-HUGE_DEGREE = 10**9
 
 
 @pytest.mark.parametrize("ctype", sorted(SYM_BASE_CHECKS))
 def test_huge_degree_is_refused_before_sym_is_built(capsys, monkeypatch, tmp_path, ctype):
-    """Sym(10^9) exceeds the budget of every check type built on it, and
-    the check says so before it builds one permutation of that degree."""
+    """Sym(10^9), or Sym(3) with sym-zn-witness's n = 10^9, exceeds the
+    budget of every check type built on it, and the check says so before
+    it builds one permutation."""
     monkeypatch.setattr(suites, "symmetric_group", lambda degree: pytest.fail("built"))
     params, message = SYM_BASE_CHECKS[ctype]
-    params = dict(params, degree=HUGE_DEGREE)
+    params = {"degree": HUGE_DEGREE, **params}
     path = write_scenario(
         tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
     )
@@ -445,11 +458,18 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-@pytest.mark.parametrize("ctype", ["cc-search-b1", "mitosis", "wreath-brute-search"])
+@pytest.mark.parametrize(
+    "ctype",
+    [
+        "cc-search-b1", "mitosis", "wreath-brute-search",
+        "hall-sym", "sym-zn-witness", "wreath-zn-witness",
+    ],
+)
 def test_huge_degree_exits_three_under_a_memory_cap(tmp_path, ctype):
-    """One generator of Sym(10^9) alone would not fit in 800 MB; the CLI,
-    run in a child process under that address-space cap, exits 3 at once."""
-    params = dict(SYM_BASE_CHECKS[ctype][0], degree=HUGE_DEGREE)
+    """One permutation of degree 10^9 alone would not fit in 800 MB; the
+    CLI, run in a child process under that address-space cap, exits 3 at
+    once."""
+    params = {"degree": HUGE_DEGREE, **SYM_BASE_CHECKS[ctype][0]}
     path = write_scenario(
         tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
     )

@@ -167,7 +167,7 @@ def reduced_word_pairs(draw):
     assoc = [
         c
         for c in range(pres.size)
-        if any(pres._in_A[x][c] or pres._in_B[x][c] for x in pres.letters)
+        if any(pres._across[x][sign][c] != -1 for x in pres.letters for sign in (1, -1))
     ]
     base = st.one_of(st.integers(0, pres.size - 1), st.sampled_from(assoc))
     letter = st.tuples(st.sampled_from(pres.letters), st.sampled_from((1, -1)), base)
@@ -206,7 +206,7 @@ def reference_pinch_sites(pres, letters):
         x2, e2, _ = letters[i + 1]
         if x1 != x2 or e1 != -e2:
             continue
-        if (pres._in_A if e1 == 1 else pres._in_B)[x1][b1]:
+        if pres._across[x1][-e1][b1] != -1:
             sites.append(i)
     return sites
 
@@ -224,7 +224,7 @@ def reference_reduce(pres, word, rng=None):
         i = sites[0] if rng is None else sites[rng.randrange(len(sites))]
         x1, e1, b1 = letters[i]
         _, _, b2 = letters[i + 1]
-        mid = (pres._phi if e1 == 1 else pres._phi_inv)[x1][b1]
+        mid = pres._across[x1][-e1][b1]
         merged = pres.mul(mid, b2)
         if i == 0:
             b0 = pres.mul(b0, merged)
@@ -242,11 +242,10 @@ def reference_normal_form(pres, word):
     b0, letters = word
     bases = [b0] + [b for _, _, b in letters]
     for i, (x, e, _) in enumerate(letters):
-        side = "B" if e == 1 else "A"
-        r = pres._coset_rep[(side, x)][bases[i]]
+        r = pres._coset_rep[x][e][bases[i]]
         c = pres.mul(pres.inv(r), bases[i])
         bases[i] = r
-        pushed = (pres._phi_inv if e == 1 else pres._phi)[x][c]
+        pushed = pres._across[x][e][c]
         bases[i + 1] = pres.mul(pushed, bases[i + 1])
     return (bases[0], tuple((x, e, bases[i + 1]) for i, (x, e, _) in enumerate(letters)))
 
@@ -268,7 +267,7 @@ def engine_words(draw, max_letters=8):
     assoc = [
         c
         for c in range(pres.size)
-        if any(pres._in_A[x][c] or pres._in_B[x][c] for x in pres.letters)
+        if any(pres._across[x][sign][c] != -1 for x in pres.letters for sign in (1, -1))
     ]
     base = st.one_of(
         st.integers(0, pres.size - 1),
@@ -324,9 +323,9 @@ def test_engine_normal_form_tables_match_decomposition(make):
             assert reduced_normal_form(pres, one) == reference_normal_form(pres, one)
             checked += 1
     for (x, e), (y, f) in itertools.product(shapes, repeat=2):
-        member = pres._in_A[x] if e == 1 else pres._in_B[x]
+        member = pres._across[x][-e]
         for b0, b1 in itertools.product(range(N), repeat=2):
-            if x == y and e == -f and member[b1]:
+            if x == y and e == -f and member[b1] != -1:
                 continue  # a pinch: not reduced
             r0, (first, (_, _, last)) = reference_normal_form(
                 pres, (b0, ((x, e, b1), (y, f, e1)))
@@ -350,6 +349,46 @@ def test_engine_product_table_is_the_permutation_product(degree):
     for i, a in enumerate(pres.group_elems):
         for j, b in enumerate(pres.group_elems):
             assert pres._gmul[i][j] == pres._index[a * b]
+
+
+# (x, sign) -> (S, F): x^sign moves S(g) across to x^-sign S(g) x^sign =
+# F(g), read off d (1,g) d^-1 = (g,g) and s (g,1) s^-1 = (1,g)
+SIGNED_RELATIONS = {
+    ("d", 1): (lambda e, g: (g, g), lambda e, g: (e, g)),
+    ("d", -1): (lambda e, g: (e, g), lambda e, g: (g, g)),
+    ("s", 1): (lambda e, g: (e, g), lambda e, g: (g, e)),
+    ("s", -1): (lambda e, g: (g, e), lambda e, g: (e, g)),
+}
+
+
+@pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_engine_signed_tables_follow_the_defining_relations(make, degree):
+    """Every table at [x][sign] agrees with permutation arithmetic on
+    decoded codes: S is the member set, ``_across`` sends S(g) to F(g) and
+    every other code to -1, rep[b] is the least code of b S, push[b] is
+    ``_across`` at rep[b]^-1 b, and the transversal lists the reps."""
+    base = symmetric_group(degree)
+    pres = make(base)
+    e, elems = base.context.identity, pres.group_elems
+    for x in pres.letters:
+        for sign in (1, -1):
+            S, F = SIGNED_RELATIONS[(x, sign)]
+            partner = {S(e, g): F(e, g) for g in elems}
+            members, across = pres._members[x][sign], pres._across[x][sign]
+            rep, push = pres._coset_rep[x][sign], pres._push[x][sign]
+            assert [pres.decode(c) for c in members] == [S(e, g) for g in elems]
+            for b in range(pres.size):
+                b1, b2 = pres.decode(b)
+                if (b1, b2) in partner:
+                    assert pres.decode(across[b]) == partner[(b1, b2)]
+                else:
+                    assert across[b] == -1
+                coset = [pres.encode(b1 * s1, b2 * s2) for s1, s2 in partner]
+                assert rep[b] == min(coset)
+                r1, r2 = pres.decode(rep[b])
+                assert push[b] == across[pres.encode(r1.inverse() * b1, r2.inverse() * b2)]
+            assert pres._transversal[x][sign] == sorted(set(rep))
 
 
 @pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
@@ -475,7 +514,7 @@ def _reference_walk(pres, max_distance):
         for w in frontier:
             for x in pres.letters:
                 for sign in (1, -1):
-                    for r in pres._transversal[("B" if sign == 1 else "A", x)]:
+                    for r in pres._transversal[x][sign]:
                         step = (r, ((x, sign, e),))
                         child = canonical_vertex(pres, word_mul(pres, w, step))
                         if child not in seen:
@@ -553,9 +592,9 @@ def test_stabilizers_at_radius_one(bp):
             continue
         r = v.word[0]
         sign = v.word[1][0][1]
-        member = bp._in_B["d"] if sign == 1 else bp._in_A["d"]
+        member = bp._across["d"][sign]
         for code in range(bp.size):
-            expected = member[bp.mul(bp.mul(bp.inv(r), code), r)]
+            expected = member[bp.mul(bp.mul(bp.inv(r), code), r)] != -1
             assert fixes_vertex(bp, (code, ()), v) == expected
 
 

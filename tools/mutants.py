@@ -128,8 +128,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "descent-swaps-phi", "hnn.py",
-        "carried = pres._phi_inv[x][a] if sign == 1 else pres._phi[x][a]",
-        "carried = pres._phi[x][a] if sign == 1 else pres._phi_inv[x][a]",
+        "carried = pres._across[x][sign][a]", "carried = pres._across[x][-sign][a]",
         DESCENT_TESTS,
     ),
     Mutant(
@@ -145,14 +144,16 @@ MUTANTS: Tuple[Mutant, ...] = (
         ENGINE_TESTS,
     ),
     Mutant(
+        "stack-pass-pinches-with-the-wrong-sign", "hnn.py",
+        "mid = pres._across[x][-f][c]", "mid = pres._across[x][f][c]", ENGINE_TESTS,
+    ),
+    Mutant(
         "word-mul-without-seam-reduction", "hnn.py",
         "b0 = _push_letters(pres, b0, stack, lv)", "stack.extend(lv)", ENGINE_TESTS,
     ),
     Mutant(
         "push-table-from-phi", "hnn.py",
-        'for side, across in (("A", self._phi[x]), ("B", self._phi_inv[x])):',
-        'for side, across in (("A", self._phi[x]), ("B", self._phi[x])):',
-        ENGINE_TESTS,
+        "across = self._across[x][sign]", "across = self._across[x][-1]", ENGINE_TESTS,
     ),
     Mutant(
         "coset-sweep-rows-swapped", "hnn.py",
