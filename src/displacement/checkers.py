@@ -12,6 +12,14 @@ from a ``WitnessCertificate`` to its report: the witness producers
 Conditions quantified over all integer powers are verified up to an
 explicit p_max and reported as "bounded-pass"; these checks never claim
 an unbounded universal.
+
+The commuting-conjugate conditions [H, t^p H t^-p] = 1 take the support
+route first where the realization has supports (permutations and PL
+maps): if t^p moves supp H off itself, H and its conjugate have disjoint
+supports and so commute, with no product formed.  A power whose support
+meets supp H, and every power of a realization without supports
+(wreath elements, matrices, Britton words), goes to the generator
+products.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ from .core import (
     conj,
     subgroups_commute,
 )
+from .perms import Permutation
+from .plmaps import IntervalSet, PLHomeo, displaces, pl_support
 
 @dataclass(frozen=True)
 class WitnessCertificate:
@@ -79,36 +89,102 @@ def check_cc(H: FgSubgroup, t) -> PropertyReport:
     return PropertyReport.passing(rep.checks)
 
 
-def _conjugates_commute(H: FgSubgroup, t, t_inv, stop: int):
+def _moved_points(gens) -> frozenset:
+    """supp H for permutations: the points some generator moves."""
+    return frozenset([i for g in gens for i, j in enumerate(g.images) if i != j])
+
+
+def _pushed_points(points, t) -> list:
+    """t(points) for a permutation t."""
+    images = t.images
+    return [images[i] for i in points]
+
+
+def _pl_support(gens) -> IntervalSet:
+    """supp H for PL maps: the union of the generators' supports."""
+    return IntervalSet.union([pl_support(g) for g in gens])
+
+
+# realization -> (supp H from H's generators, a support pushed one step
+# by t, whether two supports are disjoint): the realizations whose
+# conjugates _conjugates_commute tries to settle by support displacement
+_SUPPORT_ROUTES = {
+    Permutation: (_moved_points, _pushed_points, frozenset.isdisjoint),
+    PLHomeo: (_pl_support, IntervalSet.image, IntervalSet.is_disjoint_from),
+}
+
+
+def _power(t, n: int):
+    """t^n for n >= 1 by square-and-multiply, in O(log n) products."""
+    result = None
+    while True:
+        if n & 1:
+            result = t if result is None else result * t
+        n >>= 1
+        if not n:
+            return result
+        t = t * t
+
+
+def _conjugates_commute(H: FgSubgroup, t, stop: int):
     """[H, t^p H t^-p] = 1 for 1 <= p < stop: the shared power loop of
-    the Z/n- and Z-conjugates conditions.  Each conjugate is the last
-    one conjugated by t, K_p = t K_(p-1) t^-1, so no power of t is
-    built.  Returns the failing report (or None) and the last conjugate
-    checked (H when stop is 1)."""
-    K = H
+    the Z/n- and Z-conjugates conditions.
+
+    Where t's realization has supports, supp H is pushed one step by t
+    at each power, and a power p with t^p(supp H) disjoint from supp H
+    passes with no product formed: H and t^p H t^-p then have disjoint
+    supports.  Any other power conjugates the last conjugate formed by
+    t as often as it lags, K_p = t K_(p-1) t^-1, and the generator
+    products decide, so the first failing power and its counterexample
+    are those of the product route.  t^-1 is built at the first such
+    power.  Returns the failing report (or None), K_(stop-1) if the last
+    power went through products (else None), and t^-1 if it was built."""
+    route = _SUPPORT_ROUTES.get(type(t))
+    if route is not None:
+        if H.generators:
+            _require_same_context(t, H)
+        support, push, disjoint = route
+        supp = support(H.generators)
+        moved = supp
+    K, q, t_inv = H, 0, None
     for p in range(1, stop):
-        K = K.conjugate(t, t_inv)
+        if route is not None:
+            moved = push(moved, t)
+            if disjoint(supp, moved):
+                continue
+        if t_inv is None:
+            t_inv = t.inverse()
+        while q < p:
+            K = K.conjugate(t, t_inv)
+            q += 1
         rep = subgroups_commute(H, K)
         if not rep.ok:
-            return PropertyReport.failing(f"[H, t^{p} H t^-{p}] != 1", rep.counterexample), K
-    return None, K
+            failure = PropertyReport.failing(f"[H, t^{p} H t^-{p}] != 1", rep.counterexample)
+            return failure, None, t_inv
+    return None, (K if q == stop - 1 else None), t_inv
 
 
 def check_cznc(H: FgSubgroup, t, n: int) -> PropertyReport:
     """Commuting Z/n-conjugates: [H, t^p H t^-p] = 1 for 1 <= p < n and
-    t^n centralizes H, that is t^n H t^-n = H generator by generator."""
+    t^n centralizes H, that is t^n h = h t^n for every generator h.
+
+    When the last power went through products, the centralizer test
+    conjugates K_(n-1) once more and compares it with H; otherwise it
+    builds t^n by square-and-multiply, which needs no t^-1."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    t_inv = t.inverse()
-    failure, K = _conjugates_commute(H, t, t_inv, n)
+    failure, K, t_inv = _conjugates_commute(H, t, n)
     if failure is not None:
         return failure
-    for h, k in zip(H.generators, K.conjugate(t, t_inv).generators):
-        if k != h:
-            tn = t
-            for _ in range(n - 1):
-                tn = tn * t
-            return PropertyReport.failing(f"t^{n} does not centralize H", (h, tn))
+    if K is not None:
+        pairs = zip(H.generators, K.conjugate(t, t_inv).generators)
+        unfixed = (h for h, k in pairs if k != h)
+    else:
+        tn = _power(t, n)
+        unfixed = (h for h in H.generators if not commutes(tn, h))
+    h = next(unfixed, None)
+    if h is not None:
+        return PropertyReport.failing(f"t^{n} does not centralize H", (h, _power(t, n)))
     checks = [f"[H, t^{p} H t^-{p}] = 1" for p in range(1, n)]
     checks.append(f"t^{n} centralizes the generators")
     return PropertyReport.passing(checks)
@@ -119,7 +195,7 @@ def check_czc(H: FgSubgroup, t, p_max: int) -> PropertyReport:
     possible verdict is bounded-pass."""
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    failure, _ = _conjugates_commute(H, t, t.inverse(), p_max + 1)
+    failure = _conjugates_commute(H, t, p_max + 1)[0]
     if failure is not None:
         return failure
     return PropertyReport.bounded([f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])
@@ -181,8 +257,6 @@ def check_dissipator(X, t, sample: FgSubgroup, p_max: int) -> PropertyReport:
     products prod_{p<=q} t^p g t^-p commute with the sample subgroup.
 
     The sample must be supported inside X (checked, error otherwise)."""
-    from .plmaps import displaces, pl_support
-
     for g in sample.generators:
         if not X.contains_set(pl_support(g)):
             raise ValueError(f"sample generator {g!r} not supported inside X")

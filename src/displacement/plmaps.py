@@ -327,6 +327,21 @@ class IntervalSet:
             for l, r in other.ends
         )
 
+    @staticmethod
+    def union(sets: Sequence["IntervalSet"]) -> "IntervalSet":
+        """The open set covered by ``sets``.  Overlapping intervals
+        merge; intervals that only touch stay apart, since their shared
+        endpoint lies in neither."""
+        L = lcm(*[s.den for s in sets])
+        merged: List[List[int]] = []
+        for l, r in sorted([(l * (L // s.den), r * (L // s.den))
+                            for s in sets for l, r in s.ends]):
+            if merged and l < merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], r)
+            else:
+                merged.append([l, r])
+        return IntervalSet._trusted([((l, L), (r, L)) for l, r in merged])
+
     def image(self, f: PLHomeo) -> "IntervalSet":
         """Image under an increasing homeomorphism: endpoints map over."""
         D = self.den

@@ -93,10 +93,16 @@ def _symmetric_base(degree: int, limit: int, over: str) -> FgSubgroup:
     return symmetric_group(degree)
 
 
-def _degree_within(degree: int, budget: int) -> None:
-    """Refuse permutations of more than ``budget`` points before any is built."""
-    if degree > budget:
-        raise BudgetExceededError(f"permutation degree {degree} exceeds budget {budget}")
+def _degree_within(degree: int, budget: int, held: int = 1) -> None:
+    """Refuse ``held`` permutations of ``degree`` points each, held at
+    once, when their points together exceed ``budget``, before any is
+    built."""
+    if held * degree > budget:
+        if held == 1:
+            raise BudgetExceededError(f"permutation degree {degree} exceeds budget {budget}")
+        raise BudgetExceededError(
+            f"{held} permutations of degree {degree} exceed budget {budget}"
+        )
 
 
 def _tower(base: FgSubgroup, orders) -> wreath.TowerSpec:
@@ -184,9 +190,16 @@ def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> Pr
     return PropertyReport.passing([line])
 
 
+# the most permutations of degree * n points that a sym-zn-witness check
+# holds at once: t and the two generators of Sym(degree), with three more
+# while t^n is built (the power so far, the running square and their
+# product) or compared with a generator (t^n and the two products)
+SYM_ZN_HELD = 6
+
+
 @check_type("sym-zn-witness")
 def run_sym_zn_witness(bounds, rng, *, n, degree=3) -> PropertyReport:
-    _degree_within(degree * n, bounds["budget"])  # t acts on degree * n points
+    _degree_within(degree * n, bounds["budget"], SYM_ZN_HELD)
     return checkers.verify_certificate(wreath.sym_zn_witness(symmetric_group(degree), n))
 
 
@@ -219,28 +232,33 @@ def _mul2(a, b):
 
 @check_type("gl-block-identity")
 def run_gl_block_identity(bounds, rng, *, samples=200) -> PropertyReport:
-    """Oracle for 2x2-block conjugation inside GL_4: assemble
-    [[XAX^-1, XB], [CX^-1, D]] blockwise and compare exactly."""
+    """Oracle for 2x2-block conjugation inside GL_4, in integers: with
+    X = Xn / xd and g = gn / gd, X^-1 = xd adj(Xn) / det(Xn), and
+    [[XAX^-1, XB], [CX^-1, D]] is one integer grid over gd xd det(Xn),
+    assembled blockwise and compared exactly with the kernel's result."""
     for i in range(samples):
         X = _random_invertible(rng, 2)
         g = _random_invertible(rng, 4)
         got = matrices.block_conjugate(X, g)
-        gp = g.padded(4)
-        Xe = X.padded(2)
+        gn, gd = g._padded_num(4), g.den
+        Xn, xd = X._padded_num(2), X.den
         # X^-1 from the adjugate, independent of the kernel's inverse
-        (a, b), (c, d) = Xe
+        (a, b), (c, d) = Xn
         det = a * d - b * c
-        Xi = [[d / det, -b / det], [-c / det, a / det]]
-        A = [[gp[i][j] for j in range(2)] for i in range(2)]
-        B = [[gp[i][j + 2] for j in range(2)] for i in range(2)]
-        C = [[gp[i + 2][j] for j in range(2)] for i in range(2)]
-        D = [[gp[i + 2][j + 2] for j in range(2)] for i in range(2)]
-        XAXi = _mul2(_mul2(Xe, A), Xi)
-        XB = _mul2(Xe, B)
-        CXi = _mul2(C, Xi)
-        expected = matrices.RationalMatrix(
-            [XAXi[0] + XB[0], XAXi[1] + XB[1], CXi[0] + D[0], CXi[1] + D[1]]
-        )
+        adj = [[d, -b], [-c, a]]
+        A = [row[:2] for row in gn[:2]]
+        B = [row[2:] for row in gn[:2]]
+        C = [row[:2] for row in gn[2:]]
+        D = [row[2:] for row in gn[2:]]
+        XAXi = _mul2(_mul2(Xn, A), adj)
+        XB = _mul2(Xn, B)
+        CXi = _mul2(C, adj)
+        top = [[xd * x for x in XAXi[r]] + [det * x for x in XB[r]] for r in range(2)]
+        bottom = [
+            [xd * xd * x for x in CXi[r]] + [xd * det * x for x in D[r]] for r in range(2)
+        ]
+        grid = tuple([tuple(row) for row in top + bottom])
+        expected = matrices.RationalMatrix._trusted(grid, gd * xd * det)
         if got != expected:
             return PropertyReport.failing(f"mismatch at sample {i}", (X, g))
     return PropertyReport.passing([f"{samples} random block conjugations match the oracle"])

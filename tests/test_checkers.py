@@ -1,9 +1,12 @@
 """Certificate verifiers: one worked example per property."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from displacement import checkers
 from displacement.checkers import (
     GeneratorMap,
     WitnessCertificate,
@@ -19,15 +22,16 @@ from displacement.checkers import (
 )
 from displacement.core import ContextMismatchError, FgSubgroup, conj, enumerate_subgroup
 from displacement.hnn import mitosis_presentation
-from displacement.perms import Permutation, symmetric_group
+from displacement.perms import Permutation, SymmetricGroupContext, symmetric_group
 from displacement.plmaps import (
     IntervalSet,
     PLContext,
+    PLHomeo,
     in_standard_f_copy,
     thompson_generators,
     tower_gamma,
 )
-from displacement.wreath import TowerSpec, WreathElement, embed_subgroup
+from displacement.wreath import TowerSpec, WreathElement, embed_subgroup, sym_zn_witness
 
 F = Fraction
 S3 = symmetric_group(3)
@@ -306,3 +310,131 @@ def test_conjugators_from_another_group_are_rejected():
     Lam = cert.subject
     with pytest.raises(ContextMismatchError):
         check_M(Lam, cert.payload["t"], list(Lam.generators), perm, 3, in_standard_f_copy)
+    # the support route checks the context before it pushes any point
+    with pytest.raises(ContextMismatchError):
+        check_czc(S3, Permutation.from_cycles(6, [(1, 4), (2, 5), (3, 6)]), 1)
+
+
+# -- the support route against the product route --------------------------
+
+
+def _both_routes(H, t, power):
+    """check_czc(H, t, power) and check_cznc(H, t, power + 1), each on
+    the support route and on the product route forced by emptying the
+    route table."""
+    def run():
+        return check_czc(H, t, power), check_cznc(H, t, power + 1)
+
+    support = run()
+    with patch.dict(checkers._SUPPORT_ROUTES, clear=True):
+        return support, run()
+
+
+def _rotation(degree: int, k: int) -> Permutation:
+    """x -> x + k mod degree, on 0-based points."""
+    return Permutation(SymmetricGroupContext(degree), [(x + k) % degree for x in range(degree)])
+
+
+@st.composite
+def moving_on(draw, degree: int):
+    """A permutation of {1..degree} that moves only a drawn set of points."""
+    points = draw(st.lists(st.integers(0, degree - 1), min_size=2, max_size=degree,
+                           unique=True))
+    images = list(range(degree))
+    for x, y in zip(points, draw(st.permutations(points))):
+        images[x] = y
+    return Permutation(SymmetricGroupContext(degree), images)
+
+
+@st.composite
+def permutation_cases(draw):
+    """H with one to three generators of small support, and t either any
+    permutation or a rotation, which displaces a small support."""
+    degree = draw(st.integers(2, 8))
+    gens = draw(st.lists(moving_on(degree), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        t = _rotation(degree, draw(st.integers(1, degree - 1)))
+    else:
+        t = Permutation(SymmetricGroupContext(degree), draw(st.permutations(range(degree))))
+    return FgSubgroup("H", gens), t, draw(st.integers(1, 4))
+
+
+def _bump(l, r, up: bool) -> PLHomeo:
+    """The one-bump map with support (l, r) that moves the midpoint up or down."""
+    m = (l + r) / 2
+    return PLHomeo([(l, l), (m, (l + 3 * r) / 4 if up else (3 * l + r) / 4), (r, r)])
+
+
+HALVES = [F(i, 2) for i in range(2, 11)]
+
+
+@st.composite
+def pl_cases(draw):
+    """H generated by one to three bumps with supports inside (1, 5), and
+    t either a bump or a translation by c on [1, 5], so that t^p(supp H)
+    misses, touches or meets supp H."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        l, r = sorted(draw(st.lists(st.sampled_from(HALVES), min_size=2, max_size=2,
+                                    unique=True)))
+        gens.append(_bump(l, r, draw(st.booleans())))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]))
+        t = PLHomeo([(0, 0), (1, 1 + c), (5, 5 + c), (8, 8)])
+    else:
+        l, r = sorted(draw(st.lists(st.sampled_from([F(i, 2) for i in range(13)]),
+                                    min_size=2, max_size=2, unique=True)))
+        t = _bump(l, r, draw(st.booleans()))
+    return FgSubgroup("H", gens), t, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_cases())
+# supp of the first generator alone is displaced at p = 1, supp H is not
+@example((FgSubgroup("H", [Permutation.from_cycles(4, [(1, 2)]),
+                           Permutation.from_cycles(4, [(2, 3)])]),
+          Permutation.from_cycles(4, [(1, 3), (2, 4)]), 1))
+# t displaces supp H at p = 1 only, and t^2 = 1
+@example((FgSubgroup("S3 in Sym(6)", [g.extend(6) for g in S3.generators]),
+          _rotation(6, 3), 2))
+def test_support_route_agrees_with_products_on_permutations(case):
+    H, t, power = case
+    support, products = _both_routes(H, t, power)
+    assert support == products
+
+
+@settings(max_examples=200, deadline=None)
+@given(pl_cases())
+# t(supp H) touches supp H: (1, 2) goes to (2, 3)
+@example((FgSubgroup("H", [_bump(F(1), F(2), True)]),
+          PLHomeo([(0, 0), (1, 2), (5, 6), (8, 8)]), 3))
+def test_support_route_agrees_with_products_on_pl_maps(case):
+    H, t, power = case
+    support, products = _both_routes(H, t, power)
+    assert support == products
+
+
+def test_sym_zn_certificate_is_settled_without_products(monkeypatch):
+    """Every power of the sym-zn witness displaces supp H, so no
+    generator pair is multiplied out and t^-1 is never built."""
+    cert = sym_zn_witness(S3, 50)
+    t = cert.payload["t"]
+    calls = _inversions_of(monkeypatch, t)
+    monkeypatch.setattr(checkers, "subgroups_commute", lambda H, K: pytest.fail("products"))
+    rep = verify_certificate(cert)
+    assert rep.verdict == "pass" and len(rep.checks) == 50
+    assert calls == []
+
+
+def test_cznc_on_the_powering_path_names_h_and_t_to_the_n():
+    """Every power is displaced, but t^n moves supp H: the counterexample
+    is (h, t^n), with t^n built by square-and-multiply."""
+    H = FgSubgroup("S3 in Sym(30)", [g.extend(30) for g in S3.generators])
+    t = _rotation(30, 3)
+    for n in (2, 4, 5, 9):
+        rep = check_cznc(H, t, n)
+        assert rep.checks[-1] == f"t^{n} does not centralize H"
+        power = t
+        for _ in range(n - 1):
+            power = power * t
+        assert rep.counterexample == (H.generators[0], power)

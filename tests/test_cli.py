@@ -424,14 +424,15 @@ SYM_BASE_CHECKS = {
         {"orders": [2], "level": 1}, "level 1 order exceeds budget 10000000"
     ),
     # the permutations of these three act on degree, degree * max(ns) and
-    # degree * n points
+    # degree * n points; sym-zn-witness holds six of them at once
     "wreath-zn-witness": (
         {"orders": [2], "level": 1, "p": 2},
         "permutation degree 1000000000 exceeds budget 10000000",
     ),
     "hall-sym": ({}, "permutation degree 4000000000 exceeds budget 10000000"),
     "sym-zn-witness": (
-        {"degree": 3, "n": HUGE_DEGREE}, "permutation degree 3000000000 exceeds budget 10000000"
+        {"degree": 3, "n": HUGE_DEGREE},
+        "6 permutations of degree 3000000000 exceed budget 10000000",
     ),
 }
 
@@ -481,6 +482,20 @@ def test_huge_degree_exits_three_under_a_memory_cap(tmp_path, ctype):
     elapsed = time.monotonic() - start
     assert run.returncode == 3, run.stderr
     assert elapsed < 1
+
+
+def test_sym_zn_witness_charges_the_permutations_it_holds(capsys, tmp_path):
+    """sym-zn-witness admits degree * n points for each permutation it
+    holds at once, and refuses one unit of n more."""
+    held = suites.SYM_ZN_HELD
+    budget = held * 3 * 4
+    for n, code in ((4, 0), (5, 3)):
+        path = write_scenario(
+            tmp_path, {"checks": [{"id": "x", "type": "sym-zn-witness", "params": {"n": n}}]}
+        )
+        assert main(["--scenario", path, "--budget", str(budget)]) == code
+    message = f"error: {held} permutations of degree 15 exceed budget {budget}\n"
+    assert capsys.readouterr().err.endswith(message)
 
 
 def test_every_report_field_reaches_the_check_entry(monkeypatch):

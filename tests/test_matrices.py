@@ -193,6 +193,16 @@ def test_gl_block_identity_oracle_catches_a_wrong_inverse(monkeypatch):
     assert rep.verdict == "fail"
 
 
+def test_gl_block_identity_oracle_catches_conjugation_the_wrong_way(monkeypatch):
+    """With ``block_conjugate`` returning X^-1 g X in place of X g X^-1,
+    the integer oracle must fail."""
+    monkeypatch.setattr(
+        suites.matrices, "block_conjugate", lambda X, g: X.inverse() * g * X
+    )
+    rep = suites.run_gl_block_identity({}, random.Random(0), samples=50)
+    assert rep.verdict == "fail"
+
+
 def test_block_conjugate_identity_cases():
     g = RationalMatrix([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]])
     assert block_conjugate(identity_matrix(2), g) == g

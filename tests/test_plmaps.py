@@ -377,6 +377,26 @@ def test_interval_sets_match_fraction_reference(pair, f):
         assert_trusted_set(got)
 
 
+@settings(max_examples=300)
+@given(interval_list_pairs(), interval_lists())
+def test_union_covers_exactly_the_points_of_its_sets(pair, c):
+    """A point lies in the union iff it lies in one of the sets, at every
+    endpoint of the sets and the union and between consecutive ones; so
+    overlapping intervals merge and touching ones stay apart unless a
+    third interval covers their shared endpoint."""
+    sets = [IntervalSet(ivs) for ivs in (*pair, c)]
+    u = IntervalSet.union(sets)
+    assert_trusted_set(u)
+    ends = sorted({e for s in (*sets, u) for iv in s.intervals for e in iv})
+
+    def inside(s, x):
+        return any(l < x < r for l, r in s.intervals)
+
+    for x in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
+        assert inside(u, x) == any(inside(s, x) for s in sets)
+    assert IntervalSet.union([]) == IntervalSet([])
+
+
 def test_touching_open_intervals_are_disjoint():
     a, b = IntervalSet([(0, 1)]), IntervalSet([(1, 2)])
     assert a.is_disjoint_from(b) and b.is_disjoint_from(a)

@@ -200,15 +200,42 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "cznc-power-loop-one-short", "checkers.py",
-        "failure, K = _conjugates_commute(H, t, t_inv, n)",
-        "failure, K = _conjugates_commute(H, t, t_inv, n - 1)",
+        "failure, K, t_inv = _conjugates_commute(H, t, n)",
+        "failure, K, t_inv = _conjugates_commute(H, t, n - 1)",
         CHECKER_TESTS,
     ),
     Mutant(
         "czc-power-loop-one-short", "checkers.py",
-        "failure, _ = _conjugates_commute(H, t, t.inverse(), p_max + 1)",
-        "failure, _ = _conjugates_commute(H, t, t.inverse(), p_max)",
+        "failure = _conjugates_commute(H, t, p_max + 1)[0]",
+        "failure = _conjugates_commute(H, t, p_max)[0]",
         CHECKER_TESTS,
+    ),
+    Mutant(
+        "support-tested-before-it-is-pushed", "checkers.py",
+        "moved = supp", "moved = push(supp, t.inverse())", CHECKER_TESTS,
+    ),
+    Mutant(
+        "support-of-the-first-generator-only", "checkers.py",
+        "supp = support(H.generators)", "supp = support(H.generators[:1])",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "powering-path-builds-one-power-short", "checkers.py",
+        "tn = _power(t, n)", "tn = _power(t, n - 1)", CHECKER_TESTS,
+    ),
+    Mutant(
+        "lagging-conjugate-caught-up-one-step", "checkers.py",
+        "while q < p:", "if q < p:", CHECKER_TESTS,
+    ),
+    Mutant(
+        "union-merges-touching-intervals", "plmaps.py",
+        "if merged and l < merged[-1][1]:", "if merged and l <= merged[-1][1]:", PL_TESTS,
+    ),
+    Mutant(
+        "sym-zn-gate-charges-one-permutation", "suites.py",
+        '_degree_within(degree * n, bounds["budget"], SYM_ZN_HELD)',
+        '_degree_within(degree * n, bounds["budget"])',
+        ("tests/test_cli.py", "-k", "charges"),
     ),
     Mutant(
         "czc-claims-an-unbounded-pass", "checkers.py",
