@@ -137,8 +137,7 @@ def _conjugates_commute(H: FgSubgroup, t, stop: int):
     t as often as it lags, K_p = t K_(p-1) t^-1, and the generator
     products decide, so the first failing power and its counterexample
     are those of the product route.  t^-1 is built at the first such
-    power.  Returns the failing report (or None), K_(stop-1) if the last
-    power went through products (else None), and t^-1 if it was built."""
+    power.  Returns the failing report, or None."""
     route = _SUPPORT_ROUTES.get(type(t))
     if route is not None:
         if H.generators:
@@ -159,32 +158,23 @@ def _conjugates_commute(H: FgSubgroup, t, stop: int):
             q += 1
         rep = subgroups_commute(H, K)
         if not rep.ok:
-            failure = PropertyReport.failing(f"[H, t^{p} H t^-{p}] != 1", rep.counterexample)
-            return failure, None, t_inv
-    return None, (K if q == stop - 1 else None), t_inv
+            return PropertyReport.failing(f"[H, t^{p} H t^-{p}] != 1", rep.counterexample)
+    return None
 
 
 def check_cznc(H: FgSubgroup, t, n: int) -> PropertyReport:
     """Commuting Z/n-conjugates: [H, t^p H t^-p] = 1 for 1 <= p < n and
-    t^n centralizes H, that is t^n h = h t^n for every generator h.
-
-    When the last power went through products, the centralizer test
-    conjugates K_(n-1) once more and compares it with H; otherwise it
-    builds t^n by square-and-multiply, which needs no t^-1."""
+    t^n centralizes H, that is t^n h = h t^n for every generator h, with
+    t^n built by square-and-multiply, which needs no t^-1."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    failure, K, t_inv = _conjugates_commute(H, t, n)
+    failure = _conjugates_commute(H, t, n)
     if failure is not None:
         return failure
-    if K is not None:
-        pairs = zip(H.generators, K.conjugate(t, t_inv).generators)
-        unfixed = (h for h, k in pairs if k != h)
-    else:
-        tn = _power(t, n)
-        unfixed = (h for h in H.generators if not commutes(tn, h))
-    h = next(unfixed, None)
+    tn = _power(t, n)
+    h = next((h for h in H.generators if not commutes(tn, h)), None)
     if h is not None:
-        return PropertyReport.failing(f"t^{n} does not centralize H", (h, _power(t, n)))
+        return PropertyReport.failing(f"t^{n} does not centralize H", (h, tn))
     checks = [f"[H, t^{p} H t^-{p}] = 1" for p in range(1, n)]
     checks.append(f"t^{n} centralizes the generators")
     return PropertyReport.passing(checks)
@@ -195,7 +185,7 @@ def check_czc(H: FgSubgroup, t, p_max: int) -> PropertyReport:
     possible verdict is bounded-pass."""
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    failure = _conjugates_commute(H, t, p_max + 1)[0]
+    failure = _conjugates_commute(H, t, p_max + 1)
     if failure is not None:
         return failure
     return PropertyReport.bounded([f"[H, t^p H t^-p] = 1 for p = 1..{p_max}"])

@@ -7,31 +7,50 @@ cycle decomposition sorted by least moved point.
 ``Permutation(...)``, and ``from_cycles`` and ``extend`` through it,
 check that the images are a bijection; products and inverses are
 bijections by construction and skip that check.  There is one
-``SymmetricGroupContext`` per degree, built with its identity, so
-contexts compare by identity.
+``SymmetricGroupContext`` per degree for as long as anything holds it,
+so contexts compare by identity; a context no permutation or subgroup
+holds any more is freed with its identity images.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Sequence, Tuple
 
 from .core import ContextMismatchError, FgSubgroup
 
 
 class SymmetricGroupContext:
-    """Ambient Sym(degree), one object per degree."""
+    """Ambient Sym(degree), one object per degree while it is held.
 
-    _cache: dict = {}
+    The context keeps the identity's images, and the identity itself
+    only by a weak reference, so it is in no reference cycle and is
+    freed as soon as the last permutation or subgroup of its degree is."""
+
+    _cache: "weakref.WeakValueDictionary[int, SymmetricGroupContext]" = (
+        weakref.WeakValueDictionary()
+    )
 
     def __new__(cls, degree: int):
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        if degree not in cls._cache:
+        obj = cls._cache.get(degree)
+        if obj is None:
             obj = super().__new__(cls)
             obj.degree = degree
-            obj.identity = Permutation._trusted(obj, tuple(range(degree)))
+            obj.points = tuple(range(degree))
+            obj._identity = None  # a weak reference once built
             cls._cache[degree] = obj
-        return cls._cache[degree]
+        return obj
+
+    @property
+    def identity(self) -> "Permutation":
+        """The identity, one object for as long as anything holds it."""
+        e = self._identity() if self._identity is not None else None
+        if e is None:
+            e = Permutation._trusted(self, self.points)
+            self._identity = weakref.ref(e)
+        return e
 
     def __repr__(self):
         return f"Sym({self.degree})"
@@ -40,7 +59,7 @@ class SymmetricGroupContext:
 class Permutation:
     """A bijection of {1..degree}, stored as a 0-based image tuple."""
 
-    __slots__ = ("context", "images")
+    __slots__ = ("context", "images", "__weakref__")
 
     def __init__(self, context: SymmetricGroupContext, images: Sequence[int]):
         images = tuple(images)
@@ -90,7 +109,7 @@ class Permutation:
         return Permutation._trusted(self.context, tuple(images))
 
     def is_identity(self) -> bool:
-        return self.images == self.context.identity.images
+        return self.images == self.context.points
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):

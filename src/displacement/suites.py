@@ -93,16 +93,10 @@ def _symmetric_base(degree: int, limit: int, over: str) -> FgSubgroup:
     return symmetric_group(degree)
 
 
-def _degree_within(degree: int, budget: int, held: int = 1) -> None:
-    """Refuse ``held`` permutations of ``degree`` points each, held at
-    once, when their points together exceed ``budget``, before any is
-    built."""
-    if held * degree > budget:
-        if held == 1:
-            raise BudgetExceededError(f"permutation degree {degree} exceeds budget {budget}")
-        raise BudgetExceededError(
-            f"{held} permutations of degree {degree} exceed budget {budget}"
-        )
+def _degree_within(degree: int, budget: int) -> None:
+    """Refuse permutations of more than ``budget`` points before any is built."""
+    if degree > budget:
+        raise BudgetExceededError(f"permutation degree {degree} exceeds budget {budget}")
 
 
 def _tower(base: FgSubgroup, orders) -> wreath.TowerSpec:
@@ -190,16 +184,25 @@ def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> Pr
     return PropertyReport.passing([line])
 
 
-# the most permutations of degree * n points that a sym-zn-witness check
-# holds at once: t and the two generators of Sym(degree), with three more
-# while t^n is built (the power so far, the running square and their
-# product) or compared with a generator (t^n and the two products)
+# the memory a sym-zn-witness check holds at its peak, counted in
+# permutations of degree * n points built from fresh ints (36 bytes a
+# point: an 8-byte slot and a 28-byte int).  The peak, about 5.5 of them,
+# comes while Permutation() checks the second extended generator of
+# Sym(degree): the context's identity images, t (a list and a tuple of the
+# same ints), the two generators, and that check's sorted copy and
+# range(degree * n).  Powering t and comparing t^n with a generator hold
+# less, since products share t's ints.  A context is freed with the last
+# permutation of its degree, so checks do not add up.
 SYM_ZN_HELD = 6
 
 
 @check_type("sym-zn-witness")
 def run_sym_zn_witness(bounds, rng, *, n, degree=3) -> PropertyReport:
-    _degree_within(degree * n, bounds["budget"], SYM_ZN_HELD)
+    budget = bounds["budget"]
+    if SYM_ZN_HELD * degree * n > budget:
+        raise BudgetExceededError(
+            f"{SYM_ZN_HELD} permutations of degree {degree * n} exceed budget {budget}"
+        )
     return checkers.verify_certificate(wreath.sym_zn_witness(symmetric_group(degree), n))
 
 

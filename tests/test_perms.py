@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 from displacement.core import ContextMismatchError
@@ -69,3 +71,14 @@ def test_identity_is_shared_and_products_stay_in_their_context():
     assert (p * p).context is ctx and sorted((p * p).images) == [0, 1, 2, 3]
     with pytest.raises(ContextMismatchError):
         p * Permutation.from_cycles(3, [(1, 2)])
+
+
+def test_a_context_nothing_holds_is_freed():
+    """Once no permutation of degree 13 is left, its context goes with
+    the identity's images, though the identity holds the context."""
+    p = Permutation.from_cycles(13, [(1, 2)])
+    ctx = weakref.ref(p.context)
+    assert p.context.identity.context is p.context
+    del p
+    assert ctx() is None
+    assert 13 not in SymmetricGroupContext._cache

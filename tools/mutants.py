@@ -200,14 +200,14 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "cznc-power-loop-one-short", "checkers.py",
-        "failure, K, t_inv = _conjugates_commute(H, t, n)",
-        "failure, K, t_inv = _conjugates_commute(H, t, n - 1)",
+        "failure = _conjugates_commute(H, t, n)",
+        "failure = _conjugates_commute(H, t, n - 1)",
         CHECKER_TESTS,
     ),
     Mutant(
         "czc-power-loop-one-short", "checkers.py",
-        "failure = _conjugates_commute(H, t, p_max + 1)[0]",
-        "failure = _conjugates_commute(H, t, p_max)[0]",
+        "failure = _conjugates_commute(H, t, p_max + 1)",
+        "failure = _conjugates_commute(H, t, p_max)",
         CHECKER_TESTS,
     ),
     Mutant(
@@ -232,9 +232,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         "if merged and l < merged[-1][1]:", "if merged and l <= merged[-1][1]:", PL_TESTS,
     ),
     Mutant(
+        "symmetric-group-contexts-held-for-good", "perms.py",
+        "weakref.WeakValueDictionary()", "{}", ("tests/test_perms.py",),
+    ),
+    Mutant(
         "sym-zn-gate-charges-one-permutation", "suites.py",
-        '_degree_within(degree * n, bounds["budget"], SYM_ZN_HELD)',
-        '_degree_within(degree * n, bounds["budget"])',
+        "if SYM_ZN_HELD * degree * n > budget:", "if degree * n > budget:",
         ("tests/test_cli.py", "-k", "charges"),
     ),
     Mutant(
