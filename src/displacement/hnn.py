@@ -9,11 +9,12 @@ Two presentations are materialized over a finite base group G:
 
 Each stable letter x carries associated subgroups A_x, B_x, images of
 two embeddings of G into G x G that one table defines per letter, and
-the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  Every
-table is read at [x][sign] by the signed letter x^sign that the caller
-holds, for the subgroup S that x^sign moves across: S = B_x for sign +1
-and A_x for sign -1, with c in S becoming x^-sign c x^sign on the far
-side (``_across``: phi_x^-1 or phi_x).  Words are
+the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  The
+table ``_across[x][sign]`` and the coset methods ``split`` and
+``transversal`` take the signed letter x^sign that the caller holds,
+for the subgroup S that x^sign moves across: S = B_x for sign +1 and
+A_x for sign -1, with c in S becoming x^-sign c x^sign on the far side
+(``_across``: phi_x^-1 or phi_x).  Words are
 alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
 reduces its word once, and its products and inverses come reduced.
 G is enumerated once, its product table composed from image tuples, and
@@ -27,10 +28,11 @@ the leftmost pinch first, the word it returns is the one that
 rescanning after every pinch would return, and its cost is linear in
 the word's length.  ``word_mul`` pushes v's letters onto u's, so the
 product of reduced words pinches only at the seam.  Normal forms of
-reduced words come from tables: the sweep that picks the
-representative r of each coset b S records, for each b = r c (read off
-the product rows of b's coordinates), the base letter x^-sign c x^sign
-that c becomes on the far side of x^sign.  A Bass-Serre vertex is its
+reduced words come in closed form: every associated subgroup S is 1 x G,
+G x 1 or the diagonal, so b = r c splits with c = S(g), for g the
+coordinate of b that S's first flag picks, and r = b c^-1 is the least
+code of b S, with the base letter x^-sign c x^sign that c becomes on the
+far side of x^sign read from ``_across``.  A Bass-Serre vertex is its
 normal-form word, ending in the identity base letter, with one stable
 letter per step of distance.
 
@@ -71,8 +73,8 @@ _EMBEDDINGS = {
 }
 
 
-# the largest base group G a presentation is built over: its tables
-# are indexed by the |G|^2 elements of G x G
+# the largest base group G a presentation is built over: its product
+# table and ``_across`` are indexed by G x G, |G|^2 entries each
 MAX_BASE_ORDER = 10**3
 
 
@@ -80,10 +82,10 @@ class FiniteHnnPresentation:
     """HNN/mitosis presentation over a finite permutation group G.
 
     Base letters are integers encoding pairs (a, b) in G x G as
-    a*|G| + b, with all products, inverses, subgroup memberships and
-    associated isomorphisms precomputed as tables.  Raises
-    BudgetExceededError, after enumerating at most ``MAX_BASE_ORDER``
-    elements and before any table is built, when G is larger."""
+    a*|G| + b, with products, inverses and the associated isomorphisms
+    precomputed as tables.  Raises BudgetExceededError, after
+    enumerating at most ``MAX_BASE_ORDER`` elements and before any table
+    is built, when G is larger."""
 
     def __init__(self, base: FgSubgroup, letters: Sequence[str], label: str):
         if base.context is None:
@@ -93,6 +95,8 @@ class FiniteHnnPresentation:
         except BudgetExceededError:
             limit = f"base group larger than budget {MAX_BASE_ORDER}"
             raise BudgetExceededError(limit) from None
+        # the identity's images (0, 1, ...) sort first, so its index and
+        # code are 0, the least code of every coset that ``split`` returns
         elems.sort(key=lambda p: p.images)
         n = len(elems)
         index = {g: i for i, g in enumerate(elems)}
@@ -101,69 +105,53 @@ class FiniteHnnPresentation:
         images = [g.images for g in elems]
         at = {p: i for i, p in enumerate(images)}
         gmul = [[at[tuple([p[i] for i in q])] for q in images] for p in images]
-        ginv = [index[a.inverse()] for a in elems]
-        e = index[base.context.identity]
 
         self.group = base
         self.group_elems = elems
         self.n = n
         self.size = n * n
-        self.identity_code = e * n + e
+        self.identity_code = 0
         self.letters = tuple(letters)
         self.label = label
+        self._index = index
         self._gmul = gmul
-        self._ginv = ginv
+        self._ginv = [index[a.inverse()] for a in elems]
 
+        # _across[x][sign] maps each c = S(g) to x^-sign c x^sign, the
+        # code of g in the far subgroup, and every other code to -1
         N = self.size
-        # with S = B_x for sign +1 and A_x for sign -1, _members[x][sign]
-        # lists the codes of S by g, and _across[x][sign] maps each c in S
-        # to x^-sign c x^sign and every other code to -1
-        self._members: Dict[str, Dict[int, List[int]]] = {}
         self._across: Dict[str, Dict[int, List[int]]] = {}
         for x in letters:
             if x not in _EMBEDDINGS:
                 raise ValueError(f"unknown stable letter {x!r}")
-            members: Dict[int, List[int]] = {1: [], -1: []}
             across = {1: [-1] * N, -1: [-1] * N}
             for g in range(n):
-                # the codes of A(g) and B(g): g where the flag is set, else 1
-                a_code, b_code = [(g if p else e) * n + (g if q else e) for p, q in _EMBEDDINGS[x]]
-                members[-1].append(a_code)
-                members[1].append(b_code)
+                a_code, b_code = self._embed(x, -1, g), self._embed(x, 1, g)
                 across[-1][a_code] = b_code
                 across[1][b_code] = a_code
-            self._members[x] = members
             self._across[x] = across
 
-        # left coset transversals (minimal-index representatives) of S,
-        # used by normal forms and the tree.  In an ascending sweep the
-        # first code of each coset b*S is its minimum, so it becomes the
-        # representative of the whole coset.  The same sweep fills the push
-        # tables: b*c, with c in S, gets push[b*c] = _across[x][sign][c],
-        # the base letter that c becomes on the far side of x^sign.  b*c is
-        # read off the product rows of b's two coordinates.
-        self._index = index
-        self._coset_rep: Dict[str, Dict[int, List[int]]] = {x: {} for x in letters}
-        self._push: Dict[str, Dict[int, List[int]]] = {x: {} for x in letters}
-        self._transversal: Dict[str, Dict[int, List[int]]] = {x: {} for x in letters}
-        for x in letters:
-            for sign, codes in self._members[x].items():
-                across = self._across[x][sign]
-                sub = [(c // n, c % n, across[c]) for c in codes]
-                rep = [-1] * N
-                push = [-1] * N
-                reps = []
-                for b in range(N):
-                    if rep[b] == -1:
-                        reps.append(b)
-                        row1, row2 = gmul[b // n], gmul[b % n]
-                        for c1, c2, pushed in sub:
-                            bc = row1[c1] * n + row2[c2]
-                            rep[bc] = b
-                            push[bc] = pushed
-                self._coset_rep[x][sign] = rep
-                self._push[x][sign] = push
-                self._transversal[x][sign] = reps
+    def _embed(self, x: str, sign: int, g: int) -> int:
+        """The code of S(g), for the subgroup S that x^sign moves across:
+        g in each coordinate whose embedding flag is set, 1 in the other."""
+        first, second = _EMBEDDINGS[x][sign > 0]
+        return (g if first else 0) * self.n + (g if second else 0)
+
+    def split(self, x: str, sign: int, b: int) -> Tuple[int, int]:
+        """(r, c) with b = r c, c in the subgroup S that x^sign moves
+        across and r the least code of the coset b S.  With g the first
+        coordinate of b if S's first flag is set, else the second, c = S(g)
+        makes that coordinate of r = b c^-1 the identity, code 0: then r's
+        first coordinate is 0, or S = 1 x G fixes it across b S."""
+        n = self.n
+        c = self._embed(x, sign, b // n if _EMBEDDINGS[x][sign > 0][0] else b % n)
+        return self.mul(b, self.inv(c)), c
+
+    def transversal(self, x: str, sign: int) -> range:
+        """The least codes of the left cosets of S, in increasing order:
+        (1, b) when S's first flag is set, else (a, 1)."""
+        n = self.n
+        return range(n) if _EMBEDDINGS[x][sign > 0][0] else range(0, n * n, n)
 
     # -- base group arithmetic on codes --------------------------------
 
@@ -332,16 +320,17 @@ def normal_form(pres, word: Word) -> Word:
 def reduced_normal_form(pres, word: Word) -> Word:
     """The normal form of a Britton-reduced word: every base letter
     (except the last) rewritten to its left-coset transversal
-    representative r, where it is r c, and the subgroup part c pushed
-    rightwards through the next stable letter, all by table lookup."""
+    representative r, where it is r c (``split``), and the subgroup part
+    c pushed rightwards through the next stable letter (``_across``)."""
     b, letters = word
     if not letters:
         return word
-    reps, pushes, mul = pres._coset_rep, pres._push, pres.mul
+    split, across, mul = pres.split, pres._across, pres.mul
     bases = []
     for x, e, nxt in letters:
-        bases.append(reps[x][e][b])
-        b = mul(pushes[x][e][b], nxt)
+        r, c = split(x, e, b)
+        bases.append(r)
+        b = mul(across[x][e][c], nxt)
     return (
         bases[0],
         tuple([(x, e, r) for (x, e, _), r in zip(letters, bases[1:] + [b])]),
@@ -452,11 +441,13 @@ def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
 
 
 def tree_ball_size(pres: FiniteHnnPresentation, radius: int) -> int:
-    """``len(tree_ball(pres, radius))`` from the tree's degree k, the sum
-    of the transversal sizes: 1 + k((k-1)^r - 1)/(k-2), or 2r + 1 if k = 2."""
+    """``len(tree_ball(pres, radius))`` from the tree's degree k: one edge
+    per left coset of each signed letter's subgroup S, of order |G| in
+    G x G, so k = 2 |letters| |G|, and the ball has
+    1 + k((k-1)^r - 1)/(k-2) vertices, or 2r + 1 if k = 2."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
-    k = sum(len(reps) for by_sign in pres._transversal.values() for reps in by_sign.values())
+    k = 2 * len(pres.letters) * pres.n
     return 1 + k * sum((k - 1) ** i for i in range(radius))
 
 
@@ -464,8 +455,8 @@ def _children(pres: FiniteHnnPresentation, word: Word):
     """The children of the vertex w (base) with word ``word``, in walk
     order, each as (x, sign, r, child word): the vertices w r x^sign
     (base) for r in the transversal of the subgroup x^sign starts from,
-    already in normal form, except the one r that pinches against a
-    last letter x^-sign: it leads back to w's parent."""
+    already in normal form, except r = 1 after a last letter x^-sign: it
+    pinches, and leads back to w's parent."""
     e = pres.identity_code
     b0, letters = word
     if letters:
@@ -474,9 +465,8 @@ def _children(pres: FiniteHnnPresentation, word: Word):
         for sign in (1, -1):
             step = (x, sign, e)
             pinch = letters and (y, ey) == (x, -sign)
-            back = pres._coset_rep[x][sign][e] if pinch else None
-            for r in pres._transversal[x][sign]:
-                if r == back:
+            for r in pres.transversal(x, sign):
+                if pinch and r == e:
                     continue
                 if letters:
                     child = (b0, head + ((y, ey, r), step))
@@ -499,10 +489,10 @@ def _orbit_walk(
     (base) and fixes w's parent.  A child leads its orbit when no
     earlier child lies in it, and carries x^-sign (r^-1 c r) x^sign for
     each c in C that fixes it, the rule of ``fixed_vertices``: that is
-    the push table at c r.  At the base, G x G is transitive on the children
-    x^sign (base), so the first of them leads and carries the whole
-    associated subgroup on the far side of x^sign; below the base, C
-    has at most |G| codes."""
+    ``_across`` at the part in S of c r (``split``).  At the base, G x G
+    is transitive on the children x^sign (base), so the first of them
+    leads and carries the whole associated subgroup on the far side of
+    x^sign; below the base, C has at most |G| codes."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
     base = (pres.identity_code, ())
@@ -517,17 +507,17 @@ def _orbit_walk(
                 if (x, sign, r) in seen:
                     continue
                 if C is None:
-                    seen.update((x, sign, s) for s in pres._transversal[x][sign])
-                    carried = pres._members[x][-sign]
+                    seen.update((x, sign, s) for s in pres.transversal(x, sign))
+                    carried = [pres._embed(x, -sign, g) for g in range(pres.n)]
                 else:
-                    rep, push = pres._coset_rep[x][sign], pres._push[x][sign]
+                    across = pres._across[x][sign]
                     carried = []
                     for c in C:
-                        cr = mul(c, r)
-                        if rep[cr] == r:
-                            carried.append(push[cr])
+                        rep, part = pres.split(x, sign, mul(c, r))
+                        if rep == r:
+                            carried.append(across[part])
                         else:
-                            seen.add((x, sign, rep[cr]))
+                            seen.add((x, sign, rep))
                 yield child, dist, carried
                 nxt.append((child, carried))
         frontier = nxt

@@ -196,13 +196,19 @@ def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> Pr
 SYM_ZN_HELD = 6
 
 
-@check_type("sym-zn-witness")
-def run_sym_zn_witness(bounds, rng, *, n, degree=3) -> PropertyReport:
-    budget = bounds["budget"]
+def _sym_zn_within(degree: int, n: int, budget: int) -> None:
+    """Refuse the certificate check of ``wreath.sym_zn_witness`` over
+    Sym(degree) and n, charged ``SYM_ZN_HELD`` permutations of degree * n
+    points, before any is built."""
     if SYM_ZN_HELD * degree * n > budget:
         raise BudgetExceededError(
             f"{SYM_ZN_HELD} permutations of degree {degree * n} exceed budget {budget}"
         )
+
+
+@check_type("sym-zn-witness")
+def run_sym_zn_witness(bounds, rng, *, n, degree=3) -> PropertyReport:
+    _sym_zn_within(degree, n, bounds["budget"])
     return checkers.verify_certificate(wreath.sym_zn_witness(symmetric_group(degree), n))
 
 
@@ -493,14 +499,16 @@ def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
     detail.append("every nontrivial (g,g) fixes at least 2 vertices at radius 1")
     # stabilizer structure at radius 1, exhaustively over the base group:
     # the descent and the word-algebra test must both agree with the
-    # associated-subgroup membership of r^-1 g r
+    # relation that defines the subgroup r^-1 g r = (a1, a2) must lie in:
+    # a1 = a2 for B_d, the diagonal, and a1 = 1 for A_d = 1 x G
     sphere1 = hnn.tree_ball(pres, 1)[1:]
     for code in range(pres.size):
         fixed = {v.word for v in hnn.fixed_vertices(pres, code, 1)}
         for v in sphere1:
             r = v.word[0]
             sign = v.word[1][0][1]
-            expected = pres._across["d"][sign][pres.mul(pres.mul(pres.inv(r), code), r)] != -1
+            a1, a2 = pres.decode(pres.mul(pres.mul(pres.inv(r), code), r))
+            expected = a1 == a2 if sign == 1 else a1.is_identity()
             by_descent = v.word in fixed
             by_word_algebra = hnn.fixes_vertex(pres, (code, ()), v)
             if not expected == by_descent == by_word_algebra:
@@ -536,7 +544,7 @@ def run_mitosis(bounds, rng, *, degree=3) -> PropertyReport:
 
 @check_type("hall-sym")
 def run_hall_sym(bounds, rng, *, degree=3, ns=(2, 3, 4)) -> PropertyReport:
-    _degree_within(degree * max(ns), bounds["budget"])
+    _sym_zn_within(degree, max(ns), bounds["budget"])
     H = symmetric_group(degree)
     return _merge([checkers.verify_certificate(wreath.sym_zn_witness(H, n)) for n in ns])
 

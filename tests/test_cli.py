@@ -424,12 +424,13 @@ SYM_BASE_CHECKS = {
         {"orders": [2], "level": 1}, "level 1 order exceeds budget 10000000"
     ),
     # the permutations of these three act on degree, degree * max(ns) and
-    # degree * n points; sym-zn-witness holds six of them at once
+    # degree * n points; hall-sym and sym-zn-witness run the same
+    # certificate check, which holds six of them at once
     "wreath-zn-witness": (
         {"orders": [2], "level": 1, "p": 2},
         "permutation degree 1000000000 exceeds budget 10000000",
     ),
-    "hall-sym": ({}, "permutation degree 4000000000 exceeds budget 10000000"),
+    "hall-sym": ({}, "6 permutations of degree 4000000000 exceed budget 10000000"),
     "sym-zn-witness": (
         {"degree": 3, "n": HUGE_DEGREE},
         "6 permutations of degree 3000000000 exceed budget 10000000",
@@ -460,17 +461,21 @@ def _cap_address_space():
 
 
 @pytest.mark.parametrize(
-    "ctype",
+    "ctype, params",
     [
-        "cc-search-b1", "mitosis", "wreath-brute-search",
-        "hall-sym", "sym-zn-witness", "wreath-zn-witness",
-    ],
+        pytest.param(c, {"degree": HUGE_DEGREE, **SYM_BASE_CHECKS[c][0]}, id=c)
+        for c in (
+            "cc-search-b1", "mitosis", "wreath-brute-search",
+            "hall-sym", "sym-zn-witness", "wreath-zn-witness",
+        )
+    ]
+    + [pytest.param("hall-sym", {"ns": [3333333]}, id="hall-sym-past-its-charge")],
 )
-def test_huge_degree_exits_three_under_a_memory_cap(tmp_path, ctype):
-    """One permutation of degree 10^9 alone would not fit in 800 MB; the
-    CLI, run in a child process under that address-space cap, exits 3 at
-    once."""
-    params = {"degree": HUGE_DEGREE, **SYM_BASE_CHECKS[ctype][0]}
+def test_huge_degree_exits_three_under_a_memory_cap(tmp_path, ctype, params):
+    """One permutation of degree 10^9 alone would not fit in 800 MB, nor
+    would the six of degree 9,999,999 that hall-sym's certificate check
+    holds at degree 3 and n = 3,333,333; the CLI, run in a child process
+    under that address-space cap, exits 3 at once."""
     path = write_scenario(
         tmp_path, {"checks": [{"id": "x", "type": ctype, "params": params}]}
     )

@@ -237,12 +237,12 @@ def reference_reduce(pres, word, rng=None):
 
 def reference_normal_form(pres, word):
     """The normal form of a reduced word by decomposing each base letter
-    as b = r c, with r = rep(b) and c = r^-1 b, and pushing phi_x^-+1(c)
-    through the next stable letter."""
+    as b = r c, with r from ``split`` and c = r^-1 b, and pushing
+    phi_x^-+1(c) through the next stable letter."""
     b0, letters = word
     bases = [b0] + [b for _, _, b in letters]
     for i, (x, e, _) in enumerate(letters):
-        r = pres._coset_rep[x][e][bases[i]]
+        r, _ = pres.split(x, e, bases[i])
         c = pres.mul(pres.inv(r), bases[i])
         bases[i] = r
         pushed = pres._across[x][e][c]
@@ -364,10 +364,11 @@ SIGNED_RELATIONS = {
 @pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
 @pytest.mark.parametrize("degree", [2, 3])
 def test_engine_signed_tables_follow_the_defining_relations(make, degree):
-    """Every table at [x][sign] agrees with permutation arithmetic on
-    decoded codes: S is the member set, ``_across`` sends S(g) to F(g) and
-    every other code to -1, rep[b] is the least code of b S, push[b] is
-    ``_across`` at rep[b]^-1 b, and the transversal lists the reps."""
+    """Every table and split at [x][sign] agrees with permutation
+    arithmetic on decoded codes: S(g) is the member of g, ``_across``
+    sends S(g) to F(g) and every other code to -1, ``split`` gives the
+    least code r of b S and c = r^-1 b, and the transversal lists the
+    representatives."""
     base = symmetric_group(degree)
     pres = make(base)
     e, elems = base.context.identity, pres.group_elems
@@ -375,20 +376,60 @@ def test_engine_signed_tables_follow_the_defining_relations(make, degree):
         for sign in (1, -1):
             S, F = SIGNED_RELATIONS[(x, sign)]
             partner = {S(e, g): F(e, g) for g in elems}
-            members, across = pres._members[x][sign], pres._across[x][sign]
-            rep, push = pres._coset_rep[x][sign], pres._push[x][sign]
+            members = [pres._embed(x, sign, g) for g in range(pres.n)]
+            across = pres._across[x][sign]
             assert [pres.decode(c) for c in members] == [S(e, g) for g in elems]
+            reps = set()
             for b in range(pres.size):
                 b1, b2 = pres.decode(b)
                 if (b1, b2) in partner:
                     assert pres.decode(across[b]) == partner[(b1, b2)]
                 else:
                     assert across[b] == -1
+                r, c = pres.split(x, sign, b)
                 coset = [pres.encode(b1 * s1, b2 * s2) for s1, s2 in partner]
-                assert rep[b] == min(coset)
-                r1, r2 = pres.decode(rep[b])
-                assert push[b] == across[pres.encode(r1.inverse() * b1, r2.inverse() * b2)]
-            assert pres._transversal[x][sign] == sorted(set(rep))
+                assert r == min(coset)
+                r1, r2 = pres.decode(r)
+                assert c == pres.encode(r1.inverse() * b1, r2.inverse() * b2)
+                reps.add(r)
+            assert list(pres.transversal(x, sign)) == sorted(reps)
+
+
+def sweep_tables(pres, x, sign):
+    """The coset sweep that ``split`` and ``transversal`` replaced, as
+    their oracle: in an ascending sweep over G x G the first code b of
+    each coset b S is its least, so it becomes the representative of
+    every b c (c in S), read off the product rows of b's two coordinates.
+    Returns rep and part, with each code equal to rep[b] part[b], and the
+    representatives in sweep order.  S comes from ``SIGNED_RELATIONS``."""
+    n, N = pres.n, pres.size
+    e = pres.group.context.identity
+    S, _ = SIGNED_RELATIONS[(x, sign)]
+    members = [pres.encode(*S(e, g)) for g in pres.group_elems]
+    rep, part, reps = [-1] * N, [-1] * N, []
+    for b in range(N):
+        if rep[b] == -1:
+            reps.append(b)
+            row1, row2 = pres._gmul[b // n], pres._gmul[b % n]
+            for c in members:
+                bc = row1[c // n] * n + row2[c % n]
+                rep[bc], part[bc] = b, c
+    return rep, part, reps
+
+
+@pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_engine_split_and_transversal_are_the_coset_sweep(make, degree):
+    """The closed-form split and transversal equal the sweep at every
+    code; they rely on the identity having code 0."""
+    pres = make(symmetric_group(degree))
+    e = pres.group.context.identity
+    assert pres.identity_code == 0 and pres.decode(0) == (e, e)
+    for x in pres.letters:
+        for sign in (1, -1):
+            rep, part, reps = sweep_tables(pres, x, sign)
+            assert [pres.split(x, sign, b) for b in range(pres.size)] == list(zip(rep, part))
+            assert list(pres.transversal(x, sign)) == reps
 
 
 @pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
@@ -514,7 +555,7 @@ def _reference_walk(pres, max_distance):
         for w in frontier:
             for x in pres.letters:
                 for sign in (1, -1):
-                    for r in pres._transversal[x][sign]:
+                    for r in pres.transversal(x, sign):
                         step = (r, ((x, sign, e),))
                         child = canonical_vertex(pres, word_mul(pres, w, step))
                         if child not in seen:

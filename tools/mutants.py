@@ -153,12 +153,23 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "push-table-from-phi", "hnn.py",
-        "across = self._across[x][sign]", "across = self._across[x][-1]", ENGINE_TESTS,
+        "b = mul(across[x][e][c], nxt)", "b = mul(across[x][-e][c], nxt)", ENGINE_TESTS,
     ),
     Mutant(
-        "coset-sweep-rows-swapped", "hnn.py",
-        "row1, row2 = gmul[b // n], gmul[b % n]",
-        "row1, row2 = gmul[b % n], gmul[b // n]",
+        "split-divides-on-the-left", "hnn.py",
+        "return self.mul(b, self.inv(c)), c", "return self.mul(self.inv(c), b), c",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "split-reads-the-other-coordinate", "hnn.py",
+        "c = self._embed(x, sign, b // n if _EMBEDDINGS[x][sign > 0][0] else b % n)",
+        "c = self._embed(x, sign, b % n if _EMBEDDINGS[x][sign > 0][0] else b // n)",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "transversal-flag-inverted", "hnn.py",
+        "return range(n) if _EMBEDDINGS[x][sign > 0][0] else range(0, n * n, n)",
+        "return range(n) if not _EMBEDDINGS[x][sign > 0][0] else range(0, n * n, n)",
         ENGINE_TESTS,
     ),
     Mutant(
@@ -196,7 +207,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "tree-walk-without-pinch-back-skip", "hnn.py",
-        "if r == back:", "if False:", ("tests/test_hnn.py",),
+        "if pinch and r == e:", "if False:", ("tests/test_hnn.py",),
     ),
     Mutant(
         "cznc-power-loop-one-short", "checkers.py",
