@@ -270,16 +270,13 @@ def check_dissipator(X, t, sample: FgSubgroup, p_max: int) -> PropertyReport:
     return PropertyReport.bounded(checks)
 
 
-MembershipOracle = Callable[[object], bool]
-
-
 def check_M(
     Lam: FgSubgroup,
     t,
     S: Sequence,
     s,
     p_max: int,
-    membership: MembershipOracle,
+    membership: Callable[[object], bool],
 ) -> PropertyReport:
     """The two conditions of the conjugates-in-a-commuting-Z-conjugate
     property, at desk scale: [Lam, t^p Lam t^-p] = 1 for p <= p_max, and

@@ -10,15 +10,17 @@ Two presentations are materialized over a finite base group G:
 Each stable letter x carries associated subgroups A_x, B_x, images of
 two embeddings of G into G x G that one table defines per letter, and
 the isomorphism phi_x: A_x -> B_x with x a x^-1 = phi_x(a).  The
-table ``_across[x][sign]`` and the coset methods ``split`` and
+map ``_across[x][sign]`` and the coset methods ``split`` and
 ``transversal`` take the signed letter x^sign that the caller holds,
 for the subgroup S that x^sign moves across: S = B_x for sign +1 and
-A_x for sign -1, with c in S becoming x^-sign c x^sign on the far side
-(``_across``: phi_x^-1 or phi_x).  Words are
-alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
+A_x for sign -1.  ``_across[x][sign]`` has one key per member c of S,
+|G| in all, and maps it to x^-sign c x^sign on the far side (phi_x^-1
+or phi_x), so ``c in _across[x][sign]`` is the membership test.  Words
+are alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
 reduces its word once, and its products and inverses come reduced.
 G is enumerated once, its product table composed from image tuples, and
-G x G is encoded as integers, so every base operation is a lookup.
+G x G is encoded as integers, so every base operation is a lookup; that
+table is the one structure with |G|^2 entries.
 
 Britton reduction is one left-to-right pass that pushes the stable
 letters onto a stack, each tested against the top: a pinch pops the
@@ -48,7 +50,6 @@ the ball instead, each carrying its stabilizer by the same rule.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .checkers import check_cc
@@ -74,7 +75,7 @@ _EMBEDDINGS = {
 
 
 # the largest base group G a presentation is built over: its product
-# table and ``_across`` are indexed by G x G, |G|^2 entries each
+# table, the one |G|^2-entry structure, is indexed by G x G
 MAX_BASE_ORDER = 10**3
 
 
@@ -117,14 +118,13 @@ class FiniteHnnPresentation:
         self._gmul = gmul
         self._ginv = [index[a.inverse()] for a in elems]
 
-        # _across[x][sign] maps each c = S(g) to x^-sign c x^sign, the
-        # code of g in the far subgroup, and every other code to -1
-        N = self.size
-        self._across: Dict[str, Dict[int, List[int]]] = {}
+        # _across[x][sign] maps each c = S(g), and only those |G| codes,
+        # to x^-sign c x^sign, the code of g in the far subgroup
+        self._across: Dict[str, Dict[int, Dict[int, int]]] = {}
         for x in letters:
             if x not in _EMBEDDINGS:
                 raise ValueError(f"unknown stable letter {x!r}")
-            across = {1: [-1] * N, -1: [-1] * N}
+            across = {1: {}, -1: {}}
             for g in range(n):
                 a_code, b_code = self._embed(x, -1, g), self._embed(x, 1, g)
                 across[-1][a_code] = b_code
@@ -205,7 +205,7 @@ def _pinch_sites(pres, letters) -> List[int]:
     for i in range(len(letters) - 1):
         x1, e1, b1 = letters[i]
         x2, e2, _ = letters[i + 1]
-        if x1 == x2 and e1 == -e2 and pres._across[x1][-e1][b1] != -1:
+        if x1 == x2 and e1 == -e2 and b1 in pres._across[x1][-e1]:
             sites.append(i)
     return sites
 
@@ -224,8 +224,8 @@ def _push_letters(pres, b0: int, stack: List, letters) -> int:
     for letter in letters:
         if top is not None and top[0] == letter[0] and top[1] == -letter[1]:
             x, f, c = top
-            mid = pres._across[x][-f][c]
-            if mid != -1:
+            mid = pres._across[x][-f].get(c)
+            if mid is not None:
                 stack.pop()
                 merged = mul(mid, letter[2])
                 if stack:
@@ -414,28 +414,15 @@ def mitosis_presentation(base: FgSubgroup) -> FiniteHnnPresentation:
 MAX_TREE_RADIUS = 4
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A vertex of the Bass-Serre tree: a coset of the base group,
-    carried by its representative word (the normal form of any word of
-    the coset, with its last base letter set to the identity), whose
-    stable letter count is its distance from the base vertex."""
-
-    word: Word
-    distance: int
-
-
-def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Vertex]:
-    """All vertices within the given distance of the base vertex, in
-    breadth-first order with deterministic child ordering (stable
-    letter, sign, transversal index)."""
+def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Word]:
+    """All vertices within the given distance of the base vertex, as
+    their normal-form words, in breadth-first order with deterministic
+    child ordering (stable letter, sign, transversal index)."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
-    ball = frontier = [Vertex((pres.identity_code, ()), 0)]
-    for dist in range(1, radius + 1):
-        frontier = [
-            Vertex(child, dist) for v in frontier for *_, child in _children(pres, v.word)
-        ]
+    ball = frontier = [(pres.identity_code, ())]
+    for _ in range(radius):
+        frontier = [child for w in frontier for *_, child in _children(pres, w)]
         ball = ball + frontier
     return ball
 
@@ -525,7 +512,7 @@ def _orbit_walk(
 
 def fixed_vertices(
     pres: FiniteHnnPresentation, code: int, radius: int
-) -> List[Vertex]:
+) -> List[Word]:
     """The vertices within ``radius`` that the base element g with code
     ``code`` fixes, in ``tree_ball`` order.
 
@@ -538,25 +525,25 @@ def fixed_vertices(
     carries x^-sign a x^sign, which ``_across`` holds."""
     if radius > MAX_TREE_RADIUS:
         raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
-    fixed = [Vertex((pres.identity_code, ()), 0)]
-    frontier = [(fixed[0].word, code)]
-    for dist in range(1, radius + 1):
+    base = (pres.identity_code, ())
+    fixed = [base]
+    frontier = [(base, code)]
+    for _ in range(radius):
         nxt = []
         for word, c in frontier:
             for x, sign, r, child in _children(pres, word):
                 a = pres.mul(pres.mul(pres.inv(r), c), r)
-                carried = pres._across[x][sign][a]
-                if carried != -1:
-                    fixed.append(Vertex(child, dist))
+                carried = pres._across[x][sign].get(a)
+                if carried is not None:
+                    fixed.append(child)
                     nxt.append((child, carried))
         frontier = nxt
     return fixed
 
 
-def fixes_vertex(pres: FiniteHnnPresentation, g: Word, v: Vertex) -> bool:
-    """g fixes the coset wB iff w^-1 g w lies in the base group."""
-    wi = word_inv(pres, v.word)
-    prod = word_mul(pres, word_mul(pres, wi, g), v.word)
+def fixes_vertex(pres: FiniteHnnPresentation, g: Word, w: Word) -> bool:
+    """g fixes the vertex wB iff w^-1 g w lies in the base group."""
+    prod = word_mul(pres, word_mul(pres, word_inv(pres, w), g), w)
     return stable_letter_count(prod) == 0
 
 

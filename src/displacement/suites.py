@@ -486,7 +486,7 @@ def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
     detail = [f"tree ball of radius {radius} has {size} vertices"]
     for g in nontrivial:
         fixed = hnn.fixed_vertices(pres, pres.encode(g, e), radius)
-        if len(fixed) != 1 or fixed[0].distance != 0:
+        if len(fixed) != 1 or fixed[0][1]:
             return PropertyReport.failing(
                 f"(g,1) fixes {len(fixed)} vertices within radius {radius}", g
             )
@@ -503,17 +503,16 @@ def run_bass_serre(bounds, rng, *, degree=3) -> PropertyReport:
     # a1 = a2 for B_d, the diagonal, and a1 = 1 for A_d = 1 x G
     sphere1 = hnn.tree_ball(pres, 1)[1:]
     for code in range(pres.size):
-        fixed = {v.word for v in hnn.fixed_vertices(pres, code, 1)}
+        fixed = set(hnn.fixed_vertices(pres, code, 1))
         for v in sphere1:
-            r = v.word[0]
-            sign = v.word[1][0][1]
+            r, ((_, sign, _),) = v
             a1, a2 = pres.decode(pres.mul(pres.mul(pres.inv(r), code), r))
             expected = a1 == a2 if sign == 1 else a1.is_identity()
-            by_descent = v.word in fixed
+            by_descent = v in fixed
             by_word_algebra = hnn.fixes_vertex(pres, (code, ()), v)
             if not expected == by_descent == by_word_algebra:
                 return PropertyReport.failing(
-                    "stabilizer mismatch at a radius-1 vertex", (v.word, code)
+                    "stabilizer mismatch at a radius-1 vertex", (v, code)
                 )
     detail.append(
         "radius-1 stabilizers are exactly the expected conjugates of the"

@@ -167,7 +167,7 @@ def reduced_word_pairs(draw):
     assoc = [
         c
         for c in range(pres.size)
-        if any(pres._across[x][sign][c] != -1 for x in pres.letters for sign in (1, -1))
+        if any(c in pres._across[x][sign] for x in pres.letters for sign in (1, -1))
     ]
     base = st.one_of(st.integers(0, pres.size - 1), st.sampled_from(assoc))
     letter = st.tuples(st.sampled_from(pres.letters), st.sampled_from((1, -1)), base)
@@ -206,7 +206,7 @@ def reference_pinch_sites(pres, letters):
         x2, e2, _ = letters[i + 1]
         if x1 != x2 or e1 != -e2:
             continue
-        if pres._across[x1][-e1][b1] != -1:
+        if b1 in pres._across[x1][-e1]:
             sites.append(i)
     return sites
 
@@ -267,7 +267,7 @@ def engine_words(draw, max_letters=8):
     assoc = [
         c
         for c in range(pres.size)
-        if any(pres._across[x][sign][c] != -1 for x in pres.letters for sign in (1, -1))
+        if any(c in pres._across[x][sign] for x in pres.letters for sign in (1, -1))
     ]
     base = st.one_of(
         st.integers(0, pres.size - 1),
@@ -325,7 +325,7 @@ def test_engine_normal_form_tables_match_decomposition(make):
     for (x, e), (y, f) in itertools.product(shapes, repeat=2):
         member = pres._across[x][-e]
         for b0, b1 in itertools.product(range(N), repeat=2):
-            if x == y and e == -f and member[b1] != -1:
+            if x == y and e == -f and b1 in member:
                 continue  # a pinch: not reduced
             r0, (first, (_, _, last)) = reference_normal_form(
                 pres, (b0, ((x, e, b1), (y, f, e1)))
@@ -366,9 +366,9 @@ SIGNED_RELATIONS = {
 def test_engine_signed_tables_follow_the_defining_relations(make, degree):
     """Every table and split at [x][sign] agrees with permutation
     arithmetic on decoded codes: S(g) is the member of g, ``_across``
-    sends S(g) to F(g) and every other code to -1, ``split`` gives the
-    least code r of b S and c = r^-1 b, and the transversal lists the
-    representatives."""
+    has exactly the |G| keys S(g), in g order, and sends S(g) to F(g),
+    ``split`` gives the least code r of b S and c = r^-1 b, and the
+    transversal lists the representatives."""
     base = symmetric_group(degree)
     pres = make(base)
     e, elems = base.context.identity, pres.group_elems
@@ -379,13 +379,14 @@ def test_engine_signed_tables_follow_the_defining_relations(make, degree):
             members = [pres._embed(x, sign, g) for g in range(pres.n)]
             across = pres._across[x][sign]
             assert [pres.decode(c) for c in members] == [S(e, g) for g in elems]
+            assert len(across) == pres.n and list(across) == members
             reps = set()
             for b in range(pres.size):
                 b1, b2 = pres.decode(b)
                 if (b1, b2) in partner:
                     assert pres.decode(across[b]) == partner[(b1, b2)]
                 else:
-                    assert across[b] == -1
+                    assert b not in across
                 r, c = pres.split(x, sign, b)
                 coset = [pres.encode(b1 * s1, b2 * s2) for s1, s2 in partner]
                 assert r == min(coset)
@@ -540,7 +541,7 @@ def canonical_vertex(pres, word):
 def scanned_fixed_vertices(pres, g, radius):
     """The vertices within the radius that g fixes, in ``tree_ball`` order,
     by testing every vertex of the ball with ``fixes_vertex``."""
-    return [v for v in tree_ball(pres, radius) if fixes_vertex(pres, g.word, v)]
+    return [w for w in tree_ball(pres, radius) if fixes_vertex(pres, g.word, w)]
 
 
 def _reference_walk(pres, max_distance):
@@ -583,25 +584,23 @@ def test_tree_walk_yields_normal_form_words(make, degree, radius):
     by normal forms."""
     pres = make(symmetric_group(degree))
     ball = tree_ball(pres, radius)
-    words = [v.word for v in ball]
-    assert len(set(words)) == len(words)
-    for v in ball:
-        assert canonical_vertex(pres, v.word) == v.word
-        assert v.distance == stable_letter_count(v.word)
+    assert len(set(ball)) == len(ball)
+    for w in ball:
+        assert canonical_vertex(pres, w) == w
     valence = 2 * len(pres.letters) * len(pres.group_elems)
     assert len(ball) == 1 + sum(valence * (valence - 1) ** k for k in range(radius))
-    assert [(v.word, v.distance) for v in ball] == _reference_walk(pres, radius)
+    assert [(w, stable_letter_count(w)) for w in ball] == _reference_walk(pres, radius)
 
 
 def test_vertex_labels_are_coset_invariants(bp):
     rng = random.Random(43)
     ball = tree_ball(bp, 2)
-    for v in ball:
+    for w in ball:
         # right-multiplying the representative by a base element must not
         # change the vertex word
         b = rng.randrange(bp.size)
-        moved = word_mul(bp, v.word, (b, ()))
-        assert canonical_vertex(bp, moved) == v.word
+        moved = word_mul(bp, w, (b, ()))
+        assert canonical_vertex(bp, moved) == w
 
 
 def test_unique_fixed_vertex_for_left_factor(bp):
@@ -609,7 +608,7 @@ def test_unique_fixed_vertex_for_left_factor(bp):
         elem = bp.base_element(g, E3)
         fixed = scanned_fixed_vertices(bp, elem, 3)
         assert len(fixed) == 1
-        assert fixed[0].distance == 0
+        assert stable_letter_count(fixed[0]) == 0
 
 
 def test_diagonal_fixes_the_d_edge(bp):
@@ -617,7 +616,7 @@ def test_diagonal_fixes_the_d_edge(bp):
         elem = bp.base_element(g, g)
         fixed = scanned_fixed_vertices(bp, elem, 1)
         assert len(fixed) >= 2
-        assert any(v.distance == 0 for v in fixed)
+        assert any(stable_letter_count(w) == 0 for w in fixed)
 
 
 def test_identity_fixes_everything(bp):
@@ -628,23 +627,19 @@ def test_identity_fixes_everything(bp):
 def test_stabilizers_at_radius_one(bp):
     """g fixes a distance-1 vertex r d^e (base) iff r^-1 g r lies in the
     associated subgroup on the matching side."""
-    for v in tree_ball(bp, 1):
-        if v.distance == 0:
-            continue
-        r = v.word[0]
-        sign = v.word[1][0][1]
+    for w in tree_ball(bp, 1)[1:]:
+        r, ((_, sign, _),) = w
         member = bp._across["d"][sign]
         for code in range(bp.size):
-            expected = member[bp.mul(bp.mul(bp.inv(r), code), r)] != -1
-            assert fixes_vertex(bp, (code, ()), v) == expected
+            expected = bp.mul(bp.mul(bp.inv(r), code), r) in member
+            assert fixes_vertex(bp, (code, ()), w) == expected
 
 
 def test_centralizing_elements_preserve_fixed_sets(bp):
     """If [g, u] = 1 then u permutes the fixed vertices of g."""
     g = bp.base_element(G, G)
-    ball2 = {v.word: v for v in tree_ball(bp, 2)}
-    ball3 = {v.word: v for v in tree_ball(bp, 3)}
-    fixed = {v.word for v in scanned_fixed_vertices(bp, g, 2)}
+    ball3 = set(tree_ball(bp, 3))
+    fixed = scanned_fixed_vertices(bp, g, 2)
     candidates = [
         bp.base_element(G, G),
         bp.base_element(G.inverse(), G.inverse()),
@@ -655,9 +650,9 @@ def test_centralizing_elements_preserve_fixed_sets(bp):
         if not commutator(g, u).is_identity():
             continue
         for word in fixed:
-            moved = canonical_vertex(bp, word_mul(bp, u.word, ball2[word].word))
+            moved = canonical_vertex(bp, word_mul(bp, u.word, word))
             if moved in ball3:
-                assert fixes_vertex(bp, g.word, ball3[moved])
+                assert fixes_vertex(bp, g.word, moved)
                 checked += 1
     assert checked > 0
 
@@ -690,7 +685,7 @@ def test_descent_reaches_fixed_vertices_beyond_radius_one(bp):
     for g in (G, H):
         elem = bp.base_element(g, g)
         scan = scanned_fixed_vertices(bp, elem, 3)
-        assert any(v.distance >= 2 for v in scan)
+        assert any(stable_letter_count(w) >= 2 for w in scan)
         assert fixed_vertices(bp, bp.encode(g, g), 3) == scan
 
 
@@ -738,7 +733,7 @@ def test_orbit_walk_partitions_the_ball(degree, radius):
     order, and the orbit sizes at each distance add up to that sphere."""
     pres = binate_presentation(symmetric_group(degree))
     ball = tree_ball(pres, radius)
-    position = {v.word: i for i, v in enumerate(ball)}
+    position = {w: i for i, w in enumerate(ball)}
     covered = set()
     sphere = [0] * (radius + 1)
     for word, dist, _ in hnn._orbit_walk(pres, radius):
@@ -746,10 +741,10 @@ def test_orbit_walk_partitions_the_ball(degree, radius):
         assert not orbit & covered
         covered |= orbit
         assert min(position[u] for u in orbit) == position[word]
-        assert ball[position[word]].distance == dist
+        assert stable_letter_count(word) == dist
         sphere[dist] += len(orbit)
     assert covered == set(position)
-    assert sphere == [sum(1 for v in ball if v.distance == d) for d in range(radius + 1)]
+    assert sphere == [sum(1 for w in ball if stable_letter_count(w) == d) for d in range(radius + 1)]
 
 
 @pytest.mark.parametrize("degree, radius", ORBIT_CASES)
@@ -757,13 +752,12 @@ def test_orbit_walk_carries_the_conjugated_stabilizer(degree, radius):
     """A representative w carries the codes w^-1 g w for the base codes g
     that fix it (``fixes_vertex``), and G x G at the base."""
     pres = binate_presentation(symmetric_group(degree))
-    for word, dist, C in hnn._orbit_walk(pres, radius):
-        v = hnn.Vertex(word, dist)
+    for word, _, C in hnn._orbit_walk(pres, radius):
         wi = word_inv(pres, word)
         expected = {
             word_mul(pres, word_mul(pres, wi, (g, ())), word)[0]
             for g in range(pres.size)
-            if fixes_vertex(pres, (g, ()), v)
+            if fixes_vertex(pres, (g, ()), word)
         }
         assert set(range(pres.size) if C is None else C) == expected
         if C is not None:
@@ -791,9 +785,9 @@ def ball_search(pres, max_letters, ok):
     """The first vertex of ``tree_ball`` order that passes ``ok``, or
     None: the vertex walk that the orbit walk replaced, as its oracle."""
     minus = pres.minus_subgroup()
-    for v in tree_ball(pres, max_letters):
-        if ok(minus, BrittonElement._trusted(pres, v.word)):
-            return v.word
+    for w in tree_ball(pres, max_letters):
+        if ok(minus, BrittonElement._trusted(pres, w)):
+            return w
     return None
 
 
@@ -816,7 +810,7 @@ def test_orbit_search_first_witness_for_an_orbit_invariant_condition(monkeypatch
     ball over Sym(3), the search returns the ball walk's first witness,
     with the same word."""
     pres = binate_presentation(S3)
-    orbit = orbit_of(pres, tree_ball(pres, 2)[target].word)
+    orbit = orbit_of(pres, tree_ball(pres, 2)[target])
 
     def on_orbit(H, t):
         return canonical_vertex(pres, t.word) in orbit
@@ -850,10 +844,10 @@ def test_orbit_search_budget_is_checked_before_any_check(monkeypatch):
 def _landing(pres, max_letters):
     """Each reduced word with at most max_letters stable letters, with
     the ball vertex it lands on."""
-    ball = {v.word: v for v in tree_ball(pres, max_letters)}
+    ball = set(tree_ball(pres, max_letters))
     for w in iter_reduced_words(pres, max_letters):
-        v = ball[canonical_vertex(pres, w)]
-        assert v.distance == stable_letter_count(w)
+        v = canonical_vertex(pres, w)
+        assert v in ball and stable_letter_count(v) == stable_letter_count(w)
         yield w, v
 
 
@@ -864,11 +858,11 @@ def test_cc_verdict_of_a_word_is_that_of_its_vertex(degree, max_letters):
     minus = pres.minus_subgroup()
     for w, v in _landing(pres, max_letters):
         on_word = check_cc(minus, BrittonElement(pres, w)).ok
-        assert on_word == check_cc(minus, BrittonElement(pres, v.word)).ok
+        assert on_word == check_cc(minus, BrittonElement(pres, v)).ok
 
 
 def test_two_letter_words_cover_the_sym3_ball(bp):
-    hit = {v.word for _, v in _landing(bp, 2)}
+    hit = {v for _, v in _landing(bp, 2)}
     assert len(hit) == len(tree_ball(bp, 2)) == 145
 
 

@@ -117,8 +117,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "descent-stops-at-distance-1", "hnn.py",
-        "for dist in range(1, radius + 1):",
-        "for dist in range(1, min(radius, 1) + 1):",
+        "for _ in range(radius):",
+        "for _ in range(min(radius, 1)):",
         DESCENT_TESTS, within="def fixed_vertices(",
     ),
     Mutant(
@@ -128,7 +128,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "descent-swaps-phi", "hnn.py",
-        "carried = pres._across[x][sign][a]", "carried = pres._across[x][-sign][a]",
+        "carried = pres._across[x][sign].get(a)", "carried = pres._across[x][-sign].get(a)",
         DESCENT_TESTS,
     ),
     Mutant(
@@ -145,7 +145,11 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "stack-pass-pinches-with-the-wrong-sign", "hnn.py",
-        "mid = pres._across[x][-f][c]", "mid = pres._across[x][f][c]", ENGINE_TESTS,
+        "mid = pres._across[x][-f].get(c)", "mid = pres._across[x][f].get(c)", ENGINE_TESTS,
+    ),
+    Mutant(
+        "across-keyed-by-the-far-code", "hnn.py",
+        "across[-1][a_code] = b_code", "across[-1][b_code] = a_code", ENGINE_TESTS,
     ),
     Mutant(
         "word-mul-without-seam-reduction", "hnn.py",
