@@ -99,10 +99,6 @@ def _degree_within(degree: int, budget: int) -> None:
         raise BudgetExceededError(f"permutation degree {degree} exceeds budget {budget}")
 
 
-def _tower(base: FgSubgroup, orders) -> wreath.TowerSpec:
-    return wreath.TowerSpec(base, ("prefix", tuple(orders)))
-
-
 def _level_in_orders(params) -> Optional[str]:
     level, orders = params["level"], params["orders"]
     if level > len(orders):
@@ -140,23 +136,28 @@ def _letters_within_tree(params) -> Optional[str]:
 @check_type("wreath-zn-witness", meaning=_p_divides_top_order)
 def run_wreath_zn_witness(bounds, rng, *, orders, level, p, degree=3) -> PropertyReport:
     _degree_within(degree, bounds["budget"])
-    tower = _tower(symmetric_group(degree), orders)
+    tower = wreath.TowerSpec(symmetric_group(degree), ("prefix", tuple(orders)))
     return checkers.verify_certificate(wreath.zn_witness(tower, tower.base, level, p))
+
+
+def _level_search(bounds, orders, level: int, degree: int):
+    """The set-up both level searches share: H = Sym(degree) embedded at
+    ``level``, the level's order, and ``wreath.search_candidates``'s
+    conjugators with their orbit count (None for the whole level)."""
+    # a level holds at least as many elements as its base group
+    base = _symmetric_base(degree, bounds["budget"], f"level {level} order exceeds")
+    tower = wreath.TowerSpec(base, ("prefix", tuple(orders)))
+    H = wreath.embed_subgroup(base, tower, level)
+    size = wreath.level_order(tower, level, bounds["budget"])
+    return (H, size, *wreath.search_candidates(tower, level, H, bounds["budget"]))
 
 
 @check_type("wreath-brute-search", expect="none", meaning=_level_in_orders)
 def run_wreath_brute_search(bounds, rng, *, orders, level, p, degree=3) -> PropertyReport:
-    # a level holds at least as many elements as its base group
-    base = _symmetric_base(degree, bounds["budget"], f"level {level} order exceeds")
-    tower = _tower(base, orders)
-    H = wreath.embed_subgroup(tower.base, tower, level)
-    size = wreath.level_order(tower, level, bounds["budget"])
-    t = wreath.brute_search_zp_witness(tower, level, H, p, bounds["budget"])
+    H, size, candidates, orbits = _level_search(bounds, orders, level, degree)
+    t = next((t for t in candidates if checkers.check_cznc(H, t, p).ok), None)
     if t is None:
-        through = ""
-        if wreath.base_normalizes(tower, level, H):
-            orbits = len(wreath.base_conjugacy_representatives(tower, bounds["budget"]))
-            through = f" through {orbits} base-group conjugacy orbits"
+        through = "" if orbits is None else f" through {orbits} base-group conjugacy orbits"
         line = f"exhausted all {size} elements{through}, no witness"
         return PropertyReport("none", (line,))
     return PropertyReport("some", (f"witness found among {size} elements",), t)
@@ -164,23 +165,16 @@ def run_wreath_brute_search(bounds, rng, *, orders, level, p, degree=3) -> Prope
 
 @check_type("wreath-torsion-exhaustive", meaning=_level_in_orders)
 def run_wreath_torsion_exhaustive(bounds, rng, *, orders, level, degree=3) -> PropertyReport:
-    # a level holds at least as many elements as its base group
-    base = _symmetric_base(degree, bounds["budget"], f"level {level} order exceeds")
-    tower = _tower(base, orders)
-    H = wreath.embed_subgroup(tower.base, tower, level)
-    size = wreath.level_order(tower, level, bounds["budget"])
-    count = 0
-    for t in wreath.search_candidates(tower, level, H, bounds["budget"]):
+    H, size, candidates, orbits = _level_search(bounds, orders, level, degree)
+    for t in candidates:
         order = element_order(t)
-        rep = checkers.check_czc(H, t, order)
-        if rep.ok:
+        if checkers.check_czc(H, t, order).ok:
             return PropertyReport.failing(
                 f"t of order {order} passes the Z-conjugate conditions", t
             )
-        count += 1
     line = f"all {size} elements fail the Z-conjugate conditions at p <= ord(t)"
-    if wreath.base_normalizes(tower, level, H):
-        line += f", checked on {count} base-group conjugacy orbits"
+    if orbits is not None:
+        line += f", checked on {orbits} base-group conjugacy orbits"
     return PropertyReport.passing([line])
 
 

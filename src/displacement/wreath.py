@@ -20,7 +20,7 @@ import itertools
 from math import gcd
 from typing import Dict, List, Optional
 
-from .checkers import WitnessCertificate, check_cznc
+from .checkers import WitnessCertificate
 # commutator and subgroups_commute are unused here but stay module
 # attributes: the benchmark tracer (bench/tracer.py) patches them by name
 from .core import (
@@ -50,7 +50,6 @@ class TowerSpec:
         self.label = f"{base.label} tower {rule!r}"
         self._contexts: Dict[int, "WreathContext"] = {}
         self._base_elems: Optional[List[Permutation]] = None
-        self._orbit_reps: Optional[List["WreathElement"]] = None
 
     def n(self, i: int) -> int:
         """Top order of level i (1-based)."""
@@ -81,27 +80,6 @@ class TowerSpec:
             elems = enumerate_subgroup([G.context.identity, *G.generators], budget)
             self._base_elems = sorted(elems, key=lambda p: p.images)
         return self._base_elems
-
-    def class_minima(self, budget: int = DEFAULT_BUDGET) -> List[Permutation]:
-        """The least element of each conjugacy class of the base group,
-        in the order of ``base_elements``.  Elements are visited in that
-        order, so the first element of each class is its minimum."""
-        gens = [(s, s.inverse()) for s in self.base.generators]
-        seen = set()
-        minima = []
-        for g in self.base_elements(budget):
-            if g in seen:
-                continue
-            cls = [g]
-            seen.add(g)
-            for x in cls:  # closure under conjugation by the generators
-                for s, s_inv in gens:
-                    y = s * x * s_inv
-                    if y not in seen:
-                        seen.add(y)
-                        cls.append(y)
-            minima.append(cls[0])
-        return minima
 
     def __repr__(self):
         return f"TowerSpec({self.label})"
@@ -303,20 +281,35 @@ def base_conjugacy_representatives(
     identity everywhere else.  That gives sum_k c^gcd(k, n) elements for
     c conjugacy classes of G."""
     level_order(tower, 1, budget)
-    if tower._orbit_reps is None:
-        ctx = tower.context(1)
-        n = ctx.top_order
-        rank = {g: i for i, g in enumerate(tower.base_elements(budget))}
-        minima = tower.class_minima(budget)
-        keyed = []
-        for k in range(n):
-            d = gcd(k, n)
-            for choice in itertools.product(minima, repeat=d):
-                values = {n - d + c: g for c, g in enumerate(choice)}
-                keyed.append(([0] * (n - d) + [rank[g] for g in choice], k, values))
-        keyed.sort(key=lambda item: item[:2])
-        tower._orbit_reps = [WreathElement._trusted(ctx, k, v) for _, k, v in keyed]
-    return tower._orbit_reps
+    ctx = tower.context(1)
+    n = ctx.top_order
+    elems = tower.base_elements(budget)
+    rank = {g: i for i, g in enumerate(elems)}
+    # the least element of each class: elements are visited in rank
+    # order, so the first of each class is its minimum
+    gens = [(s, s.inverse()) for s in tower.base.generators]
+    seen = set()
+    minima = []
+    for g in elems:
+        if g in seen:
+            continue
+        cls = [g]
+        seen.add(g)
+        for x in cls:  # closure under conjugation by the generators
+            for s, s_inv in gens:
+                y = s * x * s_inv
+                if y not in seen:
+                    seen.add(y)
+                    cls.append(y)
+        minima.append(cls[0])
+    keyed = []
+    for k in range(n):
+        d = gcd(k, n)
+        for choice in itertools.product(minima, repeat=d):
+            values = {n - d + c: g for c, g in enumerate(choice)}
+            keyed.append(([0] * (n - d) + [rank[g] for g in choice], k, values))
+    keyed.sort(key=lambda item: item[:2])
+    return [WreathElement._trusted(ctx, k, v) for _, k, v in keyed]
 
 
 def base_normalizes(tower: TowerSpec, level: int, H: FgSubgroup) -> bool:
@@ -339,14 +332,16 @@ def base_normalizes(tower: TowerSpec, level: int, H: FgSubgroup) -> bool:
 def search_candidates(
     tower: TowerSpec, level: int, H: FgSubgroup, budget: int = DEFAULT_BUDGET
 ):
-    """The conjugators a search for H must test, in canonical order: the
-    least element of each base-group orbit when the base group
-    normalizes H, and every element of the level otherwise.  The first
-    t satisfying a conjugation-invariant condition is the same in both,
+    """The conjugators a search for H must test, in canonical order, as
+    ``(candidates, orbits)``: the least element of each base-group orbit
+    and their number when the base group normalizes H, and a generator
+    of every element of the level and None otherwise.  The first t
+    satisfying a conjugation-invariant condition is the same in both,
     because it is the least element of its orbit."""
     if base_normalizes(tower, level, H):
-        return base_conjugacy_representatives(tower, budget)
-    return enumerate_level(tower, level, budget)
+        reps = base_conjugacy_representatives(tower, budget)
+        return reps, len(reps)
+    return enumerate_level(tower, level, budget), None
 
 
 def realize_permutation(w: WreathElement) -> Permutation:
@@ -385,29 +380,6 @@ def zn_witness(tower: TowerSpec, H: FgSubgroup, i: int, p: int) -> WitnessCertif
     t = WreathElement(ctx, k, ())
     H_up = embed_subgroup(H, tower, i)
     return WitnessCertificate("CZNC", H_up, {"t": t, "n": p}, {"level": i})
-
-
-def brute_search_zp_witness(
-    tower: TowerSpec,
-    level: int,
-    H: FgSubgroup,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Optional[WreathElement]:
-    """Exhaustive search of a finite wreath level for a Z/p witness for H.
-
-    Returns the first witness in canonical enumeration order, or None
-    once the whole level has been exhausted.  Where the base group
-    normalizes H, exhaustive means over its conjugacy orbits: one least
-    element each, which cover the level because being a witness is
-    invariant under that conjugation (``search_candidates``).  Errors
-    (rather than subsampling) if the level is larger than the budget."""
-    if H.context != tower.context(level):
-        raise ContextMismatchError("H must live at the searched level")
-    for t in search_candidates(tower, level, H, budget):
-        if check_cznc(H, t, p).ok:
-            return t
-    return None
 
 
 def sym_zn_witness(H: FgSubgroup, n: int) -> WitnessCertificate:

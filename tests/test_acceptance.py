@@ -54,9 +54,9 @@ from displacement.serialize import dump_report
 from displacement.suites import run_suite, _pl_letters, _random_pl_word
 from displacement.wreath import (
     TowerSpec,
-    brute_search_zp_witness,
     embed_subgroup,
     enumerate_level,
+    search_candidates,
     sym_zn_witness,
     zn_witness,
 )
@@ -95,7 +95,9 @@ def test_criterion_02_wreath_exhaustive_negative():
     def body():
         tower = TowerSpec(S3, ("prefix", (3,)))
         H = embed_subgroup(S3, tower, 1)
-        assert brute_search_zp_witness(tower, 1, H, 2) is None
+        candidates, orbits = search_candidates(tower, 1, H)
+        assert orbits == 33
+        assert not any(check_cznc(H, t, 2).ok for t in candidates)
 
     _timed(2, "no Z/2 witness among all 648 elements over Z/3", 10, body)
 

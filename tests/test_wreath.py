@@ -22,7 +22,6 @@ from displacement.wreath import (
     _iroot,
     base_conjugacy_representatives,
     base_normalizes,
-    brute_search_zp_witness,
     embed_level,
     embed_subgroup,
     embed_to_level,
@@ -143,20 +142,26 @@ def test_zn_witness_with_composite_top():
         zn_witness(tower, tower.base, 1, 3)  # 3 does not divide 4
 
 
+def first_witness(tower, level, H, p):
+    """The first Z/p witness for H among the search's candidates."""
+    candidates, _ = search_candidates(tower, level, H)
+    return next((t for t in candidates if check_cznc(H, t, p).ok), None)
+
+
 def test_brute_search():
     tower = s3_tower([2])
     H = embed_subgroup(symmetric_group(3), tower, 1)
-    found = brute_search_zp_witness(tower, 1, H, 2)
+    found = first_witness(tower, 1, H, 2)
     assert found is not None
     assert found.shift == 1
 
     t3 = s3_tower([3])
     H3 = embed_subgroup(symmetric_group(3), t3, 1)
-    assert brute_search_zp_witness(t3, 1, H3, 2) is None
+    assert first_witness(t3, 1, H3, 2) is None
 
     abelian = FgSubgroup("A", [Permutation.from_cycles(3, [(1, 2)])])
     HA = embed_subgroup(abelian, tower, 1)
-    assert brute_search_zp_witness(tower, 1, HA, 2).is_identity()
+    assert first_witness(tower, 1, HA, 2).is_identity()
 
 
 def test_budget_enforced():
@@ -373,7 +378,17 @@ def test_brute_search_agrees_with_the_raw_level(degree, n, p):
     H = embed_subgroup(tower.base, tower, 1)
     assert base_normalizes(tower, 1, H)
     expected = first_raw(tower, lambda t: check_cznc(H, t, p).ok)
-    assert brute_search_zp_witness(tower, 1, H, p) == expected
+    params = {"degree": degree, "orders": [n], "level": 1, "p": p}
+    rep = CHECK_TYPES["wreath-brute-search"](DEFAULT_BOUNDS, None, **params)
+    assert rep.verdict == ("none" if expected is None else "some")
+    # the runner builds its own tower, so compare the serialized forms
+    assert to_jsonable(rep.counterexample) == to_jsonable(expected)
+    if expected is None:
+        orbits = len(base_conjugacy_representatives(tower))
+        assert rep.checks == (
+            f"exhausted all {level_order(tower, 1)} elements"
+            f" through {orbits} base-group conjugacy orbits, no witness",
+        )
 
 
 @pytest.mark.parametrize("degree, n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2)])
@@ -405,11 +420,29 @@ def test_search_walks_the_whole_level_unless_the_base_normalizes_h():
     )
     H = embed_subgroup(stabilizer, tower, 1)
     assert not base_normalizes(tower, 1, H)
-    assert sum(1 for _ in search_candidates(tower, 1, H)) == level_order(tower, 1)
-    assert brute_search_zp_witness(tower, 1, H, 3) is None
+    candidates, orbits = search_candidates(tower, 1, H)
+    assert orbits is None
+    assert sum(1 for _ in candidates) == level_order(tower, 1)
+    assert first_witness(tower, 1, H, 3) is None
 
     full = embed_subgroup(tower.base, tower, 1)
-    assert sum(1 for _ in search_candidates(tower, 1, full)) == 30
+    candidates, orbits = search_candidates(tower, 1, full)
+    assert len(candidates) == orbits == 30
+
+
+def test_both_runners_walk_the_whole_level_above_level_1():
+    """At level 2 the base group of level 1 does not act, so both
+    searches walk all 2 * (2 * 6^2)^2 = 10368 elements of Sym(3) wr Z/2
+    wr Z/2 and their reports name no orbits."""
+    params = {"degree": 3, "orders": [2, 2], "level": 2}
+    brute = CHECK_TYPES["wreath-brute-search"](DEFAULT_BOUNDS, None, p=3, **params)
+    assert brute.verdict == "none"
+    assert brute.checks == ("exhausted all 10368 elements, no witness",)
+    torsion = CHECK_TYPES["wreath-torsion-exhaustive"](DEFAULT_BOUNDS, None, **params)
+    assert torsion.verdict == "pass"
+    assert torsion.checks == (
+        "all 10368 elements fail the Z-conjugate conditions at p <= ord(t)",
+    )
 
 
 def test_base_normalizes():
@@ -424,5 +457,6 @@ def test_base_normalizes():
     off_zero = FgSubgroup("S3@1", [WreathElement(ctx, 0, [(1, g)]) for g in s3.generators])
     assert not base_normalizes(tower, 1, off_zero)
     level2 = s3_tower([2, 2])
-    assert sum(1 for _ in search_candidates(
-        level2, 2, embed_subgroup(level2.base, level2, 2))) == level_order(level2, 2)
+    candidates, orbits = search_candidates(level2, 2, embed_subgroup(level2.base, level2, 2))
+    assert orbits is None
+    assert sum(1 for _ in candidates) == level_order(level2, 2)

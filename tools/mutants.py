@@ -263,11 +263,14 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "brute-search-verdicts-swapped", "suites.py",
-        "if t is None:", "if t is not None:", ("tests/test_cli.py",),
+        "t = next((t for t in candidates if checkers.check_cznc(H, t, p).ok), None)",
+        "t = next((t for t in candidates if not checkers.check_cznc(H, t, p).ok), None)",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "torsion-verdicts-swapped", "suites.py",
-        "if rep.ok:", "if not rep.ok:", WREATH_TESTS,
+        "if checkers.check_czc(H, t, order).ok:", "if not checkers.check_czc(H, t, order).ok:",
+        WREATH_TESTS,
     ),
     Mutant(
         "orbit-gcd-dropped", "wreath.py",
@@ -276,6 +279,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "orbit-class-member-not-minimum", "wreath.py",
         "minima.append(cls[0])", "minima.append(cls[-1])", WREATH_TESTS,
+        within="def base_conjugacy_representatives(",
     ),
     Mutant(
         "orbit-class-at-least-point", "wreath.py",
@@ -287,6 +291,16 @@ MUTANTS: Tuple[Mutant, ...] = (
         "normality-gate-forced-true", "wreath.py",
         "return all(s * x * s.inverse() in inner for s in G.generators for x in values)",
         "return True",
+        WREATH_TESTS,
+    ),
+    Mutant(
+        "orbit-count-dropped", "wreath.py",
+        "return reps, len(reps)", "return reps, None", WREATH_TESTS,
+    ),
+    Mutant(
+        "whole-level-claims-orbits", "wreath.py",
+        "return enumerate_level(tower, level, budget), None",
+        "return enumerate_level(tower, level, budget), 0",
         WREATH_TESTS,
     ),
     Mutant(
