@@ -20,8 +20,7 @@ The public constructors validate their input, and ``PLHomeo(...)``
 canonicalises it with ``_merge``, the one canonicaliser.  Closed
 operations on valid values skip that: ``PLHomeo.inverse`` reflects the
 list in the diagonal, and ``pl_compose`` returns one map when the other
-is the identity, puts the lists side by side when their hulls are
-disjoint, and else is one merge walk followed by ``_merge``.
+is the identity, and else is one merge walk followed by ``_merge``.
 
 This module also builds the standard generators of Thompson's group F
 on (0, 1) and the restricted tower obtained by repeatedly adjoining a
@@ -196,28 +195,19 @@ class PLHomeo:
 def pl_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     """Exact composition f . g (apply g first); F and G are the
     denominators of f and g.  If one is the identity, the product is the
-    other.  Maps with disjoint breakpoint hulls commute, and their
-    product is the two canonical lists side by side over L = lcm(F, G):
-    the join lies on the diagonal, so it makes no collinear triple, and
-    gcd(L / G, L / F) = 1.
-
-    Else it is one merge walk over the images y_i of g's breakpoints
-    (x_i, y_i) and the breakpoints (u_j, v_j) of f, in increasing order
-    of that middle coordinate, compared as y_i F and u_j G.  Each y_i
-    yields (x_i, f(y_i)) and each u_j yields (g^-1(u_j), v_j), the other
-    map interpolated inside the segment the walk is in, or the identity
-    outside its breakpoints.  Each point is an integer triple (X, Y, Q)
-    standing for (X / Q, Y / Q); the triples are brought to the lcm of
-    their Q at the end, and ``_merge`` reduces that."""
+    other.  Else it is one merge walk over the images y_i of g's
+    breakpoints (x_i, y_i) and the breakpoints (u_j, v_j) of f, in
+    increasing order of that middle coordinate, compared as y_i F and
+    u_j G.  Each y_i yields (x_i, f(y_i)) and each u_j yields
+    (g^-1(u_j), v_j), the other map interpolated inside the segment the
+    walk is in, or the identity outside its breakpoints.  Each point is
+    an integer triple (X, Y, Q) standing for (X / Q, Y / Q); the triples
+    are brought to the lcm of their Q at the end, and ``_merge`` reduces
+    that."""
     gb, fb = g.pts, f.pts
     if not gb or not fb:
         return f if not gb else g
     G, F = g.den, f.den
-    if gb[-1][0] * F < fb[0][0] * G or fb[-1][0] * G < gb[0][0] * F:
-        L = lcm(F, G)
-        a, b = L // G, L // F
-        both = [(x * a, y * a) for x, y in gb] + [(u * b, v * b) for u, v in fb]
-        return PLHomeo._trusted(tuple(sorted(both)), L)
     FG = F * G
     m, k = len(gb), len(fb)
     i = j = 0

@@ -69,8 +69,7 @@ def to_jsonable(obj: Any) -> Any:
                 "generators": [to_jsonable(g) for g in obj.generators]}
     if isinstance(obj, PropertyReport):
         return {"verdict": obj.verdict, "checks": list(obj.checks),
-                "counterexample": None if obj.counterexample is None
-                else [to_jsonable(x) for x in obj.counterexample]}
+                "counterexample": to_jsonable(obj.counterexample)}
     if isinstance(obj, WitnessCertificate):
         return {"kind": "certificate", "property": obj.property,
                 "subject": to_jsonable(obj.subject),

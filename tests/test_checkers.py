@@ -20,14 +20,23 @@ from displacement.checkers import (
     check_mitotic,
     verify_certificate,
 )
-from displacement.core import ContextMismatchError, FgSubgroup, conj, enumerate_subgroup
+from displacement.core import (
+    ContextMismatchError,
+    FgSubgroup,
+    PropertyReport,
+    commutes,
+    conj,
+    enumerate_subgroup,
+)
 from displacement.hnn import mitosis_presentation
 from displacement.perms import Permutation, SymmetricGroupContext, symmetric_group
 from displacement.plmaps import (
     IntervalSet,
     PLContext,
     PLHomeo,
+    displaces,
     in_standard_f_copy,
+    pl_support,
     thompson_generators,
     tower_gamma,
 )
@@ -52,6 +61,37 @@ def test_check_cc():
     rep = check_cc(H, bad)
     assert not rep.ok
     assert rep.counterexample is not None
+
+
+def _counting_products(monkeypatch, cls):
+    """Record each call of ``cls.__mul__``."""
+    calls = []
+    original = cls.__mul__
+
+    def mul(self, other):
+        calls.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", mul)
+    return calls
+
+
+def test_check_cc_settles_a_displaced_conjugate_with_no_product(monkeypatch):
+    """x -> x + 3 mod 6 moves supp H = {1, 2, 3} of Sym(3) in Sym(6) off
+    itself, so CC passes on the support route; a t that fixes supp H
+    goes to the products and fails on a generator pair."""
+    H = FgSubgroup("S3 in Sym(6)", [g.extend(6) for g in S3.generators])
+    t = _rotation(6, 3)
+    calls = _counting_products(monkeypatch, Permutation)
+    assert check_cc(H, t) == PropertyReport.passing(["[H, t H t^-1] = 1"])
+    assert calls == []
+    bad = H.generators[0]
+    rep = check_cc(H, bad)
+    assert calls
+    assert rep.checks == ("[H, t^1 H t^-1] != 1",)
+    h, k = rep.counterexample
+    assert h in H.generators and k in [conj(bad, g) for g in H.generators]
+    assert not commutes(h, k)
 
 
 def test_check_cznc():
@@ -146,12 +186,26 @@ def test_check_mitotic():
     assert not check_mitotic(minus, d, d * s).ok
 
 
+def test_check_mitotic_tests_commuting_conjugates_first():
+    """In Sym(4), t2 h t2^-1 = h * t1 h t1^-1 holds on the one generator
+    h, so the splitting condition alone would pass, but h and t1 h t1^-1
+    do not commute."""
+    h = Permutation.from_cycles(4, [(2, 3, 4)])
+    t1 = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    t2 = Permutation.from_cycles(4, [(1, 4, 3, 2)])
+    h1 = conj(t1, h)
+    assert conj(t2, h) == h * h1 and not commutes(h, h1)
+    rep = check_mitotic(FgSubgroup("H", [h]), t1, t2)
+    assert rep.checks == ("[H, t1 H t1^-1] != 1",) and rep.counterexample == (h, h1)
+
+
 def test_check_dissipator():
     gens, dissipators, intervals = tower_gamma(2)
     X = IntervalSet([intervals[0]])
     sample = FgSubgroup("Gamma_1", gens[:2])
     rep = check_dissipator(X, dissipators[0], sample, 5)
     assert rep.verdict == "bounded-pass"
+    assert rep.checks == ("checked powers 1..5", _implied_diagonals(5))
     x0, _ = thompson_generators()
     assert not check_dissipator(X, x0, sample, 2).ok
     with pytest.raises(ValueError):
@@ -159,6 +213,64 @@ def test_check_dissipator():
         check_dissipator(IntervalSet([(2, 3)]), dissipators[0], sample, 2)
     empty = FgSubgroup("E", [], context=PLContext())
     assert check_dissipator(X, dissipators[0], empty, 3).ok
+
+
+def _implied_diagonals(p_max: int) -> str:
+    return (
+        f"so truncated diagonals commute with the sample up to depth {p_max}:"
+        " t^q g t^-q is supported in t^q(X), off X"
+    )
+
+
+def _diagonals_by_products(X, t, sample, p_max):
+    """The dissipator check as it tested its diagonals before they were
+    stated: each truncated diagonal prod_{q<=p} t^q g t^-q multiplied
+    out and tested against every sample generator."""
+    for g in sample.generators:
+        if not X.contains_set(pl_support(g)):
+            raise ValueError(f"sample generator {g!r} not supported inside X")
+    disp = displaces(t, X, p_max)
+    if not disp.ok:
+        return PropertyReport.failing("t fails to displace X", disp.counterexample)
+    checks = list(disp.checks)
+    for g in sample.generators:
+        diag = None
+        tp = t
+        for q in range(1, p_max + 1):
+            piece = conj(tp, g)
+            diag = piece if diag is None else diag * piece
+            tp = tp * t
+            for h in sample.generators:
+                if not commutes(h, diag):
+                    return PropertyReport.failing(
+                        f"truncated diagonal at depth {q} does not commute", (h, diag)
+                    )
+    checks.append(f"truncated diagonals commute with the sample up to depth {p_max}")
+    return PropertyReport.bounded(checks)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_dissipator_diagonals_follow_from_displacement(depth):
+    """Over every level X = I_i of the tower with its generators as the
+    sample, every tower generator as t and p_max <= 6, the stated
+    diagonals agree with the products: wherever t displaces X, every
+    truncated diagonal commutes with the sample."""
+    gens, _, intervals = tower_gamma(depth)
+    verdicts = set()
+    for i, interval in enumerate(intervals, start=1):
+        X, sample = IntervalSet([interval]), FgSubgroup(f"Gamma_{i}", gens[: i + 1])
+        for t in gens:
+            for p_max in range(1, 7):
+                rep = check_dissipator(X, t, sample, p_max)
+                ref = _diagonals_by_products(X, t, sample, p_max)
+                assert rep.verdict == ref.verdict
+                if rep.ok:
+                    assert ref.checks[0] == rep.checks[0] == f"checked powers 1..{p_max}"
+                    assert rep.checks[1] == _implied_diagonals(p_max)
+                else:
+                    assert rep == ref
+                verdicts.add(rep.verdict)
+    assert verdicts == {"bounded-pass", "fail"}
 
 
 def test_check_M_with_f_copy():
@@ -189,6 +301,15 @@ def test_check_M_finite():
     # but conjugating by s = b pulls b a b^-1-type elements in
     rep3 = check_M(Lam, e, [conj(b, a)], b, 3, oracle)
     assert rep3.ok
+
+
+def test_check_M_on_a_trivial_lambda_states_the_czc_line():
+    gens, dissipators, _ = tower_gamma(2)
+    trivial = FgSubgroup("1", [], context=PLContext())
+    rep = check_M(trivial, dissipators[0], [], PLContext().identity, 3, in_standard_f_copy)
+    assert rep == PropertyReport.bounded(
+        ["[H, t^p H t^-p] = 1 for p = 1..3", "all 0 sample elements lie in s <Lam> s^-1"]
+    )
 
 
 def test_certificate_tag_validation():

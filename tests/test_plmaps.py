@@ -14,7 +14,7 @@ from math import gcd
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from displacement.core import FgSubgroup, conj, subgroups_commute
 from displacement.plmaps import (
@@ -251,14 +251,33 @@ def pl_pairs(draw):
         "equal": ((p0, p3), (p0, p3)),
         "empty": ((p0, p3), None),
     }[relation]
+    event(relation)
     maps = [draw(pl_map_on(*first)), draw(pl_map_on(*second)) if second else PLHomeo(())]
     if draw(st.booleans()):
         maps.reverse()
     return maps
 
 
+# maps whose breakpoint hulls are apart or touch at 1, in both orders:
+# pl_compose has no shortcut for them, so they take the merge walk
+_LEFT = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+APART_PAIRS = [
+    [f, g]
+    for right in (PLHomeo([(2, 2), (F(5, 2), F(9, 4)), (3, 3)]),
+                  PLHomeo([(1, 1), (F(3, 2), F(5, 3)), (2, 2)]))
+    for f, g in ((_LEFT, right), (right, _LEFT))
+]
+
+
+def with_apart_pairs(test):
+    for pair in APART_PAIRS:
+        test = example(pair)(test)
+    return test
+
+
 @settings(max_examples=300)
 @given(pl_pairs())
+@with_apart_pairs
 def test_compose_arbitrary_maps(pair):
     f, g = pair
     h = pl_compose(f, g)
@@ -315,6 +334,7 @@ def assert_matches_reference(h):
 
 @settings(max_examples=300)
 @given(pl_pairs())
+@with_apart_pairs
 def test_kernels_match_fraction_reference(pair):
     """Compose, evaluate, support and invert arbitrary maps, with negative
     coordinates and supports in every relative position, against the

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import extend, validator_for
 
-from displacement import serialize
+from displacement import serialize, suites
 from displacement.checkers import WitnessCertificate
 from displacement.core import PropertyReport
 from displacement.hnn import binate_presentation
@@ -57,6 +58,25 @@ def test_to_jsonable_is_json_safe():
     ]
     for obj in objs:
         json.dumps(to_jsonable(obj))  # must not raise
+
+
+def test_report_with_a_single_element_counterexample():
+    """A report's counterexample may be one element (the witness of a
+    "some" report) or a tuple of them; each serializes as the suites'
+    reports do."""
+    bounds = dict(suites.DEFAULT_BOUNDS)
+    found = suites.CHECK_TYPES["wreath-brute-search"](
+        bounds, random.Random(0), orders=[2], level=1, p=2
+    )
+    assert found.verdict == "some" and isinstance(found.counterexample, WreathElement)
+    assert to_jsonable(found)["counterexample"] == to_jsonable(found.counterexample)
+    perm = Permutation.from_cycles(3, [(1, 2)])
+    out = to_jsonable(PropertyReport.failing("x", perm))
+    assert out == {"verdict": "fail", "checks": ["x"],
+                   "counterexample": {"kind": "permutation", "degree": 3, "cycles": [[1, 2]]}}
+    pair = to_jsonable(PropertyReport.failing("x", (perm, perm)))["counterexample"]
+    assert pair == [to_jsonable(perm)] * 2
+    assert to_jsonable(PropertyReport.passing())["counterexample"] is None
 
 
 def test_certificate_serialization_drops_callables():

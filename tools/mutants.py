@@ -95,12 +95,6 @@ MUTANTS: Tuple[Mutant, ...] = (
         PL_TESTS,
     ),
     Mutant(
-        "compose-disjoint-hulls-touching", "plmaps.py",
-        "if gb[-1][0] * F < fb[0][0] * G or fb[-1][0] * G < gb[0][0] * F:",
-        "if gb[-1][0] * F <= fb[0][0] * G or fb[-1][0] * G <= gb[0][0] * F:",
-        PL_TESTS,
-    ),
-    Mutant(
         "interval-disjoint-closed", "plmaps.py",
         "l0 * E < r1 * D and l1 * D < r0 * E",
         "l0 * E <= r1 * D and l1 * D <= r0 * E",
@@ -224,6 +218,20 @@ MUTANTS: Tuple[Mutant, ...] = (
         "failure = _conjugates_commute(H, t, p_max + 1)",
         "failure = _conjugates_commute(H, t, p_max)",
         CHECKER_TESTS,
+    ),
+    Mutant(
+        "cc-power-loop-one-short", "checkers.py",
+        "failure = _conjugates_commute(H, t, 2)",
+        "failure = _conjugates_commute(H, t, 1)",
+        CHECKER_TESTS,
+    ),
+    Mutant(
+        "mitosis-cc-result-ignored", "checkers.py",
+        "if not cc.ok:", "if False:", CHECKER_TESTS,
+    ),
+    Mutant(
+        "dissipator-displacement-result-ignored", "checkers.py",
+        "if not disp.ok:", "if False:", CHECKER_TESTS,
     ),
     Mutant(
         "support-tested-before-it-is-pushed", "checkers.py",
