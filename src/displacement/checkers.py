@@ -27,14 +27,14 @@ shown to displace X (see ``check_dissipator``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 # commutator is unused here but stays a module attribute: the benchmark
 # tracer (bench/tracer.py) patches it by name
 from .core import (
     FgSubgroup,
     PropertyReport,
+    _Record,
     _require_same_context,
     commutator,
     commutes,
@@ -43,8 +43,8 @@ from .core import (
 from .perms import Permutation
 from .plmaps import IntervalSet, PLHomeo, displaces, pl_support
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+
+class WitnessCertificate(_Record):
     """A displacement property together with its quantified witnesses.
 
     ``payload`` holds the witness data keyed by name: "t" for a
@@ -53,14 +53,17 @@ class WitnessCertificate:
     and "membership" where the property needs them.
     """
 
-    property: str
-    subject: FgSubgroup
-    payload: dict
-    bounds: dict = field(default_factory=dict)
+    __slots__ = ("property", "subject", "payload", "bounds")
 
-    def __post_init__(self):
-        if self.property not in VERIFIERS:
-            raise ValueError(f"unknown property tag {self.property!r}")
+    def __init__(
+        self, property: str, subject: FgSubgroup, payload: dict, bounds: Optional[dict] = None
+    ):
+        if property not in VERIFIERS:
+            raise ValueError(f"unknown property tag {property!r}")
+        self.property = property
+        self.subject = subject
+        self.payload = payload
+        self.bounds = {} if bounds is None else bounds
 
 
 class GeneratorMap:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import traceback
 from typing import Optional
 
 from .core import BudgetExceededError
@@ -111,6 +110,8 @@ def main(argv: Optional[list] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except Exception:  # the input was valid, so the fault is the program's
+        import traceback  # off the import path: only a fault needs it
+
         traceback.print_exc()
         return 4
     elapsed = time.monotonic() - started

@@ -18,7 +18,6 @@ both operands live in the same ambient group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 
@@ -62,8 +61,29 @@ def commutes(a, b) -> bool:
     return a * b == b * a
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class _Record:
+    """Equality, hashing and repr over the fields that ``__slots__`` names,
+    in order, as a frozen dataclass defines them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+
+class PropertyReport(_Record):
     """Structured outcome of a property check, the one result type from
     checker to report: each field becomes one key of the check's report
     entry (``verdict``, ``checks`` as ``detail``, ``counterexample``).
@@ -76,9 +96,14 @@ class PropertyReport:
     witness found.
     """
 
-    verdict: str
-    checks: Tuple[str, ...] = ()
-    counterexample: Optional[Any] = None
+    __slots__ = ("verdict", "checks", "counterexample")
+
+    def __init__(
+        self, verdict: str, checks: Tuple[str, ...] = (), counterexample: Optional[Any] = None
+    ):
+        self.verdict = verdict
+        self.checks = checks
+        self.counterexample = counterexample
 
     @property
     def ok(self) -> bool:

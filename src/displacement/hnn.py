@@ -18,9 +18,11 @@ A_x for sign -1.  ``_across[x][sign]`` has one key per member c of S,
 or phi_x), so ``c in _across[x][sign]`` is the membership test.  Words
 are alternating sequences b0 x1^e1 b1 ... xm^em bm; a ``BrittonElement``
 reduces its word once, and its products and inverses come reduced.
-G is enumerated once, its product table composed from image tuples, and
-G x G is encoded as integers, so every base operation is a lookup; that
-table is the one structure with |G|^2 entries.
+G is enumerated once and G x G is encoded as integers, so every base
+operation is a lookup.  The product table of G is composed a row at a
+time, on first use, from image tuples: no structure of a presentation
+has |G|^2 entries until every row has been read, and a check that
+multiplies by a few elements composes a few rows.
 
 Britton reduction is one left-to-right pass that pushes the stable
 letters onto a stack, each tested against the top: a pinch pops the
@@ -50,6 +52,7 @@ the ball instead, each carrying its stabilizer by the same rule.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .checkers import check_cc
@@ -74,17 +77,40 @@ _EMBEDDINGS = {
 }
 
 
-# the largest base group G a presentation is built over: its product
-# table, the one |G|^2-entry structure, is indexed by G x G
+# the largest base group G a presentation is built over: all of its
+# product table, |G|^2 entries, is composed once every row has been read
 MAX_BASE_ORDER = 10**3
+
+
+class _ProductRows(dict):
+    """The product table of G, each row composed on first use: row a
+    holds at b the index of a * b, whose images are p[q[i]] for p and q
+    the image tuples of a and b (``Permutation.__mul__``'s formula), and
+    column b's ``itemgetter`` maps p to them.  With one index (degree 1)
+    an ``itemgetter`` returns the image itself, not a 1-tuple, so ``_at``
+    keys each element by what column 0, the identity's getter, returns."""
+
+    __slots__ = ("_images", "_columns", "_at")
+
+    def __init__(self, images: List[tuple]):
+        super().__init__()
+        self._images = images
+        self._columns = columns = [itemgetter(*q) for q in images]
+        self._at = dict(zip(map(columns[0], images), range(len(images))))
+
+    def __missing__(self, a: int) -> List[int]:
+        p, at = self._images[a], self._at
+        self[a] = row = [at[column(p)] for column in self._columns]
+        return row
 
 
 class FiniteHnnPresentation:
     """HNN/mitosis presentation over a finite permutation group G.
 
     Base letters are integers encoding pairs (a, b) in G x G as
-    a*|G| + b, with products, inverses and the associated isomorphisms
-    precomputed as tables.  Raises BudgetExceededError, after
+    a*|G| + b, with inverses and the associated isomorphisms precomputed
+    as tables, and products read from rows composed on first use.
+    Raises BudgetExceededError, after
     enumerating at most ``MAX_BASE_ORDER`` elements and before any table
     is built, when G is larger."""
 
@@ -101,11 +127,6 @@ class FiniteHnnPresentation:
         elems.sort(key=lambda p: p.images)
         n = len(elems)
         index = {g: i for i, g in enumerate(elems)}
-        # a * b has images a.images[b.images[i]] (``Permutation.__mul__``'s
-        # formula), composed here on image tuples and indexed by images
-        images = [g.images for g in elems]
-        at = {p: i for i, p in enumerate(images)}
-        gmul = [[at[tuple([p[i] for i in q])] for q in images] for p in images]
 
         self.group = base
         self.group_elems = elems
@@ -115,7 +136,7 @@ class FiniteHnnPresentation:
         self.letters = tuple(letters)
         self.label = label
         self._index = index
-        self._gmul = gmul
+        self._gmul = _ProductRows([g.images for g in elems])
         self._ginv = [index[a.inverse()] for a in elems]
 
         # _across[x][sign] maps each c = S(g), and only those |G| codes,
@@ -218,21 +239,23 @@ def _push_letters(pres, b0: int, stack: List, letters) -> int:
     or x^-1 b x (b in B_x) pops the top, and the merged base letter goes
     to the new top, which the next letter is tested against.  The stack
     never holds a pinch, so this removes the leftmost pinch first, in
-    one pass."""
-    mul = pres.mul
+    one pass.  Products are ``pres.mul``'s, read from the rows inline."""
+    gmul, n, across = pres._gmul, pres.n, pres._across
     top = stack[-1] if stack else None
     for letter in letters:
         if top is not None and top[0] == letter[0] and top[1] == -letter[1]:
             x, f, c = top
-            mid = pres._across[x][-f].get(c)
+            mid = across[x][-f].get(c)
             if mid is not None:
                 stack.pop()
-                merged = mul(mid, letter[2])
+                d = letter[2]
+                merged = gmul[mid // n][d // n] * n + gmul[mid % n][d % n]
+                m1, m2 = divmod(merged, n)
                 if stack:
                     y, g, b = stack[-1]
-                    top = stack[-1] = (y, g, mul(b, merged))
+                    top = stack[-1] = (y, g, gmul[b // n][m1] * n + gmul[b % n][m2])
                 else:
-                    b0 = mul(b0, merged)
+                    b0 = gmul[b0 // n][m1] * n + gmul[b0 % n][m2]
                     top = None
                 continue
         stack.append(letter)
@@ -289,14 +312,17 @@ def word_mul(pres, u: Word, v: Word) -> Word:
 
 
 def word_inv(pres, u: Word) -> Word:
+    """bm^-1 xm^-em ... b1^-1 x1^-e1 b0^-1 for u = b0 x1^e1 b1 ... xm^em bm:
+    each letter xj^ej, preceded by b(j-1), becomes xj^-ej followed by
+    b(j-1)^-1, with ``pres.inv`` read from ``_ginv`` inline."""
     b0, letters = u
-    bases = [b0] + [b for _, _, b in letters]
-    new_b0 = pres.inv(bases[-1])
-    new_letters = []
-    for j in range(len(letters) - 1, -1, -1):
-        x, e, _ = letters[j]
-        new_letters.append((x, -e, pres.inv(bases[j])))
-    return (new_b0, tuple(new_letters))
+    ginv, n = pres._ginv, pres.n
+    inverted = []
+    for x, e, b in letters:
+        inverted.append((x, -e, ginv[b0 // n] * n + ginv[b0 % n]))
+        b0 = b
+    inverted.reverse()
+    return (ginv[b0 // n] * n + ginv[b0 % n], tuple(inverted))
 
 
 def is_identity(pres, word: Word) -> bool:
@@ -321,16 +347,24 @@ def reduced_normal_form(pres, word: Word) -> Word:
     """The normal form of a Britton-reduced word: every base letter
     (except the last) rewritten to its left-coset transversal
     representative r, where it is r c (``split``), and the subgroup part
-    c pushed rightwards through the next stable letter (``_across``)."""
+    c pushed rightwards through the next stable letter (``_across``).
+
+    ``split``'s arithmetic runs inline, on the coordinates (b1, b2) of b:
+    c = S(g) for g = b1 if S's first flag is set, else b2, and r = b c^-1
+    is (1, b2 g^-1) or (b1, 1) for S the diagonal or 1 x G, and (1, b2)
+    for S = G x 1."""
     b, letters = word
     if not letters:
         return word
-    split, across, mul = pres.split, pres._across, pres.mul
+    gmul, ginv, n, across = pres._gmul, pres._ginv, pres.n, pres._across
     bases = []
     for x, e, nxt in letters:
-        r, c = split(x, e, b)
-        bases.append(r)
-        b = mul(across[x][e][c], nxt)
+        first, second = _EMBEDDINGS[x][e > 0]
+        b1, b2 = divmod(b, n)
+        g = b1 if first else b2
+        bases.append((0 if first else b1 * n) + (gmul[b2][ginv[g]] if second else b2))
+        far = across[x][e][(g * n if first else 0) + (g if second else 0)]
+        b = gmul[far // n][nxt // n] * n + gmul[far % n][nxt % n]
     return (
         bases[0],
         tuple([(x, e, r) for (x, e, _), r in zip(letters, bases[1:] + [b])]),

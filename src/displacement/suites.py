@@ -10,7 +10,6 @@ so expected-fail refutations count as success.
 
 from __future__ import annotations
 
-import inspect
 import random
 import zlib
 from fractions import Fraction
@@ -34,8 +33,10 @@ DEFAULT_BOUNDS = {"budget": DEFAULT_BUDGET, "radius": 3}
 # scenario type name -> runner taking (bounds, rng, **params).  run_checks
 # looks runners up here at call time.
 CHECK_TYPES: Dict[str, Callable[..., PropertyReport]] = {}
-# scenario type name -> param -> its default, or inspect.Parameter.empty
-# for a required one: the runner's keyword-only arguments, read once
+# the default of a required param in PARAMS
+REQUIRED = object()
+# scenario type name -> param -> its default, or REQUIRED: the runner's
+# keyword-only arguments, read once
 PARAMS: Dict[str, Dict[str, object]] = {}
 DEFAULT_EXPECT: Dict[str, str] = {}
 # scenario type name -> completed params -> what makes them meaningless, or None
@@ -54,8 +55,9 @@ def check_type(
 
     def register(fn):
         CHECK_TYPES[name] = fn
-        arguments = inspect.signature(fn).parameters.values()
-        PARAMS[name] = {a.name: a.default for a in arguments if a.kind is a.KEYWORD_ONLY}
+        code, defaults = fn.__code__, fn.__kwdefaults__ or {}
+        keywords = code.co_varnames[code.co_argcount : code.co_argcount + code.co_kwonlyargcount]
+        PARAMS[name] = {k: defaults.get(k, REQUIRED) for k in keywords}
         DEFAULT_EXPECT[name] = expect
         if meaning is not None:
             MEANING[name] = meaning
@@ -406,16 +408,23 @@ def run_pl_fixed_point(bounds, rng, *, samples=50) -> PropertyReport:
 
 
 def _random_britton_word(rng, pres, signed, max_letters: int):
-    """Each letter (x, sign, b) is uniform over the signed stable letters
-    times the base codes: one draw q gives signed[q // size] and q % size."""
+    """A word of m letters, m uniform in 0..max_letters, with b0 uniform
+    over the base codes and each letter (x, sign, b) uniform over the
+    signed stable letters times the base codes.  One draw, in mixed
+    radix (max_letters + 1, size, then k = |signed| size per letter),
+    gives m, b0 and max_letters letter digits q, each read as
+    signed[q // size] and q % size; the digits past the m-th go unread,
+    so the words of m letters share their draws equally."""
     size = pres.size
-    m = rng.randint(0, max_letters)
+    k = len(signed) * size
+    r, m = divmod(rng.randrange((max_letters + 1) * size * k**max_letters), max_letters + 1)
+    r, b0 = divmod(r, size)
     letters = []
     for _ in range(m):
-        q = rng.randrange(len(signed) * size)
+        r, q = divmod(r, k)
         x, sign = signed[q // size]
         letters.append((x, sign, q % size))
-    return (rng.randrange(size), tuple(letters))
+    return (b0, tuple(letters))
 
 
 @check_type("britton-engine")
@@ -438,15 +447,20 @@ def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
     detail.append(
         f"defining rewrites verified for all {len(b_pres.group_elems)} base elements"
     )
-    # Britton's lemma: reduced one-letter words are never the identity
+    # Britton's lemma: reduced one-letter words b0 x^sign b1 are never the
+    # identity; walked in ``iter_reduced_words`` order, so a failure names
+    # the word that walk would reach first
     count = 0
     for pres in (b_pres, m_pres):
-        for word in hnn.iter_reduced_words(pres, 1):
-            if hnn.stable_letter_count(word) != 1:
-                continue
-            if hnn.is_identity(pres, word):
-                return PropertyReport.failing("reduced 1-letter word is trivial", word)
-            count += 1
+        codes = range(pres.size)
+        for x in pres.letters:
+            for sign in (1, -1):
+                for b0 in codes:
+                    for b1 in codes:
+                        word = (b0, ((x, sign, b1),))
+                        if hnn.is_identity(pres, word):
+                            return PropertyReport.failing("reduced 1-letter word is trivial", word)
+                count += pres.size**2
     detail.append(f"all {count} reduced one-stable-letter words are nontrivial")
     # confluence under randomized pinch orders (reduced words: equal ones share a normal form)
     for pres in (b_pres, m_pres):
@@ -741,7 +755,7 @@ def run_checks(checks: List[dict], bounds: dict, seed: int) -> dict:
         if extra:
             names = ", ".join(extra)
             raise ScenarioError(f"check {check['id']!r}: type {ctype!r} does not take {names}")
-        missing = [k for k, v in params.items() if v is inspect.Parameter.empty]
+        missing = [k for k, v in params.items() if v is REQUIRED]
         if missing:
             raise ScenarioError(f"check {check['id']!r} lacks params: {', '.join(missing)}")
         problem = MEANING[ctype](params) if ctype in MEANING else None

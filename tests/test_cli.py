@@ -1,6 +1,5 @@
 """Command line interface: exit codes, determinism, report formats."""
 
-import dataclasses
 import inspect
 import json
 import resource
@@ -363,6 +362,18 @@ def test_check_type_registry_matches_the_schema():
     assert set(enum) == set(CHECK_TYPES) == set(DEFAULT_EXPECT)
 
 
+def test_registry_reads_the_params_that_inspect_reads():
+    """``check_type`` reads each runner's keyword-only arguments from its
+    code object, as ``inspect.signature`` reads them, in order, with
+    ``REQUIRED`` standing for a missing default."""
+    for ctype in CHECK_TYPES:
+        expected = {
+            name: suites.REQUIRED if default is inspect.Parameter.empty else default
+            for name, default in declared_params(ctype).items()
+        }
+        assert list(suites.PARAMS[ctype].items()) == list(expected.items())
+
+
 def test_runner_params_match_the_schema():
     """The schema's params are exactly those some runner takes."""
     items = load_schema()["properties"]["checks"]["items"]
@@ -506,7 +517,7 @@ def test_sym_zn_witness_charges_the_permutations_it_holds(capsys, tmp_path):
 def test_every_report_field_reaches_the_check_entry(monkeypatch):
     """A check result holds only what its report entry prints."""
     entry_key = {"verdict": "verdict", "checks": "detail", "counterexample": "counterexample"}
-    assert [f.name for f in dataclasses.fields(PropertyReport)] == list(entry_key)
+    assert PropertyReport.__slots__ == tuple(entry_key)
     rep = PropertyReport("fail", ("first", "second"), (1, "a"))
     monkeypatch.setitem(CHECK_TYPES, "gl-z2", lambda bounds, rng: rep)
     (entry,) = run_checks([{"id": "x", "type": "gl-z2"}], {}, 0)["checks"]

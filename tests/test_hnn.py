@@ -1,5 +1,6 @@
 """Britton rewriting, normal forms, the tree, and bounded searches."""
 
+import collections
 import itertools
 import random
 
@@ -341,14 +342,39 @@ def test_engine_normal_form_tables_match_decomposition(make):
     assert normal_form(pres, word) == reference_normal_form(pres, word)
 
 
-@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_engine_product_table_is_the_permutation_product(degree):
-    """The product table, built on image tuples, holds the index of
-    ``Permutation.__mul__``'s product for every pair."""
+    """Each product row, composed on image tuples, holds the index of
+    ``Permutation.__mul__``'s product a * b at b, for every a; at degree
+    1 a column's getter returns an image, not a tuple."""
     pres = binate_presentation(symmetric_group(degree))
-    for i, a in enumerate(pres.group_elems):
-        for j, b in enumerate(pres.group_elems):
-            assert pres._gmul[i][j] == pres._index[a * b]
+    elems = pres.group_elems
+    for i, a in enumerate(elems):
+        assert pres._gmul[i] == [pres._index[a * b] for b in elems]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: suites.run_cc_search_b1({"budget": 10**7}, None, max_letters=1, degree=6),
+    lambda: suites.run_mitosis({}, None, degree=6),
+], ids=["cc-search-b1", "mitosis"])
+def test_engine_rows_are_composed_on_first_use(monkeypatch, run):
+    """A presentation over Sym(6) composes no product row when it is
+    built, and the two checks that multiply by a few base elements each
+    compose 3 of its 720 rows, each once, under its own code."""
+    for make in (binate_presentation, mitosis_presentation):
+        assert len(make(symmetric_group(6))._gmul) == 0
+    composed = []
+    missing = hnn._ProductRows.__missing__
+
+    def compose(rows, a):
+        row = missing(rows, a)
+        composed.append(a)
+        assert a in rows
+        return row
+
+    monkeypatch.setattr(hnn._ProductRows, "__missing__", compose)
+    assert run().verdict in ("pass", "none")
+    assert sorted(set(composed)) == sorted(composed) and len(composed) == 3
 
 
 # (x, sign) -> (S, F): x^sign moves S(g) across to x^-sign S(g) x^sign =
@@ -434,30 +460,59 @@ def test_engine_split_and_transversal_are_the_coset_sweep(make, degree):
 
 
 @pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
-def test_engine_sampler_splits_one_draw_into_each_signed_letter_once(make):
-    """A sampled letter comes from one draw q in range(2 |letters| size),
-    and q -> (x, sign, q % size) is a bijection onto the signed letters."""
-    pres = make(S3)
-    total = 2 * len(pres.letters) * pres.size
+def test_engine_sampler_reads_one_draw_in_mixed_radix(make):
+    """A sampled word comes from one draw r in range((L + 1) size k^L),
+    k = 2 |letters| size, read as m, b0 and L letter digits.  Every word
+    of m <= L letters is drawn k^(L - m) times, once for each value of
+    the digits it leaves unread: m is uniform and, given m, so is the
+    word, as with one draw per letter."""
+    pres, L = make(symmetric_group(2)), 2
+    signed = [(x, sign) for x in pres.letters for sign in (1, -1)]
+    k = len(signed) * pres.size
+    total = (L + 1) * pres.size * k**L
 
     class Draws:
-        def randint(self, lo, hi):
-            return 1
-
         def randrange(self, stop):
             self.stops.append(stop)
-            return self.q if stop == total else 0
+            return self.r
 
-    rng = Draws()
-    signed = [(x, sign) for x in pres.letters for sign in (1, -1)]
-    drawn = []
-    for q in range(total):
-        rng.q, rng.stops = q, []
-        b0, (letter,) = suites._random_britton_word(rng, pres, signed, 6)
-        assert rng.stops == [total, pres.size] and b0 == 0
-        drawn.append(letter)
-    expected = itertools.product(pres.letters, (1, -1), range(pres.size))
-    assert sorted(drawn) == sorted(expected)
+    rng, drawn = Draws(), collections.Counter()
+    for r in range(total):
+        rng.r, rng.stops = r, []
+        drawn[suites._random_britton_word(rng, pres, signed, L)] += 1
+        assert rng.stops == [total]
+    letters = list(itertools.product(pres.letters, (1, -1), range(pres.size)))
+    assert drawn == {
+        (b0, word): k ** (L - m)
+        for m in range(L + 1)
+        for b0 in range(pres.size)
+        for word in itertools.product(letters, repeat=m)
+    }
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_engine_check_tests_each_one_letter_word_in_walk_order(monkeypatch, degree):
+    """The one-letter loop runs ``is_identity`` on exactly the one-letter
+    words of ``iter_reduced_words``, b(G)'s then m(G)'s, in its order,
+    and its detail line counts them."""
+    base = symmetric_group(degree)
+    expected = [
+        (pres.label, word)
+        for pres in (binate_presentation(base), mitosis_presentation(base))
+        for word in iter_reduced_words(pres, 1)
+        if stable_letter_count(word) == 1
+    ]
+    tested = []
+    identity = hnn.is_identity
+
+    def spy(pres, word):
+        tested.append((pres.label, word))
+        return identity(pres, word)
+
+    monkeypatch.setattr(hnn, "is_identity", spy)
+    rep = suites.run_britton_engine({}, random.Random(0), degree=degree, samples=0)
+    assert rep.verdict == "pass" and tested == expected
+    assert f"all {len(expected)} reduced one-stable-letter words are nontrivial" in rep.checks
 
 
 def test_engine_check_reports_a_confluence_break(monkeypatch):

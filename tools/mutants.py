@@ -133,13 +133,35 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "stack-pass-skips-retest-after-pinch", "hnn.py",
-        "top = stack[-1] = (y, g, mul(b, merged))",
-        "stack[-1] = (y, g, mul(b, merged)); top = None",
+        "top = stack[-1] = (y, g, gmul[b // n][m1] * n + gmul[b % n][m2])",
+        "stack[-1] = (y, g, gmul[b // n][m1] * n + gmul[b % n][m2]); top = None",
         ENGINE_TESTS,
     ),
     Mutant(
         "stack-pass-pinches-with-the-wrong-sign", "hnn.py",
-        "mid = pres._across[x][-f].get(c)", "mid = pres._across[x][f].get(c)", ENGINE_TESTS,
+        "mid = across[x][-f].get(c)", "mid = across[x][f].get(c)", ENGINE_TESTS,
+    ),
+    Mutant(
+        "pinch-merges-factors-swapped", "hnn.py",
+        "merged = gmul[mid // n][d // n] * n + gmul[mid % n][d % n]",
+        "merged = gmul[d // n][mid // n] * n + gmul[d % n][mid % n]",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "word-inv-keeps-the-letter-order", "hnn.py",
+        "inverted.reverse()", "pass", ENGINE_TESTS,
+    ),
+    Mutant(
+        "product-row-composed-in-opposite-order", "hnn.py",
+        "self[a] = row = [at[column(p)] for column in self._columns]",
+        "self[a] = row = [at[self._columns[a](q)] for q in self._images]",
+        ("tests/test_hnn.py", "-k", "product_table"),
+    ),
+    Mutant(
+        "product-row-cached-under-wrong-key", "hnn.py",
+        "self[a] = row = [at[column(p)] for column in self._columns]",
+        "self[p] = row = [at[column(p)] for column in self._columns]",
+        ("tests/test_hnn.py", "-k", "composed_on_first_use"),
     ),
     Mutant(
         "across-keyed-by-the-far-code", "hnn.py",
@@ -151,7 +173,13 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "push-table-from-phi", "hnn.py",
-        "b = mul(across[x][e][c], nxt)", "b = mul(across[x][-e][c], nxt)", ENGINE_TESTS,
+        "far = across[x][e][(g * n if first else 0) + (g if second else 0)]",
+        "far = across[x][-e][(g * n if first else 0) + (g if second else 0)]",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "normal-form-reads-the-other-coordinate", "hnn.py",
+        "g = b1 if first else b2", "g = b2 if first else b1", ENGINE_TESTS,
     ),
     Mutant(
         "split-divides-on-the-left", "hnn.py",
@@ -177,6 +205,11 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "sampler-draws-sign-plus-only", "suites.py",
         "x, sign = signed[q // size]", "x, sign = signed[q // size][0], 1", ENGINE_TESTS,
+    ),
+    Mutant(
+        "one-letter-loop-skips-sign-minus", "suites.py",
+        "for sign in (1, -1):", "for sign in (1,):", ENGINE_TESTS,
+        within="def run_britton_engine(",
     ),
     Mutant(
         "level-order-enumerates-under-full-budget", "wreath.py",
