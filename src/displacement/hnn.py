@@ -30,7 +30,11 @@ top and merges its base letters into the new top, which the next letter
 is tested against.  The stack never holds a pinch, so the pass removes
 the leftmost pinch first, the word it returns is the one that
 rescanning after every pinch would return, and its cost is linear in
-the word's length.  ``word_mul`` pushes v's letters onto u's, so the
+the word's length.  A word of fewer than two stable letters has no
+pinch site, so it comes back as it stands, on the stack pass and the
+random-order path alike; so does a word in which the random-order
+path's first scan finds no pinch site.  Either way the letters come
+back as a tuple.  ``word_mul`` pushes v's letters onto u's, so the
 product of reduced words pinches only at the seam.  Normal forms of
 reduced words come in closed form: every associated subgroup S is 1 x G,
 G x 1 or the diagonal, so b = r c splits with c = S(g), for g the
@@ -249,8 +253,7 @@ def _push_letters(pres, b0: int, stack: List, letters) -> int:
             if mid is not None:
                 stack.pop()
                 d = letter[2]
-                merged = gmul[mid // n][d // n] * n + gmul[mid % n][d % n]
-                m1, m2 = divmod(merged, n)
+                m1, m2 = gmul[mid // n][d // n], gmul[mid % n][d % n]
                 if stack:
                     y, g, b = stack[-1]
                     top = stack[-1] = (y, g, gmul[b // n][m1] * n + gmul[b % n][m2])
@@ -268,14 +271,21 @@ def britton_reduce(pres, word: Word, rng=None) -> Word:
     x^-1 b x (b in B_x) until none remain, leftmost first, in one stack
     pass.  ``rng`` instead pinches at a random site each time (the
     confluence check of ``britton-engine``); the result is always equal
-    to the input in the group."""
+    to the input in the group.  A word with fewer than two stable
+    letters, or with no pinch site under ``rng``, is returned as it
+    stands, with its letters as a tuple."""
     b0, letters = word
+    if len(letters) < 2:
+        return word if type(letters) is tuple else (b0, tuple(letters))
     if rng is None:
         stack: List = []
         b0 = _push_letters(pres, b0, stack, letters)
         return (b0, tuple(stack))
+    sites = _pinch_sites(pres, letters)
+    if not sites:
+        return word if type(letters) is tuple else (b0, tuple(letters))
     letters = list(letters)
-    while sites := _pinch_sites(pres, letters):
+    while sites:
         i = sites[rng.randrange(len(sites))]
         x1, e1, b1 = letters[i]
         _, _, b2 = letters[i + 1]
@@ -287,6 +297,7 @@ def britton_reduce(pres, word: Word, rng=None) -> Word:
             xp, ep, bp = letters[i - 1]
             letters[i - 1] = (xp, ep, pres.mul(bp, merged))
         del letters[i : i + 2]
+        sites = _pinch_sites(pres, letters)
     return (b0, tuple(letters))
 
 
@@ -300,13 +311,14 @@ def word_mul(pres, u: Word, v: Word) -> Word:
     seam."""
     b0u, lu = u
     b0v, lv = v
+    gmul, n = pres._gmul, pres.n
     stack = list(lu)
     if stack:
         x, e, b = stack[-1]
-        stack[-1] = (x, e, pres.mul(b, b0v))
+        stack[-1] = (x, e, gmul[b // n][b0v // n] * n + gmul[b % n][b0v % n])
         b0 = b0u
     else:
-        b0 = pres.mul(b0u, b0v)
+        b0 = gmul[b0u // n][b0v // n] * n + gmul[b0u % n][b0v % n]
     b0 = _push_letters(pres, b0, stack, lv)
     return (b0, tuple(stack))
 

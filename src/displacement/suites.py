@@ -407,24 +407,30 @@ def run_pl_fixed_point(bounds, rng, *, samples=50) -> PropertyReport:
     return PropertyReport.passing(detail)
 
 
-def _random_britton_word(rng, pres, signed, max_letters: int):
+def _britton_letters(pres) -> List[tuple]:
+    """The k = 2 |letters| size letter tuples (x, sign, b) that
+    ``_random_britton_word`` reads its letter digits from: digit q is
+    the signed letter q // size with base code q % size."""
+    return [(x, sign, b) for x in pres.letters for sign in (1, -1) for b in range(pres.size)]
+
+
+def _random_britton_word(rng, pres, letters, max_letters: int):
     """A word of m letters, m uniform in 0..max_letters, with b0 uniform
-    over the base codes and each letter (x, sign, b) uniform over the
-    signed stable letters times the base codes.  One draw, in mixed
-    radix (max_letters + 1, size, then k = |signed| size per letter),
-    gives m, b0 and max_letters letter digits q, each read as
-    signed[q // size] and q % size; the digits past the m-th go unread,
-    so the words of m letters share their draws equally."""
+    over the base codes and each letter uniform over the table
+    ``letters`` of ``_britton_letters``, the signed stable letters times
+    the base codes.  One draw, in mixed radix (max_letters + 1, size,
+    then k = len(letters) per letter), gives m, b0 and max_letters letter
+    digits q, each read as ``letters[q]``; the digits past the m-th go
+    unread, so the words of m letters share their draws equally."""
     size = pres.size
-    k = len(signed) * size
+    k = len(letters)
     r, m = divmod(rng.randrange((max_letters + 1) * size * k**max_letters), max_letters + 1)
     r, b0 = divmod(r, size)
-    letters = []
+    word = []
     for _ in range(m):
         r, q = divmod(r, k)
-        x, sign = signed[q // size]
-        letters.append((x, sign, q % size))
-    return (b0, tuple(letters))
+        word.append(letters[q])
+    return (b0, tuple(word))
 
 
 @check_type("britton-engine")
@@ -450,7 +456,7 @@ def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
     # Britton's lemma: reduced one-letter words b0 x^sign b1 are never the
     # identity; walked in ``iter_reduced_words`` order, so a failure names
     # the word that walk would reach first
-    count = 0
+    count, is_identity = 0, hnn.is_identity
     for pres in (b_pres, m_pres):
         codes = range(pres.size)
         for x in pres.letters:
@@ -458,23 +464,25 @@ def run_britton_engine(bounds, rng, *, degree=3, samples=500) -> PropertyReport:
                 for b0 in codes:
                     for b1 in codes:
                         word = (b0, ((x, sign, b1),))
-                        if hnn.is_identity(pres, word):
+                        if is_identity(pres, word):
                             return PropertyReport.failing("reduced 1-letter word is trivial", word)
                 count += pres.size**2
     detail.append(f"all {count} reduced one-stable-letter words are nontrivial")
     # confluence under randomized pinch orders (reduced words: equal ones share a normal form)
+    reduce, normal_form = hnn.britton_reduce, hnn.reduced_normal_form
+    word_mul, word_inv = hnn.word_mul, hnn.word_inv
     for pres in (b_pres, m_pres):
-        signed = [(x, sign) for x in pres.letters for sign in (1, -1)]
+        letters, one = _britton_letters(pres), (pres.identity_code, ())
         for k in range(samples):
-            w = _random_britton_word(rng, pres, signed, 6)
-            first = hnn.britton_reduce(pres, w)
-            second = hnn.britton_reduce(pres, w, rng=rng)
+            w = _random_britton_word(rng, pres, letters, 6)
+            first = reduce(pres, w)
+            second = reduce(pres, w, rng=rng)
             if first != second and (
-                hnn.reduced_normal_form(pres, first) != hnn.reduced_normal_form(pres, second)
+                normal_form(pres, first) != normal_form(pres, second)
             ):
                 return PropertyReport.failing(f"confluence breaks at sample {k}", w)
-            quot = hnn.word_mul(pres, first, hnn.word_inv(pres, second))
-            if quot != (pres.identity_code, ()):  # word_mul reduces: Britton's lemma
+            quot = word_mul(pres, first, word_inv(pres, second))
+            if quot != one:  # word_mul reduces: Britton's lemma
                 return PropertyReport.failing(f"reductions differ in the group ({k})", w)
     detail.append(
         f"{samples} randomized-order reductions per presentation agree with the"

@@ -254,6 +254,7 @@ def reference_normal_form(pres, word):
 ENGINE_PRESENTATIONS = (
     binate_presentation(S3),
     mitosis_presentation(S3),
+    binate_presentation(symmetric_group(2)),
     mitosis_presentation(symmetric_group(2)),
 )
 
@@ -306,6 +307,47 @@ def test_engine_seam_product_is_the_reduced_concatenation(case):
     u, v = reference_reduce(pres, w1), reference_reduce(pres, w2)
     assert word_mul(pres, u, v) == reference_reduce(pres, _concat(pres, u, v))
     assert word_mul(pres, u, w2) == reference_reduce(pres, _concat(pres, u, w2))
+
+
+class NoDraws:
+    def randrange(self, stop):
+        raise AssertionError("a word with no pinch site needs no draw")
+
+
+@pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
+def test_engine_short_and_pinch_free_words_come_back_as_they_stand(make):
+    """Every word of at most two stable letters over Sym(2): one with
+    fewer than two, on both paths, and one with no pinch site, under an
+    ``rng``, comes back as the very word given, with no draw; given its
+    letters as a list, it comes back equal, with a tuple of letters."""
+    pres = make(symmetric_group(2))
+    letters = list(itertools.product(pres.letters, (1, -1), range(pres.size)))
+    short = pinch_free = 0
+    for m in range(3):
+        for b0, word in itertools.product(range(pres.size), itertools.product(letters, repeat=m)):
+            if m == 2 and reference_pinch_sites(pres, word):
+                continue
+            w = (b0, word)
+            short, pinch_free = short + (m < 2), pinch_free + (m == 2)
+            for rng in [NoDraws()] + [None] * (m < 2):
+                assert britton_reduce(pres, w, rng=rng) is w
+                b, got = britton_reduce(pres, (b0, list(word)), rng=rng)
+                assert (b, got) == w and type(got) is tuple
+    assert short == pres.size * (1 + len(letters))
+    assert 0 < pinch_free < pres.size * len(letters) ** 2
+
+
+@settings(max_examples=250, deadline=None)
+@given(engine_words())
+def test_engine_reduced_words_pass_through_both_paths(case):
+    """A Britton-reduced word of up to 8 stable letters has no pinch
+    site: both paths return it as it stands, the ``rng`` one with no
+    draw, and the product with the identity is the word itself."""
+    pres, w, _ = case
+    reduced = reference_reduce(pres, w)
+    assert britton_reduce(pres, reduced) == reduced
+    assert britton_reduce(pres, reduced, rng=NoDraws()) is reduced
+    assert word_mul(pres, reduced, (pres.identity_code, ())) == reduced
 
 
 @pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
@@ -462,13 +504,15 @@ def test_engine_split_and_transversal_are_the_coset_sweep(make, degree):
 @pytest.mark.parametrize("make", [binate_presentation, mitosis_presentation])
 def test_engine_sampler_reads_one_draw_in_mixed_radix(make):
     """A sampled word comes from one draw r in range((L + 1) size k^L),
-    k = 2 |letters| size, read as m, b0 and L letter digits.  Every word
+    k = 2 |letters| size, read as m, b0 and L letter digits, each an
+    index into the table of k letter tuples.  Every word
     of m <= L letters is drawn k^(L - m) times, once for each value of
     the digits it leaves unread: m is uniform and, given m, so is the
     word, as with one draw per letter."""
     pres, L = make(symmetric_group(2)), 2
-    signed = [(x, sign) for x in pres.letters for sign in (1, -1)]
-    k = len(signed) * pres.size
+    table = suites._britton_letters(pres)
+    k = len(table)
+    assert k == 2 * len(pres.letters) * pres.size
     total = (L + 1) * pres.size * k**L
 
     class Draws:
@@ -479,7 +523,7 @@ def test_engine_sampler_reads_one_draw_in_mixed_radix(make):
     rng, drawn = Draws(), collections.Counter()
     for r in range(total):
         rng.r, rng.stops = r, []
-        drawn[suites._random_britton_word(rng, pres, signed, L)] += 1
+        drawn[suites._random_britton_word(rng, pres, table, L)] += 1
         assert rng.stops == [total]
     letters = list(itertools.product(pres.letters, (1, -1), range(pres.size)))
     assert drawn == {
@@ -513,6 +557,32 @@ def test_engine_check_tests_each_one_letter_word_in_walk_order(monkeypatch, degr
     rep = suites.run_britton_engine({}, random.Random(0), degree=degree, samples=0)
     assert rep.verdict == "pass" and tested == expected
     assert f"all {len(expected)} reduced one-stable-letter words are nontrivial" in rep.checks
+
+
+def test_engine_check_counts_its_identity_tests_and_products(monkeypatch):
+    """At degree 3 each check runs ``is_identity`` on all 7,776 one-letter
+    words, two checks 2 x 7,776, whatever the sample count; each sample
+    costs two reductions, one ``word_inv`` and one ``word_mul``, in each
+    of the two presentations."""
+    calls = collections.Counter()
+    for name in ("is_identity", "britton_reduce", "word_mul", "word_inv"):
+        def spy(*args, _name=name, _real=getattr(hnn, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hnn, name, spy)
+    counts, samples = [], 40
+    for n in (0, samples):
+        calls.clear()
+        rep = suites.run_britton_engine({}, random.Random(1), degree=3, samples=n)
+        assert rep.verdict == "pass"
+        counts.append(dict(calls))
+    none, some = counts
+    assert none["is_identity"] + some["is_identity"] == 2 * 7776
+    assert none["is_identity"] == some["is_identity"] == 6 * 6**4
+    assert some["britton_reduce"] - none["britton_reduce"] == 2 * 2 * samples
+    assert some["word_mul"] - none["word_mul"] == 2 * samples
+    assert some["word_inv"] - none["word_inv"] == 2 * samples
 
 
 def test_engine_check_reports_a_confluence_break(monkeypatch):

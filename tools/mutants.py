@@ -143,9 +143,19 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "pinch-merges-factors-swapped", "hnn.py",
-        "merged = gmul[mid // n][d // n] * n + gmul[mid % n][d % n]",
-        "merged = gmul[d // n][mid // n] * n + gmul[d % n][mid % n]",
+        "m1, m2 = gmul[mid // n][d // n], gmul[mid % n][d % n]",
+        "m1, m2 = gmul[d // n][mid // n], gmul[d % n][mid % n]",
         ENGINE_TESTS,
+    ),
+    Mutant(
+        "short-word-return-admits-two-letters", "hnn.py",
+        "if len(letters) < 2:", "if len(letters) < 3:", ENGINE_TESTS,
+        within="def britton_reduce(",
+    ),
+    Mutant(
+        "random-order-path-returns-the-input-unreduced", "hnn.py",
+        "if not sites:", "if True:", ENGINE_TESTS,
+        within="def britton_reduce(",
     ),
     Mutant(
         "word-inv-keeps-the-letter-order", "hnn.py",
@@ -204,7 +214,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "sampler-draws-sign-plus-only", "suites.py",
-        "x, sign = signed[q // size]", "x, sign = signed[q // size][0], 1", ENGINE_TESTS,
+        "return [(x, sign, b) for x in pres.letters for sign in (1, -1) for b in range(pres.size)]",
+        "return [(x, 1, b) for x in pres.letters for sign in (1, -1) for b in range(pres.size)]",
+        ENGINE_TESTS,
     ),
     Mutant(
         "one-letter-loop-skips-sign-minus", "suites.py",
