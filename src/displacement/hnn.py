@@ -44,10 +44,11 @@ far side of x^sign read from ``_across``.  A Bass-Serre vertex is its
 normal-form word, ending in the identity base letter, with one stable
 letter per step of distance.
 
-Bass-Serre vertex queries: ``tree_ball`` lists the vertices within a
-radius, and ``fixed_vertices`` the ones a base element g fixes.  The
-latter descends from the base vertex through fixed vertices only, each
-carrying w^-1 g w as a base code, so a child costs a few table lookups.
+Bass-Serre vertex queries: ``fixed_vertices`` lists the vertices within
+a radius that a base element g fixes, descending from the base vertex
+through fixed vertices only, each carrying w^-1 g w as a base code, so a
+child costs a few table lookups.  The identity fixes every vertex, so
+its fixed set is the ball, ``tree_ball``.
 ``fixes_vertex`` tests one vertex by word arithmetic, as an independent
 oracle.  ``cc_witness_search_b1`` walks one vertex per (G x G)-orbit of
 the ball instead, each carrying its stabilizer by the same rule.
@@ -359,24 +360,15 @@ def reduced_normal_form(pres, word: Word) -> Word:
     """The normal form of a Britton-reduced word: every base letter
     (except the last) rewritten to its left-coset transversal
     representative r, where it is r c (``split``), and the subgroup part
-    c pushed rightwards through the next stable letter (``_across``).
-
-    ``split``'s arithmetic runs inline, on the coordinates (b1, b2) of b:
-    c = S(g) for g = b1 if S's first flag is set, else b2, and r = b c^-1
-    is (1, b2 g^-1) or (b1, 1) for S the diagonal or 1 x G, and (1, b2)
-    for S = G x 1."""
+    c pushed rightwards through the next stable letter (``_across``)."""
     b, letters = word
     if not letters:
         return word
-    gmul, ginv, n, across = pres._gmul, pres._ginv, pres.n, pres._across
     bases = []
     for x, e, nxt in letters:
-        first, second = _EMBEDDINGS[x][e > 0]
-        b1, b2 = divmod(b, n)
-        g = b1 if first else b2
-        bases.append((0 if first else b1 * n) + (gmul[b2][ginv[g]] if second else b2))
-        far = across[x][e][(g * n if first else 0) + (g if second else 0)]
-        b = gmul[far // n][nxt // n] * n + gmul[far % n][nxt % n]
+        r, c = pres.split(x, e, b)
+        bases.append(r)
+        b = pres.mul(pres._across[x][e][c], nxt)
     return (
         bases[0],
         tuple([(x, e, r) for (x, e, _), r in zip(letters, bases[1:] + [b])]),
@@ -463,14 +455,9 @@ MAX_TREE_RADIUS = 4
 def tree_ball(pres: FiniteHnnPresentation, radius: int) -> List[Word]:
     """All vertices within the given distance of the base vertex, as
     their normal-form words, in breadth-first order with deterministic
-    child ordering (stable letter, sign, transversal index)."""
-    if radius > MAX_TREE_RADIUS:
-        raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
-    ball = frontier = [(pres.identity_code, ())]
-    for _ in range(radius):
-        frontier = [child for w in frontier for *_, child in _children(pres, w)]
-        ball = ball + frontier
-    return ball
+    child ordering (stable letter, sign, transversal index): the fixed
+    set of the identity, which fixes every vertex."""
+    return fixed_vertices(pres, pres.identity_code, radius)
 
 
 def tree_ball_size(pres: FiniteHnnPresentation, radius: int) -> int:
@@ -525,9 +512,8 @@ def _orbit_walk(
     ``_across`` at the part in S of c r (``split``).  At the base, G x G
     is transitive on the children x^sign (base), so the first of them
     leads and carries the whole associated subgroup on the far side of
-    x^sign; below the base, C has at most |G| codes."""
-    if radius > MAX_TREE_RADIUS:
-        raise BudgetExceededError(f"tree radius budget is {MAX_TREE_RADIUS}")
+    x^sign; below the base, C has at most |G| codes.  The caller gates
+    the radius (``tree_ball_size``)."""
     base = (pres.identity_code, ())
     yield base, 0, None
     mul = pres.mul
@@ -541,7 +527,7 @@ def _orbit_walk(
                     continue
                 if C is None:
                     seen.update((x, sign, s) for s in pres.transversal(x, sign))
-                    carried = [pres._embed(x, -sign, g) for g in range(pres.n)]
+                    carried = list(pres._across[x][sign].values())
                 else:
                     across = pres._across[x][sign]
                     carried = []

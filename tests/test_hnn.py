@@ -238,12 +238,13 @@ def reference_reduce(pres, word, rng=None):
 
 def reference_normal_form(pres, word):
     """The normal form of a reduced word by decomposing each base letter
-    as b = r c, with r from ``split`` and c = r^-1 b, and pushing
-    phi_x^-+1(c) through the next stable letter."""
+    as b = r c, with r the least code of the coset b S, scanned over the
+    |G| members of S (the keys of ``_across[x][e]``), and c = r^-1 b, and
+    pushing phi_x^-+1(c) through the next stable letter."""
     b0, letters = word
     bases = [b0] + [b for _, _, b in letters]
     for i, (x, e, _) in enumerate(letters):
-        r, _ = pres.split(x, e, bases[i])
+        r = min(pres.mul(bases[i], s) for s in pres._across[x][e])
         c = pres.mul(pres.inv(r), bases[i])
         bases[i] = r
         pushed = pres._across[x][e][c]
@@ -793,9 +794,10 @@ def test_centralizing_elements_preserve_fixed_sets(bp):
 def test_descent_finds_the_scanned_fixed_set(make, degree, radius):
     """For every base element, the descent through fixed vertices returns
     exactly the vertices that the word-algebra test finds in the ball,
-    in the same order; the identity fixes the whole ball."""
+    in the same order; the identity fixes the whole ball, as the walk by
+    normal forms lists it."""
     pres = make(symmetric_group(degree))
-    ball = tree_ball(pres, radius)
+    ball = [w for w, _ in _reference_walk(pres, radius)]
     for code in range(pres.size):
         scan = [v for v in ball if fixes_vertex(pres, (code, ()), v)]
         assert fixed_vertices(pres, code, radius) == scan
@@ -964,6 +966,17 @@ def test_orbit_search_budget_is_checked_before_any_check(monkeypatch):
         cc_witness_search_b1(S3, 3, budget=1000)
     assert calls == []
     assert cc_witness_search_b1(S3, 3, budget=1597).verdict == "none"
+
+
+def test_orbit_search_refuses_a_radius_over_its_limit_before_any_check(monkeypatch):
+    """The orbit walk has no radius gate of its own: the search refuses a
+    radius over ``MAX_TREE_RADIUS`` through ``tree_ball_size``, before the
+    first check."""
+    calls = counting_check_cc(monkeypatch)
+    limit = f"^tree radius budget is {hnn.MAX_TREE_RADIUS}$"
+    with pytest.raises(BudgetExceededError, match=limit):
+        cc_witness_search_b1(S3, hnn.MAX_TREE_RADIUS + 1)
+    assert calls == []
 
 
 def _landing(pres, max_letters):

@@ -183,13 +183,13 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "push-table-from-phi", "hnn.py",
-        "far = across[x][e][(g * n if first else 0) + (g if second else 0)]",
-        "far = across[x][-e][(g * n if first else 0) + (g if second else 0)]",
+        "b = pres.mul(pres._across[x][e][c], nxt)",
+        "b = pres.mul(pres._across[x][-e][c], nxt)",
         ENGINE_TESTS,
     ),
     Mutant(
         "normal-form-reads-the-other-coordinate", "hnn.py",
-        "g = b1 if first else b2", "g = b2 if first else b1", ENGINE_TESTS,
+        "r, c = pres.split(x, e, b)", "r, c = pres.split(x, -e, b)", ENGINE_TESTS,
     ),
     Mutant(
         "split-divides-on-the-left", "hnn.py",
@@ -398,6 +398,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         "orbit-walk-child-orbits-under-all-of-GxG", "hnn.py",
         "for c in C:", "for c in range(pres.size):",
         ORBIT_TESTS, within="def _orbit_walk(",
+    ),
+    Mutant(
+        "orbit-walk-base-carries-the-near-subgroup", "hnn.py",
+        "carried = list(pres._across[x][sign].values())",
+        "carried = list(pres._across[x][-sign].values())",
+        ORBIT_TESTS,
+    ),
+    Mutant(
+        "tree-ball-descends-from-a-non-identity-code", "hnn.py",
+        "return fixed_vertices(pres, pres.identity_code, radius)",
+        "return fixed_vertices(pres, 1, radius)",
+        ("tests/test_hnn.py", "-k", "tree_ball"),
     ),
     Mutant(
         "cc-search-budget-admits-one-less", "hnn.py",
